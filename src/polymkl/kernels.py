@@ -1,10 +1,16 @@
-"""Base Gram matrices, their elementwise (Hadamard) powers, and product-kernel
-Gram assembly.
+"""Rank-one base kernels, the elementwise (Hadamard) powers of their sum, and
+product-kernel Gram assembly.
 
 A product kernel is identified by a MultiIndex: an ordered tuple of base-kernel
 indices. Index 0 is the constant kernel (all-ones Gram) when enabled; indices
 1..r are the per-variable linear kernels k_j(x, x') = x_j * x'_j. The empty
 tuple is the degree-0 kernel, identically 1.
+
+Every base kernel is rank one, K_j = z_j z_j' with z_0 = 1 and z_j = x_j, so
+every product kernel is z z' with z the elementwise product of its columns.
+The fast paths work on these columns; `product_kernel_matrix`,
+`product_kernel_cross` and `BaseKernelSet.kernel` build the dense n x n Grams
+and serve as the independent oracles.
 """
 
 from __future__ import annotations
@@ -38,67 +44,89 @@ class GramMatrix:
 
 
 class BaseKernelSet:
-    """Immutable bundle of base Grams, their sum S, and cached powers S^(.)0..D.
+    """Immutable bundle of the base-kernel columns Z (n x m, one column z_j per
+    base index, in `indices` order), their Gram S = Z Z' = sum_j K_j, and the
+    cached elementwise powers S^(.)0..D.
 
-    Shared read-only by the sampler, gradient, and optimizer code; never
-    mutated after construction.
+    No n x n base Gram is stored; `kernel(j)` builds one on demand. Shared
+    read-only by the sampler, gradient, and optimizer code; never mutated
+    after construction.
     """
 
-    def __init__(self, base: list[np.ndarray], indices: list[int], inputs: np.ndarray, D: int):
-        if len(base) != len(indices) or not base:
-            raise KernelError("base matrices and indices must align and be nonempty")
+    def __init__(self, inputs: np.ndarray, include_constant: bool, D: int):
         if D < 0:
             raise KernelError("D must be nonnegative")
-        self.n = base[0].shape[0]
+        self.inputs = np.asarray(inputs, dtype=np.float64)
+        self.n, r = self.inputs.shape
         self.D = D
-        self.inputs = inputs
-        self.indices = list(indices)
-        # one contiguous block holding all base Grams; per-kernel views avoid
-        # duplicating it, and the flattened view lets the sampler take all
-        # entrywise sums sum_ts W_ts K_j,ts in a single matrix-vector product
-        self._block = np.stack([np.asarray(K, dtype=np.float64) for K in base])
-        self.base = [self._block[i] for i in range(len(base))]
-        self.stacked_flat = self._block.reshape(len(base), self.n * self.n)
-        self._by_index = {j: K for j, K in zip(indices, self.base)}
-        self.S = np.zeros((self.n, self.n))
-        for K in self.base:
-            self.S += K
-        # powers[d] = S^(.)d elementwise; powers[0] is all ones. O(D n^2) total.
-        powers = [np.ones((self.n, self.n))]
-        for _ in range(D):
+        self.indices = ([0] if include_constant else []) + list(range(1, r + 1))
+        if not self.indices:
+            raise KernelError("need at least one base kernel")
+        self._position = {j: pos for pos, j in enumerate(self.indices)}
+        self.Z = self.product_columns([(j,) for j in self.indices])
+        self.S = self.Z @ self.Z.T
+        # powers[d] = S^(.)d elementwise; powers[0] is all ones and powers[1]
+        # is S itself. O(D n^2) total.
+        powers = [np.ones((self.n, self.n)), self.S]
+        for _ in range(2, D + 1):
             powers.append(powers[-1] * self.S)
-        self.powers = powers
+        self.powers = powers[: D + 1]
 
     @property
     def num_kernels(self) -> int:
-        return len(self.base)
+        return len(self.indices)
 
     @property
     def has_constant(self) -> bool:
-        return 0 in self._by_index
+        return 0 in self._position
+
+    def product_columns(self, tuples: list[MultiIndex]) -> np.ndarray:
+        """n x len(tuples) matrix whose i-th column z_i gives product kernel
+        tuples[i] as z_i z_i'."""
+        for idx in tuples:
+            for j in idx:
+                if j not in self._position:
+                    raise KernelError(f"no base kernel with index {j}")
+        return product_columns(self.inputs, tuples)
 
     def kernel(self, j: int) -> np.ndarray:
-        try:
-            return self._by_index[j]
-        except KeyError:
-            raise KernelError(f"no base kernel with index {j}") from None
+        """Dense n x n Gram of base kernel j, built on demand."""
+        z = self.product_columns([(j,)])[:, 0]
+        return np.outer(z, z)
+
+    def weighted_gram(self, tuples: list[MultiIndex], weights) -> np.ndarray:
+        """sum_i weights[i] z_i z_i' as the single product B B' with
+        B = Z_s diag(weights)^(1/2), exactly symmetric; weights must be
+        nonnegative."""
+        weights = np.asarray(weights, dtype=np.float64)
+        if np.any(weights < 0):
+            raise KernelError("combination weights must be nonnegative")
+        B = self.product_columns(tuples)
+        B *= np.sqrt(weights)
+        return B @ B.T
+
+
+def product_columns(inputs: np.ndarray, tuples: list[MultiIndex]) -> np.ndarray:
+    """Columns z_i over the rows of `inputs`, one per tuple: the elementwise
+    product of the selected columns of [1, inputs], where index 0 contributes
+    the constant factor 1 and the empty tuple gives all ones."""
+    inputs = np.asarray(inputs, dtype=np.float64)
+    out = np.ones((inputs.shape[0], len(tuples)), order="F")
+    for c, idx in enumerate(tuples):
+        for j in idx:
+            if j == 0:
+                continue
+            if not 1 <= j <= inputs.shape[1]:
+                raise KernelError(f"base kernel index {j} out of range")
+            out[:, c] *= inputs[:, j - 1]
+    return out
 
 
 def build_base_kernels(data: Dataset, include_constant: bool, D: int) -> BaseKernelSet:
-    """Per-variable linear Grams K_j = x_j x_j^T, optionally plus an all-ones
-    constant kernel, with S = sum K_j and its Hadamard powers precomputed."""
-    if D < 0:
-        raise KernelError("D must be nonnegative")
-    base = []
-    indices = []
-    if include_constant:
-        base.append(np.ones((data.n, data.n)))
-        indices.append(0)
-    for j in range(1, data.r + 1):
-        col = data.inputs[:, j - 1]
-        base.append(np.outer(col, col))
-        indices.append(j)
-    return BaseKernelSet(base=base, indices=indices, inputs=data.inputs, D=D)
+    """Per-variable linear kernels K_j = x_j x_j', optionally plus an all-ones
+    constant kernel, held as columns, with S = sum K_j and its Hadamard powers
+    precomputed."""
+    return BaseKernelSet(data.inputs, include_constant, D)
 
 
 def hadamard_power(mat: GramMatrix, d: int) -> GramMatrix:

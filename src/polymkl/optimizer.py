@@ -17,9 +17,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dger
 
 from .dataset import Dataset, MultiIndex
-from .dual import DualState, assemble_combined_gram, solve_alpha
+from .dual import DualState, assemble_combined_gram, solve_alpha, support_weights
 from .gradient import (
     GradSample,
     RhoSchedule,
@@ -27,7 +28,9 @@ from .gradient import (
     importance_estimate,
     total_mass_C,
 )
-from .kernels import BaseKernelSet, GramMatrix, product_kernel_matrix
+# product_kernel_matrix is not called here any more; it stays a module
+# attribute because the benchmark's tracer (bench/measure.py) wraps it by name
+from .kernels import BaseKernelSet, GramMatrix, product_kernel_matrix  # noqa: F401
 from .sampler import SamplerWorkspace
 
 # rescale only when the squared norm exceeds this, so that re-projecting an
@@ -133,6 +136,16 @@ def project_pos_l2ball(theta: SparseTheta) -> SparseTheta:
     return theta
 
 
+def _add_rank_one(A: np.ndarray, coef: float, z: np.ndarray):
+    """A += coef * z z' in place, with no n x n temporary. BLAS ger on the
+    scaled vector v = sqrt(|coef|) z with multiplier +-1 keeps a symmetric A
+    exactly symmetric."""
+    if not A.flags.c_contiguous:
+        raise ValueError("the combined Gram must be C-contiguous to update in place")
+    v = math.sqrt(abs(coef)) * z
+    dger(math.copysign(1.0, coef), v, v, a=A.T, overwrite_a=True)
+
+
 def default_step_size(B_estimate: float, T: int) -> float:
     """Constant step 1 / sqrt(B T) for a unit-strongly-convex potential on the
     unit ball started at zero; B defaults to the squared gradient mass at the
@@ -171,8 +184,9 @@ class OptimizerState:
     """Single-owner mutable state for one descent run.
 
     Maintains the combined Gram incrementally as scale * U with
-    U = sum_i (raw_i / rho^2) K_i, and the lazy-average bookkeeping
-    (per-coordinate accumulators against a prefix sum of scales).
+    U = sum_i (raw_i / rho^2) z_i z_i' (one rank-one update per step, in
+    place), and the lazy-average bookkeeping (per-coordinate accumulators
+    against a prefix sum of scales).
     """
 
     def __init__(
@@ -188,7 +202,7 @@ class OptimizerState:
         self.step_size = step_size
         self.theta = SparseTheta()
         self.combined_unscaled = np.zeros((ks.n, ks.n))
-        self._kbuf = np.empty((ks.n, ks.n))
+        self._gram = np.empty((ks.n, ks.n))
         self.iter = 0
         self.records: list[RunRecord] = []
         # averaging: prefix sum of scales of iterates counted so far, the
@@ -199,13 +213,15 @@ class OptimizerState:
         self._avg_mark: dict[MultiIndex, float] = {}
 
     def combined_gram(self) -> GramMatrix:
-        return GramMatrix(self.theta.scale * self.combined_unscaled)
+        """The current combined Gram, written into a buffer this state reuses:
+        it stays valid until the next call."""
+        np.multiply(self.combined_unscaled, self.theta.scale, out=self._gram)
+        return GramMatrix(self._gram)
 
     def rebuild_combined_gram(self) -> np.ndarray:
-        K = np.zeros((self.ks.n, self.ks.n))
-        for idx, value in self.theta.items():
-            K += (value / self.rho.rho_sq[len(idx)]) * product_kernel_matrix(self.ks, idx).values
-        return K
+        """The combined Gram rebuilt from the support, as one product over its
+        columns."""
+        return self.ks.weighted_gram(*support_weights(self.theta, self.rho))
 
     def _mark_entering_iterate(self):
         self._ps += self.theta.scale
@@ -246,13 +262,8 @@ class OptimizerState:
             old_raw = self.theta.raw.get(idx, 0.0)
             self.theta.set_raw(idx, old_raw + delta_theta / self.theta.scale)
             actual_raw = self.theta.raw.get(idx, 0.0)  # 0.0 if clipped away
-            rho_sq = self.rho.rho_sq[len(idx)]
-            buf = self._kbuf
-            buf.fill(1.0)
-            for j in idx:
-                np.multiply(buf, self.ks.kernel(j), out=buf)
-            np.multiply(buf, (actual_raw - old_raw) / rho_sq, out=buf)
-            self.combined_unscaled += buf
+            coef = (actual_raw - old_raw) / self.rho.rho_sq[len(idx)]
+            _add_rank_one(self.combined_unscaled, coef, self.ks.product_columns([idx])[:, 0])
             project_pos_l2ball(self.theta)
             if self.theta.scale < _REBASE_THRESHOLD:
                 self._rebase()

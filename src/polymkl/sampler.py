@@ -1,16 +1,19 @@
 """Draw a product-kernel multi-index with probability proportional to the
-magnitude of its gradient component, in O(r n^2 D) per draw.
+magnitude of its gradient component, in O(m n^2 D) per draw for m base kernels.
 
 The draw is hierarchical: first the degree d, with weight
 delta(d) = alpha' S^(.)d alpha / rho_d^2, then one base-kernel index per
-position. With M the running Hadamard product (alpha alpha' times the factors
-chosen so far), position i uses conditional weights
+position. Every base kernel is rank one, K_j = z_j z_j', so the running
+Hadamard product of alpha alpha' with the factors chosen so far is u u', with
+u = alpha * z_prefix elementwise. Position i uses conditional weights
 
-    pi(j) proportional to sum_{t,s} M_ts * S^(.)(d-i)_ts * K_j,ts,
+    pi(j) proportional to sum_{t,s} u_t u_s S^(.)(d-i)_ts z_jt z_js
+          = colsum(U * (S^(.)(d-i) U))_j,   U = u[:, None] * Z,
 
-whose telescoping sum over j equals the previous position's chosen weight. The
-resulting joint law over ordered tuples is exactly the normalized |gradient|
-distribution, which `brute_force_q` enumerates for testing.
+one n x n by n x m matrix product per position. Their sum over j telescopes
+to the previous position's chosen weight. The resulting joint law over ordered
+tuples is exactly the normalized |gradient| distribution, which
+`brute_force_q` enumerates densely for testing.
 """
 
 from __future__ import annotations
@@ -57,8 +60,10 @@ class SamplerWorkspace:
         self.ks = ks
         self.rho = rho
         self.rng = rng
-        self._M = np.empty((ks.n, ks.n))
-        self._W = np.empty((ks.n, ks.n))
+        # running factor u = alpha * z_prefix, and the n x m products U, P U
+        self.u = np.empty(ks.n)
+        self._U = np.empty(ks.Z.shape, order="F")
+        self._PU = np.empty(ks.Z.shape, order="F")
 
     def draw(self, alpha: np.ndarray, masses: DegreeMasses | None = None) -> MultiIndex:
         ks = self.ks
@@ -70,25 +75,36 @@ class SamplerWorkspace:
         if d == 0:
             return ()
 
-        M = np.outer(alpha, alpha, out=self._M)
-        W = self._W
-        W_flat = W.reshape(-1)
+        u = self.u
+        np.copyto(u, alpha)
         chosen: list[int] = []
         # entering position i the denominator is the weight that won position
         # i-1 (telescoping); at i=1 it is the degree weight before rho-scaling
         denom = masses.delta[d] * self.rho.rho_sq[d]
         for i in range(1, d + 1):
-            np.multiply(M, ks.powers[d - i], out=W)
-            # per candidate j the entrywise sum sum_ts W_ts K_j,ts, all at once
-            weights = ks.stacked_flat @ W_flat
-            assert abs(weights.sum() - denom) <= 1e-9 * max(1.0, abs(denom)), (
-                f"telescoping identity violated: {weights.sum()} vs {denom}"
-            )
+            weights = self.position_weights(u, d - i)
+            total = float(weights.sum())
+            # written so that a NaN total fails it too
+            if not abs(total - denom) <= 1e-9 * max(1.0, abs(denom)):
+                raise SamplerError(f"telescoping identity violated: {total} vs {denom}")
             pos = _draw_categorical(self.rng, weights, scale=max(denom, 1.0))
             chosen.append(ks.indices[pos])
             denom = float(weights[pos])
-            np.multiply(M, ks.kernel(ks.indices[pos]), out=M)
+            u *= ks.Z[:, pos]
         return tuple(chosen)
+
+    def position_weights(self, u: np.ndarray, remaining: int) -> np.ndarray:
+        """Unnormalized weight of every base index at a position whose running
+        factor is u, with `remaining` positions after it:
+        colsum(U * (S^(.)remaining U)) with U = u[:, None] * Z."""
+        U = np.multiply(u[:, None], self.ks.Z, out=self._U)
+        if remaining == 0:
+            # S^(.)0 is all ones, so the weights are the squared column sums
+            weights = U.sum(axis=0)
+            weights *= weights
+            return weights
+        PU = np.matmul(self.ks.powers[remaining], U, out=self._PU)
+        return np.einsum("tj,tj->j", U, PU)
 
 
 def sample_multi_index(

@@ -53,7 +53,7 @@ class TestBuildBaseKernels:
     def test_base_kernels_are_psd(self):
         data = random_dataset(n=8, r=4, seed=3)
         ks = build_base_kernels(data, include_constant=True, D=1)
-        for K in ks.base:
+        for K in (ks.kernel(j) for j in ks.indices):
             smallest = np.linalg.eigvalsh(K).min()
             assert smallest >= -1e-8 * np.linalg.norm(K)
 

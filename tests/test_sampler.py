@@ -12,6 +12,7 @@ from polymkl import (
     degree_masses,
     sample_multi_index,
 )
+from polymkl.gradient import DegreeMasses
 from polymkl.sampler import SamplerError, SamplerWorkspace
 
 
@@ -184,11 +185,21 @@ class TestDeterminismAndCost:
         with pytest.raises(SamplerError):
             sample_multi_index(np.zeros(ks.n), ks, rho, np.random.default_rng(0))
 
+    def test_inconsistent_degree_masses_raise(self):
+        # all mass on degree 2, but twice what the position weights sum to:
+        # the telescoping check must raise, also under python -O
+        alpha, ks, rho = random_instance(seed=34)
+        true = degree_masses(alpha, ks, rho).delta[2]
+        bogus = DegreeMasses(delta=np.array([0.0, 0.0, 2.0 * true]), total=2.0 * true)
+        with pytest.raises(SamplerError, match="telescoping"):
+            sample_multi_index(alpha, ks, rho, np.random.default_rng(0), bogus)
+
 
 class TestWorkspaceInvariant:
     def test_running_product_matches_factors(self):
-        # after the draw, replaying the returned tuple from alpha alpha' must
-        # land on the workspace's final running product
+        # after the draw, the workspace's running factor must be exactly
+        # alpha times the drawn columns, and its outer product must match the
+        # running Hadamard product replayed densely from alpha alpha'
         alpha, ks, rho = random_instance(n=6, r=3, D=2, seed=40)
         rng = np.random.default_rng(41)
         ws = SamplerWorkspace(ks, rho, rng)
@@ -196,7 +207,10 @@ class TestWorkspaceInvariant:
             idx = ws.draw(alpha)
             if not idx:
                 continue
+            u = alpha.copy()
             M = np.outer(alpha, alpha)
             for j in idx:
+                u = u * ks.inputs[:, j - 1]
                 M = M * ks.kernel(j)
-            np.testing.assert_array_equal(ws._M, M)
+            np.testing.assert_array_equal(ws.u, u)
+            np.testing.assert_allclose(np.outer(ws.u, ws.u), M, rtol=1e-12, atol=0)
