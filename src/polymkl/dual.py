@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-# product_kernel_matrix is not called here any more; it stays a module
-# attribute because the benchmark's tracer (bench/measure.py) wraps it by name
+# product_kernel_matrix is unused here, but the benchmark's tracer
+# (bench/measure.py) wraps this module attribute by name, so it stays imported
 from .kernels import (  # noqa: F401
     BaseKernelSet,
     GramMatrix,

@@ -28,8 +28,8 @@ from .gradient import (
     importance_estimate,
     total_mass_C,
 )
-# product_kernel_matrix is not called here any more; it stays a module
-# attribute because the benchmark's tracer (bench/measure.py) wraps it by name
+# product_kernel_matrix is unused here, but the benchmark's tracer
+# (bench/measure.py) wraps this module attribute by name, so it stays imported
 from .kernels import BaseKernelSet, GramMatrix, product_kernel_matrix  # noqa: F401
 from .sampler import SamplerWorkspace
 
