@@ -50,6 +50,11 @@ class LossSpec:
 
 @dataclass(frozen=True)
 class DualState:
+    """The inner solve at one Gram. K_theta holds the caller's array, not a
+    copy: a DualState solved from `OptimizerState.combined_gram()` changes
+    when that buffer is next written, so the descent loops use it only within
+    its iteration and return states solved from fresh Grams."""
+
     alpha: np.ndarray
     K_theta: GramMatrix
     J_value: float

@@ -90,9 +90,14 @@ class BaseKernelSet:
         return product_columns(self.inputs, tuples)
 
     def kernel(self, j: int) -> np.ndarray:
-        """Dense n x n Gram of base kernel j, built on demand."""
-        z = self.product_columns([(j,)])[:, 0]
-        return np.outer(z, z)
+        """Dense n x n Gram of base kernel j, built on demand straight from the
+        inputs, without the column code it serves as an oracle for."""
+        if j not in self._position:
+            raise KernelError(f"no base kernel with index {j}")
+        if j == 0:
+            return np.ones((self.n, self.n))
+        x = self.inputs[:, j - 1]
+        return np.outer(x, x)
 
     def weighted_gram(self, tuples: list[MultiIndex], weights) -> np.ndarray:
         """sum_i weights[i] z_i z_i' as the single product B B' with

@@ -28,9 +28,7 @@ from .gradient import (
     importance_estimate,
     total_mass_C,
 )
-# product_kernel_matrix is unused here, but the benchmark's tracer
-# (bench/measure.py) wraps this module attribute by name, so it stays imported
-from .kernels import BaseKernelSet, GramMatrix, product_kernel_matrix  # noqa: F401
+from .kernels import BaseKernelSet, GramMatrix, product_kernel_matrix
 from .sampler import SamplerWorkspace
 
 # rescale only when the squared norm exceeds this, so that re-projecting an
@@ -186,7 +184,8 @@ class OptimizerState:
     Maintains the combined Gram incrementally as scale * U with
     U = sum_i (raw_i / rho^2) z_i z_i' (one rank-one update per step, in
     place), and the lazy-average bookkeeping (per-coordinate accumulators
-    against a prefix sum of scales).
+    against a prefix sum of scales). `last_index` is the tuple whose column
+    the latest nonzero update added, None before the first.
     """
 
     def __init__(
@@ -204,6 +203,7 @@ class OptimizerState:
         self.combined_unscaled = np.zeros((ks.n, ks.n))
         self._gram = np.empty((ks.n, ks.n))
         self.iter = 0
+        self.last_index: MultiIndex | None = None
         self.records: list[RunRecord] = []
         # averaging: prefix sum of scales of iterates counted so far, the
         # number counted, and per-coordinate (accumulator, prefix-sum mark)
@@ -214,7 +214,8 @@ class OptimizerState:
 
     def combined_gram(self) -> GramMatrix:
         """The current combined Gram, written into a buffer this state reuses:
-        it stays valid until the next call."""
+        it stays valid until the next call, and so does any DualState solved
+        from it."""
         np.multiply(self.combined_unscaled, self.theta.scale, out=self._gram)
         return GramMatrix(self._gram)
 
@@ -264,18 +265,37 @@ class OptimizerState:
             actual_raw = self.theta.raw.get(idx, 0.0)  # 0.0 if clipped away
             coef = (actual_raw - old_raw) / self.rho.rho_sq[len(idx)]
             _add_rank_one(self.combined_unscaled, coef, self.ks.product_columns([idx])[:, 0])
+            self.last_index = idx
             project_pos_l2ball(self.theta)
             if self.theta.scale < _REBASE_THRESHOLD:
                 self._rebase()
         return self
 
     def check_combined_gram(self, rel_tol: float = 1e-9):
-        rebuilt = self.rebuild_combined_gram()
-        current = self.theta.scale * self.combined_unscaled
-        denom = max(np.linalg.norm(rebuilt), 1e-300)
-        drift = np.linalg.norm(current - rebuilt) / denom
+        """Raise FloatingPointError if the incremental Gram scale * U has
+        drifted from a rebuild R over the support, or if the column of
+        `last_index` disagrees with its dense product kernel. The rebuild
+        shares its columns with `step`; the dense kernel does not, so a wrong
+        column cannot pass both checks."""
+        # ||scale U - R|| / ||R||, formed as scale ||U - R / scale|| in R's
+        # own buffer, so the check holds one n x n array at a time
+        residual = self.rebuild_combined_gram()
+        denom = max(np.linalg.norm(residual), 1e-300)
+        residual /= self.theta.scale
+        residual -= self.combined_unscaled
+        drift = self.theta.scale * np.linalg.norm(residual) / denom
         if drift > rel_tol:
             raise FloatingPointError(f"incremental combined Gram drifted: {drift:.3e}")
+        del residual
+        if self.last_index is not None:
+            residual = product_kernel_matrix(self.ks, self.last_index).values
+            denom = max(np.linalg.norm(residual), 1e-300)
+            _add_rank_one(residual, -1.0, self.ks.product_columns([self.last_index])[:, 0])
+            error = np.linalg.norm(residual) / denom
+            if not error <= rel_tol:
+                raise FloatingPointError(
+                    f"column of {self.last_index} disagrees with its dense kernel: {error:.3e}"
+                )
 
     def average_theta(self) -> SparseTheta:
         """The average of the iterates counted so far, reconstructed exactly from

@@ -15,6 +15,7 @@ from polymkl import (
     project_pos_l2ball,
     run,
 )
+from polymkl import baselines, optimizer
 from polymkl.dual import solve_alpha
 from polymkl.gradient import degree_masses, importance_estimate, total_mass_C
 from polymkl.sampler import SamplerWorkspace
@@ -179,6 +180,33 @@ class TestStep:
             assert np.linalg.norm(current - rebuilt) / denom <= 1e-9
         state.check_combined_gram()
 
+    def test_check_catches_a_column_shared_by_step_and_rebuild(self, monkeypatch):
+        # the wrong column enters both the update and the rebuild, so only the
+        # dense product kernel can tell
+        data, ks, rho = make_run_setup(n=6, r=2, D=2, seed=7)
+        state = OptimizerState(ks, rho, np.random.default_rng(0))
+        swap = {1: 2, 2: 1}
+        columns = type(ks).product_columns
+        monkeypatch.setattr(
+            ks, "product_columns",
+            lambda tuples: columns(ks, [tuple(swap.get(j, j) for j in t) for t in tuples]),
+        )
+        state.step(GradSample(index=(1, 1), value=-2.0, mass=2.0), eta=0.1)
+        state.step(GradSample(index=(2,), value=-2.0, mass=2.0), eta=0.1)
+        with pytest.raises(FloatingPointError, match="dense kernel"):
+            state.check_combined_gram()
+
+    def test_check_passes_on_a_zero_column(self):
+        data, ks, rho = make_run_setup(n=6, r=2, D=2, seed=8)
+        inputs = data.inputs.copy()
+        inputs[:, 1] = 0.0
+        ks = build_base_kernels(Dataset(inputs=inputs, targets=data.targets), False, 2)
+        state = OptimizerState(ks, rho, np.random.default_rng(0))
+        state.step(GradSample(index=(1,), value=-2.0, mass=2.0), eta=0.1)
+        state.step(GradSample(index=(1, 2), value=-2.0, mass=2.0), eta=0.1)
+        assert state.last_index == (1, 2)
+        state.check_combined_gram()
+
 
 class TestLazyAverage:
     def test_constant_iterates(self):
@@ -238,6 +266,26 @@ class TestRun:
         return RunConfig(
             algo="stoch", D=2, T=T, seed=seed, include_constant=False, synthetic=spec, **kw
         )
+
+    @pytest.mark.parametrize("module", [optimizer, baselines])
+    def test_returned_duals_do_not_alias_the_loop_buffer(self, module, monkeypatch):
+        # inside the loop every solve sees the state's reused Gram buffer; the
+        # states a run returns must be solved from Grams of their own
+        grams = []
+
+        def recording_solve(K_theta, y):
+            grams.append(K_theta.values)
+            return solve_alpha(K_theta, y)
+
+        monkeypatch.setattr(module, "solve_alpha", recording_solve)
+        data, ks, rho = make_run_setup(seed=13)
+        algo = run if module is optimizer else baselines.run_ucd
+        result = algo(self.config(T=20, checkpoint_every=5), data, ks, rho)
+        loop, returned = grams[:-2], grams[-2:]
+        assert len(loop) == 20
+        assert all(np.shares_memory(loop[0], K) for K in loop)
+        assert [result.final.K_theta.values, result.dual_last.K_theta.values] == returned
+        assert not any(np.shares_memory(K, loop[0]) for K in returned)
 
     def test_single_iteration_average_is_zero(self):
         data, ks, rho = make_run_setup(seed=10)
