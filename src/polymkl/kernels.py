@@ -152,7 +152,7 @@ def product_kernel_matrix(ks: BaseKernelSet, idx: MultiIndex) -> GramMatrix:
     """Elementwise product of the selected base Grams; empty idx is all-ones."""
     out = np.ones((ks.n, ks.n))
     for j in idx:
-        out = out * ks.kernel(j)
+        out *= ks.kernel(j)
     return GramMatrix(out, provenance=tuple(idx))
 
 
