@@ -130,7 +130,7 @@ def run_ucd(config, data: Dataset, ks: BaseKernelSet, rho: RhoSchedule) -> RunRe
     converged = False
     try:
         for k in range(1, T + 1):
-            dual = solve_alpha(state.combined_gram(), y)
+            dual = solve_alpha(state.support_gram(), y)
             masses = degree_masses(dual.alpha, ks, rho)
             C = total_mass_C(masses)
             if C0 is None:

@@ -65,9 +65,9 @@ class BaseKernelSet:
         self._position = {j: pos for pos, j in enumerate(self.indices)}
         self.Z = self.product_columns([(j,) for j in self.indices])
         self.S = self.Z @ self.Z.T
-        # powers[d] = S^(.)d elementwise; powers[0] is all ones and powers[1]
-        # is S itself. O(D n^2) total.
-        powers = [np.ones((self.n, self.n)), self.S]
+        # powers[d] = S^(.)d elementwise; powers[0] is a read-only all-ones
+        # view that holds no memory, and powers[1] is S itself. O(D n^2) total.
+        powers = [np.broadcast_to(1.0, (self.n, self.n)), self.S]
         for _ in range(2, D + 1):
             powers.append(powers[-1] * self.S)
         self.powers = powers[: D + 1]
@@ -103,12 +103,18 @@ class BaseKernelSet:
         """sum_i weights[i] z_i z_i' as the single product B B' with
         B = Z_s diag(weights)^(1/2), exactly symmetric; weights must be
         nonnegative."""
-        weights = np.asarray(weights, dtype=np.float64)
-        if np.any(weights < 0):
-            raise KernelError("combination weights must be nonnegative")
-        B = self.product_columns(tuples)
-        B *= np.sqrt(weights)
-        return B @ B.T
+        return weighted_outer(self.product_columns(tuples), weights)
+
+
+def weighted_outer(columns: np.ndarray, weights) -> np.ndarray:
+    """sum_i weights[i] c_i c_i' over the columns c_i, as the single product
+    B B' with B = columns diag(weights)^(1/2), exactly symmetric; weights must
+    be nonnegative."""
+    weights = np.asarray(weights, dtype=np.float64)
+    if np.any(weights < 0):
+        raise KernelError("combination weights must be nonnegative")
+    B = columns * np.sqrt(weights)
+    return B @ B.T
 
 
 def product_columns(inputs: np.ndarray, tuples: list[MultiIndex]) -> np.ndarray:

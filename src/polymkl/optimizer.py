@@ -1,6 +1,13 @@
 """Projected stochastic descent over the nonnegative part of the l2 unit ball,
-with a sparse weight representation, incremental combined-Gram maintenance,
-and lazy iterate averaging.
+with a sparse weight representation, the combined Gram kept in the span of
+its support, and lazy iterate averaging.
+
+The combined Gram is scale * C diag(w) C', with one cached column of C per
+distinct monomial of the support (permutations of a tuple, and tuples that
+differ only by the constant kernel, share one), their Gram G = C'C, and
+per-monomial weights w. A step adds to one weight in O(1); a monomial's
+first step adds its column and a row of G in O(n s). The inner solve works
+on these through Woodbury's identity, so the loop holds no n x n array.
 
 The iterate theta lives on exponentially many coordinates but only touched
 ones are stored: theta_i = scale * raw_i. A projection that shrinks the whole
@@ -20,7 +27,13 @@ import numpy as np
 from scipy.linalg.blas import dger
 
 from .dataset import Dataset, MultiIndex
-from .dual import DualState, assemble_combined_gram, solve_alpha, support_weights
+from .dual import (
+    DualState,
+    SupportGram,
+    assemble_combined_gram,
+    solve_alpha,
+    support_weights,
+)
 from .gradient import (
     GradSample,
     RhoSchedule,
@@ -134,14 +147,11 @@ def project_pos_l2ball(theta: SparseTheta) -> SparseTheta:
     return theta
 
 
-def _add_rank_one(A: np.ndarray, coef: float, z: np.ndarray):
-    """A += coef * z z' in place, with no n x n temporary. BLAS ger on the
-    scaled vector v = sqrt(|coef|) z with multiplier +-1 keeps a symmetric A
-    exactly symmetric."""
-    if not A.flags.c_contiguous:
-        raise ValueError("the combined Gram must be C-contiguous to update in place")
-    v = math.sqrt(abs(coef)) * z
-    dger(math.copysign(1.0, coef), v, v, a=A.T, overwrite_a=True)
+def monomial_key(idx: MultiIndex) -> MultiIndex:
+    """The monomial a tuple's product kernel is: its sorted nonzero base
+    indices. Permutations, and the constant kernel's index 0, leave the
+    column z unchanged, so tuples with one key share one column."""
+    return tuple(sorted(j for j in idx if j != 0))
 
 
 def default_step_size(B_estimate: float, T: int) -> float:
@@ -181,11 +191,14 @@ class RunResult:
 class OptimizerState:
     """Single-owner mutable state for one descent run.
 
-    Maintains the combined Gram incrementally as scale * U with
-    U = sum_i (raw_i / rho^2) z_i z_i' (one rank-one update per step, in
-    place), and the lazy-average bookkeeping (per-coordinate accumulators
-    against a prefix sum of scales). `last_index` is the tuple whose column
-    the latest nonzero update added, None before the first.
+    Keeps the combined Gram in the span of its support as scale * C W C':
+    one cached column of C per distinct monomial (see `monomial_key`), their
+    Gram G = C'C, and weights w_k = sum of raw_i / rho_|i|^2 over the live
+    tuples i with key k. A step adds to one weight in O(1); a new monomial
+    adds its column and a row of G in O(n s). Also holds the lazy-average
+    bookkeeping (per-coordinate accumulators against a prefix sum of
+    scales). `last_index` is the tuple the latest nonzero update touched,
+    None before the first.
     """
 
     def __init__(
@@ -200,11 +213,20 @@ class OptimizerState:
         self.rng = rng
         self.step_size = step_size
         self.theta = SparseTheta()
-        self.combined_unscaled = np.zeros((ks.n, ks.n))
-        self._gram = np.empty((ks.n, ks.n))
         self.iter = 0
         self.last_index: MultiIndex | None = None
         self.records: list[RunRecord] = []
+        # the column cache: slot of each monomial key and of each tuple seen,
+        # the columns (n x capacity, Fortran order so a column is contiguous),
+        # their Gram, the weights, the live-tuple count per slot and the
+        # number of slots with no live tuple
+        self._slot_of_key: dict[MultiIndex, int] = {}
+        self._slot_of_tuple: dict[MultiIndex, int] = {}
+        self._C = np.empty((ks.n, 0), order="F")
+        self._G = np.empty((0, 0))
+        self._w = np.empty(0)
+        self._live: list[int] = []
+        self._dead = 0
         # averaging: prefix sum of scales of iterates counted so far, the
         # number counted, and per-coordinate (accumulator, prefix-sum mark)
         self._ps = 0.0
@@ -212,17 +234,117 @@ class OptimizerState:
         self._avg_acc: dict[MultiIndex, float] = {}
         self._avg_mark: dict[MultiIndex, float] = {}
 
+    @property
+    def num_columns(self) -> int:
+        return len(self._slot_of_key)
+
+    @property
+    def monomials(self) -> list[MultiIndex]:
+        """The cached monomial keys, in column order."""
+        return list(self._slot_of_key)
+
+    def _support_form(self, scale: float) -> SupportGram:
+        s = self.num_columns
+        return SupportGram(self._C[:, :s], self._G[:s, :s], scale * self._w[:s])
+
+    def support_gram(self) -> SupportGram:
+        """The current combined Gram in support form. The columns and G of
+        the slots it covers are never rewritten, and the weights are a copy,
+        so it stays valid after later steps."""
+        return self._support_form(self.theta.scale)
+
+    @property
+    def combined_unscaled(self) -> np.ndarray:
+        """C W C', the combined Gram without the scale, built dense from the
+        cache on each read (n x n; for oracles and tests)."""
+        return self._support_form(1.0).dense()
+
     def combined_gram(self) -> GramMatrix:
-        """The current combined Gram, written into a buffer this state reuses:
-        it stays valid until the next call, and so does any DualState solved
-        from it."""
-        np.multiply(self.combined_unscaled, self.theta.scale, out=self._gram)
-        return GramMatrix(self._gram)
+        """The current combined Gram, built dense from the cache into a fresh
+        array (n x n; for oracles and tests)."""
+        return GramMatrix(self._support_form(self.theta.scale).dense())
 
     def rebuild_combined_gram(self) -> np.ndarray:
-        """The combined Gram rebuilt from the support, as one product over its
-        columns."""
+        """The combined Gram rebuilt from the support tuples, as one product
+        over their columns, independently of the cache."""
         return self.ks.weighted_gram(*support_weights(self.theta, self.rho))
+
+    def _slot(self, idx: MultiIndex) -> int:
+        """The cache slot of tuple idx, adding its monomial's column (and a
+        row of G) when the monomial is new."""
+        slot = self._slot_of_tuple.get(idx)
+        if slot is None:
+            # built once per new tuple, so an unknown base index raises; the
+            # sorted order gives every tuple of one monomial the same bits
+            z = self.ks.product_columns([tuple(sorted(idx))])[:, 0]
+            key = monomial_key(idx)
+            slot = self._slot_of_key.get(key)
+            if slot is None:
+                slot = self._add_column(key, z)
+            self._slot_of_tuple[idx] = slot
+        return slot
+
+    def _add_column(self, key: MultiIndex, z: np.ndarray) -> int:
+        if not np.all(np.isfinite(z)):
+            raise FloatingPointError(f"non-finite column for monomial {key}")
+        s = self.num_columns
+        if s == self._C.shape[1]:
+            self._reallocate(list(range(s)), max(16, 2 * s))
+        self._C[:, s] = z
+        row = self._C[:, : s + 1].T @ z
+        if not np.all(np.isfinite(row)):
+            raise FloatingPointError(f"non-finite Gram row for monomial {key}")
+        self._G[s, : s + 1] = row
+        self._G[: s + 1, s] = row
+        self._w[s] = 0.0
+        self._live.append(0)
+        self._dead += 1
+        self._slot_of_key[key] = s
+        return s
+
+    def _reallocate(self, keep: list[int], capacity: int):
+        """Move the slots `keep`, in order, into fresh arrays of room
+        `capacity`. Support forms handed out earlier keep the old arrays."""
+        s = len(keep)
+        C = np.empty((self.ks.n, capacity), order="F")
+        C[:, :s] = self._C[:, keep]
+        G = np.empty((capacity, capacity))
+        G[:s, :s] = self._G[np.ix_(keep, keep)]
+        w = np.empty(capacity)
+        w[:s] = self._w[keep]
+        self._C, self._G, self._w = C, G, w
+
+    def _compact(self):
+        """Drop the columns of monomials with no live tuple, so that the
+        cache tracks the live support and not every monomial ever touched.
+        A dropped monomial that comes back gets its column built afresh."""
+        keep = [slot for slot, live in enumerate(self._live) if live]
+        self._reallocate(keep, max(16, 2 * len(keep)))
+        moved = {old: new for new, old in enumerate(keep)}
+        self._slot_of_key = {
+            key: moved[slot] for key, slot in self._slot_of_key.items() if slot in moved
+        }
+        self._slot_of_tuple = {
+            idx: moved[slot] for idx, slot in self._slot_of_tuple.items() if slot in moved
+        }
+        self._live = [self._live[slot] for slot in keep]
+        self._dead = 0
+
+    def _resummed_terms(self) -> list[list[float]]:
+        """Per slot, the terms raw_i / rho_|i|^2 of its live tuples."""
+        slots = [self._slot(idx) for idx in self.theta.raw]
+        terms: list[list[float]] = [[] for _ in range(self.num_columns)]
+        for slot, (idx, raw) in zip(slots, self.theta.raw.items()):
+            terms[slot].append(raw / self.rho.rho_sq[len(idx)])
+        return terms
+
+    def resync_weights(self):
+        """Re-sum the cached weights from theta, each as one exactly rounded
+        sum; call after editing theta directly, outside `step`."""
+        terms = self._resummed_terms()
+        self._w[: len(terms)] = [math.fsum(t) for t in terms]
+        self._live = [len(t) for t in terms]
+        self._dead = self._live.count(0)
 
     def _mark_entering_iterate(self):
         self._ps += self.theta.scale
@@ -238,18 +360,19 @@ class OptimizerState:
         self._avg_mark[idx] = self._ps
 
     def _rebase(self):
-        """Flush every live coordinate, fold the scale into the raws (syncing
-        the cached Gram), and restart the prefix sum at zero."""
+        """Flush every live coordinate, fold the scale into the raws, re-sum
+        the cached weights from them, and restart the prefix sum at zero."""
         for idx in self.theta.raw:
             self._flush_average(idx)
-        self.combined_unscaled *= self.theta.fold_scale()
+        self.theta.fold_scale()
+        self.resync_weights()
         self._ps = 0.0
         self._avg_mark = {idx: 0.0 for idx in self.theta.raw}
 
     def step(self, sample: GradSample, eta: float) -> "OptimizerState":
         """One full update: count the entering iterate toward the average, add
-        -eta * sample.value to the sampled coordinate (tracking the combined
-        Gram), and project back onto the feasible set."""
+        -eta * sample.value to the sampled coordinate (tracking its monomial's
+        weight), and project back onto the feasible set."""
         if eta <= 0:
             raise ValueError("step size must be positive")
         if not math.isfinite(sample.value):
@@ -259,38 +382,72 @@ class OptimizerState:
         idx = sample.index
         delta_theta = -eta * sample.value
         if delta_theta != 0.0:
+            slot = self._slot(idx)
             self._flush_average(idx)
             old_raw = self.theta.raw.get(idx, 0.0)
             self.theta.set_raw(idx, old_raw + delta_theta / self.theta.scale)
             actual_raw = self.theta.raw.get(idx, 0.0)  # 0.0 if clipped away
-            coef = (actual_raw - old_raw) / self.rho.rho_sq[len(idx)]
-            _add_rank_one(self.combined_unscaled, coef, self.ks.product_columns([idx])[:, 0])
+            was_dead = self._live[slot] == 0
+            self._live[slot] += int(actual_raw > 0.0) - int(old_raw > 0.0)
+            if self._live[slot] == 0:
+                # no live tuple left on this monomial: drop the summed round-off
+                self._w[slot] = 0.0
+            else:
+                self._w[slot] += (actual_raw - old_raw) / self.rho.rho_sq[len(idx)]
+            self._dead += int(self._live[slot] == 0) - int(was_dead)
             self.last_index = idx
             project_pos_l2ball(self.theta)
             if self.theta.scale < _REBASE_THRESHOLD:
                 self._rebase()
+            if 2 * self._dead > self.num_columns:
+                self._compact()
         return self
 
     def check_combined_gram(self, rel_tol: float = 1e-9):
-        """Raise FloatingPointError if the incremental Gram scale * U has
-        drifted from a rebuild R over the support, or if the column of
-        `last_index` disagrees with its dense product kernel. The rebuild
-        shares its columns with `step`; the dense kernel does not, so a wrong
-        column cannot pass both checks."""
-        # ||scale U - R|| / ||R||, formed as scale ||U - R / scale|| in R's
-        # own buffer, so the check holds one n x n array at a time
-        residual = self.rebuild_combined_gram()
-        denom = max(np.linalg.norm(residual), 1e-300)
-        residual /= self.theta.scale
-        residual -= self.combined_unscaled
-        drift = self.theta.scale * np.linalg.norm(residual) / denom
-        if drift > rel_tol:
-            raise FloatingPointError(f"incremental combined Gram drifted: {drift:.3e}")
-        del residual
-        if self.last_index is not None:
+        """Raise FloatingPointError if the cached weights have drifted from a
+        re-sum over theta, if the cached G differs from a fresh C'C, if the
+        cached Gram times a fixed probe vector differs from the same product
+        over the support tuples' own columns and weights, or if the cached
+        column of `last_index` (while its monomial is cached) disagrees with
+        its dense product kernel. The first two share the cache's tuple
+        mapping and columns; the probe shares neither, so it catches a tuple
+        in the wrong slot or a wrong column of any monomial; the dense kernel
+        shares no code with the columns at all."""
+        resummed = np.array([math.fsum(t) for t in self._resummed_terms()])
+        s = len(resummed)
+        denom = float(np.max(np.abs(resummed), initial=0.0))
+        drift = float(np.max(np.abs(self._w[:s] - resummed), initial=0.0))
+        # written so that a NaN fails it too
+        if not drift <= rel_tol * denom:
+            raise FloatingPointError(f"cached support weights drifted: {drift:.3e} of {denom:.3e}")
+        C = self._C[:, :s]
+        fresh = C.T @ C
+        error = np.linalg.norm(self._G[:s, :s] - fresh)
+        if not error <= rel_tol * np.linalg.norm(fresh):
+            raise FloatingPointError(f"cached column Gram disagrees with C'C: {error:.3e}")
+        # a fixed probe, so the check draws nothing from the run's generator
+        probe = np.random.default_rng(0).standard_normal(self.ks.n)
+        K = self._support_form(self.theta.scale)
+        cached = K.columns @ (K.weights * (K.columns.T @ probe))
+        tuples, weights = support_weights(self.theta, self.rho)
+        Z = self.ks.product_columns(tuples)
+        along = Z.T @ probe
+        expected = Z @ (weights * along)
+        # the size of the sum before any cancellation between its terms
+        size = np.linalg.norm(np.abs(Z) @ (np.abs(weights) * np.abs(along)))
+        error = np.linalg.norm(cached - expected)
+        if not error <= rel_tol * size:
+            raise FloatingPointError(
+                f"cached Gram disagrees with the support tuples' own columns: "
+                f"{error:.3e} of {size:.3e}"
+            )
+        slot = self._slot_of_tuple.get(self.last_index)
+        if slot is not None:
             residual = product_kernel_matrix(self.ks, self.last_index).values
             denom = max(np.linalg.norm(residual), 1e-300)
-            _add_rank_one(residual, -1.0, self.ks.product_columns([self.last_index])[:, 0])
+            # residual -= z z' in place (BLAS ger), with no second n x n array
+            z = self._C[:, slot]
+            dger(-1.0, z, z, a=residual.T, overwrite_a=True)
             error = np.linalg.norm(residual) / denom
             if not error <= rel_tol:
                 raise FloatingPointError(
@@ -352,7 +509,7 @@ def run(config, data: Dataset, ks: BaseKernelSet, rho: RhoSchedule) -> RunResult
     mass_exceeded = False
     try:
         for k in range(1, T + 1):
-            dual = solve_alpha(state.combined_gram(), y)
+            dual = solve_alpha(state.support_gram(), y)
             masses = degree_masses(dual.alpha, ks, rho)
             C = total_mass_C(masses)
             if C0 is None:

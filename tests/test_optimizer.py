@@ -16,7 +16,8 @@ from polymkl import (
     run,
 )
 from polymkl import baselines, optimizer
-from polymkl.dual import solve_alpha
+from polymkl.dual import SupportGram, solve_alpha
+from polymkl.kernels import GramMatrix
 from polymkl.gradient import degree_masses, importance_estimate, total_mass_C
 from polymkl.sampler import SamplerWorkspace
 
@@ -144,11 +145,15 @@ class TestStep:
         data, ks, rho = make_run_setup()
         state = OptimizerState(ks, rho, np.random.default_rng(0))
         state.theta.set_raw((1,), 0.5)
-        state.combined_unscaled = state.rebuild_combined_gram()
+        state.resync_weights()
         before = state.theta.as_dict()
+        cached = state.support_gram()
         state.step(GradSample(index=(2,), value=0.0, mass=0.0), eta=0.1)
         assert state.theta.as_dict() == before
         assert state.iter == 1
+        after = state.support_gram()
+        np.testing.assert_array_equal(after.columns, cached.columns)
+        np.testing.assert_array_equal(after.weights, cached.weights)
 
     def test_fresh_state_single_coordinate(self):
         data, ks, rho = make_run_setup()
@@ -206,6 +211,46 @@ class TestStep:
         state.step(GradSample(index=(1, 2), value=-2.0, mass=2.0), eta=0.1)
         assert state.last_index == (1, 2)
         state.check_combined_gram()
+
+
+    def cached_state(self):
+        data, ks, rho = make_run_setup(n=6, r=2, D=2, seed=9)
+        state = OptimizerState(ks, rho, np.random.default_rng(0))
+        for idx in [(1,), (2, 1), (1, 2), (2,)]:
+            state.step(GradSample(index=idx, value=-2.0, mass=2.0), eta=0.1)
+        state.check_combined_gram()
+        return state
+
+    def test_check_catches_a_corrupt_weight(self):
+        state = self.cached_state()
+        state._w[1] *= 1.5
+        with pytest.raises(FloatingPointError, match="weights drifted"):
+            state.check_combined_gram()
+
+    def test_check_catches_a_tuple_in_the_wrong_slot(self):
+        # weights re-summed through the wrong mapping agree with the cache
+        state = self.cached_state()
+        assert state.monomials == [(1,), (1, 2), (2,)]
+        state._slot_of_tuple[(1,)] = 2
+        state.resync_weights()
+        with pytest.raises(FloatingPointError, match="own columns"):
+            state.check_combined_gram()
+
+    def test_check_catches_a_wrong_column_other_than_the_last(self):
+        # G is rebuilt from the wrong column, so only the probe can tell
+        state = self.cached_state()
+        assert state.last_index == (2,)
+        state._C[:, 0] *= 1.01
+        s = state.num_columns
+        state._G[:s, :s] = state._C[:, :s].T @ state._C[:, :s]
+        with pytest.raises(FloatingPointError, match="own columns"):
+            state.check_combined_gram()
+
+    def test_check_catches_a_corrupt_column_gram_entry(self):
+        state = self.cached_state()
+        state._G[0, 1] += 1e-3 * abs(state._G[0, 1]) + 1e-3
+        with pytest.raises(FloatingPointError, match="column Gram"):
+            state.check_combined_gram()
 
 
 class TestLazyAverage:
@@ -269,12 +314,12 @@ class TestRun:
 
     @pytest.mark.parametrize("module", [optimizer, baselines])
     def test_returned_duals_do_not_alias_the_loop_buffer(self, module, monkeypatch):
-        # inside the loop every solve sees the state's reused Gram buffer; the
-        # states a run returns must be solved from Grams of their own
+        # inside the loop every solve gets the state's support form; the
+        # states a run returns must be solved from dense Grams of their own
         grams = []
 
         def recording_solve(K_theta, y):
-            grams.append(K_theta.values)
+            grams.append(K_theta)
             return solve_alpha(K_theta, y)
 
         monkeypatch.setattr(module, "solve_alpha", recording_solve)
@@ -283,9 +328,11 @@ class TestRun:
         result = algo(self.config(T=20, checkpoint_every=5), data, ks, rho)
         loop, returned = grams[:-2], grams[-2:]
         assert len(loop) == 20
-        assert all(np.shares_memory(loop[0], K) for K in loop)
-        assert [result.final.K_theta.values, result.dual_last.K_theta.values] == returned
-        assert not any(np.shares_memory(K, loop[0]) for K in returned)
+        assert all(isinstance(K, SupportGram) for K in loop)
+        assert all(isinstance(K, GramMatrix) for K in returned)
+        assert [result.final.K_theta, result.dual_last.K_theta] == returned
+        cache = [a for K in loop for a in (K.columns, K.gram, K.weights)]
+        assert not any(np.shares_memory(K.values, a) for K in returned for a in cache)
 
     def test_single_iteration_average_is_zero(self):
         data, ks, rho = make_run_setup(seed=10)

@@ -24,7 +24,7 @@ from polymkl import (
     degree_masses,
 )
 from polymkl.dual import assemble_combined_gram, predict, solve_alpha
-from polymkl.gradient import DegreeMasses
+from polymkl.gradient import DegreeMasses, importance_estimate
 from polymkl.kernels import product_kernel_cross, product_kernel_matrix
 from polymkl.sampler import SamplerWorkspace
 
@@ -128,9 +128,9 @@ class TestAgainstDense:
 
 
 class TestNoSquareTemporaries:
-    """A steady-state draw and step each allocate well under one n x n array
-    of float64: fresh n^2 buffers in the loop cost page faults on every
-    iteration."""
+    """A steady-state draw, step and whole loop iteration each allocate well
+    under one n x n array of float64: fresh n^2 buffers in the loop cost page
+    faults on every iteration."""
 
     n = 300
     budget = n * n * 8 // 2
@@ -165,3 +165,21 @@ class TestNoSquareTemporaries:
         sample = GradSample(index=(1, 0, 2), value=-0.5, mass=0.5)
         state.step(sample, eta=0.1)
         assert self.peak_bytes(lambda: state.step(sample, eta=0.1)) < self.budget
+
+    def test_loop_iteration(self):
+        # the loop body of `run`: support solve, degree masses, draw and step
+        ks, rho, rng = self.instance()
+        y = rng.normal(size=ks.n)
+        state = OptimizerState(ks, rho, rng)
+        ws = SamplerWorkspace(ks, rho, rng)
+
+        def iteration():
+            dual = solve_alpha(state.support_gram(), y)
+            masses = degree_masses(dual.alpha, ks, rho)
+            idx = ws.draw(dual.alpha, masses)
+            state.step(importance_estimate(idx, masses), eta=0.05)
+
+        for _ in range(100):
+            iteration()
+        assert 0 < state.num_columns < ks.n
+        assert self.peak_bytes(iteration) < self.budget
