@@ -31,7 +31,6 @@ from .dataset import (
 from .dual import (
     DualSolveError,
     DualState,
-    LossSpec,
     assemble_combined_gram,
     dual_objective,
     objective_J,
@@ -55,7 +54,6 @@ from .kernels import (
     KernelError,
     build_base_kernels,
     count_index_set,
-    hadamard_power,
     product_kernel_cross,
     product_kernel_matrix,
 )
@@ -64,73 +62,11 @@ from .optimizer import (
     RunRecord,
     RunResult,
     SparseTheta,
-    average_theta,
     default_step_size,
     project_pos_l2ball,
     run,
-    step,
 )
 from .sampler import SamplerError, SamplerWorkspace, brute_force_q, sample_multi_index
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BaseKernelSet",
-    "Dataset",
-    "DatasetError",
-    "DegreeMasses",
-    "DualSolveError",
-    "DualState",
-    "EnumeratedIndexSet",
-    "FullGradResult",
-    "GRAD_SCALE",
-    "GradSample",
-    "GramMatrix",
-    "KernelError",
-    "LossSpec",
-    "MetricsOutput",
-    "MultiIndex",
-    "OptimizerState",
-    "RhoSchedule",
-    "RunConfig",
-    "RunRecord",
-    "RunResult",
-    "SamplerError",
-    "SamplerWorkspace",
-    "SparseTheta",
-    "StandardizerParams",
-    "SyntheticSpec",
-    "assemble_combined_gram",
-    "average_theta",
-    "brute_force_q",
-    "build_base_kernels",
-    "count_index_set",
-    "default_step_size",
-    "degree_masses",
-    "dual_objective",
-    "enumerate_index_set",
-    "full_gradient",
-    "gen_synthetic",
-    "grad_component",
-    "hadamard_power",
-    "importance_estimate",
-    "load_csv",
-    "objective_J",
-    "parse_cli",
-    "predict",
-    "product_kernel_cross",
-    "product_kernel_matrix",
-    "project_pos_l2ball",
-    "run",
-    "run_experiment",
-    "run_full_gradient",
-    "run_scaling_study",
-    "run_ucd",
-    "sample_multi_index",
-    "solve_alpha",
-    "split",
-    "standardize",
-    "step",
-    "synthetic_target",
-    "total_mass_C",
-]

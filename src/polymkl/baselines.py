@@ -16,22 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, MultiIndex
-from .dual import assemble_combined_gram, solve_alpha
-from .gradient import (
-    GRAD_SCALE,
-    GradSample,
-    RhoSchedule,
-    degree_masses,
-    total_mass_C,
-)
+from .dual import solve_alpha
+from .gradient import GRAD_SCALE, DegreeMasses, GradSample, RhoSchedule, total_mass_C
 from .kernels import BaseKernelSet, GramMatrix, product_kernel_matrix
-from .optimizer import (
-    OptimizerState,
-    RunRecord,
-    RunResult,
-    SparseTheta,
-    default_step_size,
-)
+from .optimizer import RunRecord, RunResult, SparseTheta, run
 
 
 class EnumerationError(ValueError):
@@ -43,21 +31,16 @@ class EnumeratedIndexSet:
     """All ordered multi-indices of degree <= D, lexicographic within degree."""
 
     tuples: list[MultiIndex]
-    grams: list[np.ndarray] | None = None
 
     @property
     def size(self) -> int:
         return len(self.tuples)
 
 
-def enumerate_index_set(
-    r_indices, D: int, guard: int = 10**6, ks: BaseKernelSet | None = None,
-    precompute_max_bytes: int = 0,
-) -> EnumeratedIndexSet:
+def enumerate_index_set(r_indices, D: int, guard: int = 10**6) -> EnumeratedIndexSet:
     """Enumerate every ordered tuple over the given base-kernel indices up to
     degree D. `r_indices` may be an int r (meaning indices 1..r) or an explicit
-    index list. Gram matrices are only materialized when a positive
-    `precompute_max_bytes` budget covers them."""
+    index list."""
     if isinstance(r_indices, int):
         if r_indices < 1:
             raise EnumerationError("need at least one base kernel")
@@ -72,12 +55,7 @@ def enumerate_index_set(
     tuples: list[MultiIndex] = []
     for d in range(D + 1):
         tuples.extend(itertools.product(indices, repeat=d))
-    grams = None
-    if ks is not None and precompute_max_bytes > 0:
-        needed = size * ks.n * ks.n * 8
-        if needed <= precompute_max_bytes:
-            grams = [product_kernel_matrix(ks, idx).values for idx in tuples]
-    return EnumeratedIndexSet(tuples=tuples, grams=grams)
+    return EnumeratedIndexSet(tuples=tuples)
 
 
 def _iter_tuple_grams(ks: BaseKernelSet, D: int):
@@ -105,79 +83,28 @@ def full_gradient(
     return np.array([by_tuple[idx] for idx in enum.tuples])
 
 
+def uniform_draws(ks: BaseKernelSet, rho: RhoSchedule, seed: int):
+    """The draw of uniform coordinate descent: one coordinate of the
+    enumerated set, uniformly on the generator [seed, 2], with its exact
+    component from its dense product kernel, carrying the
+    inverse-probability estimate size * g_i. The set is enumerated once,
+    here, so one beyond the guard fails before the loop starts."""
+    enum = enumerate_index_set(ks.indices, ks.D)
+    rng = np.random.default_rng([int(seed), 2])
+
+    def draw(alpha: np.ndarray, masses: DegreeMasses) -> GradSample:
+        idx = enum.tuples[int(rng.integers(enum.size))]
+        gram = product_kernel_matrix(ks, idx).values
+        g_i = -GRAD_SCALE * float(alpha @ gram @ alpha) / rho.rho_sq[len(idx)]
+        return GradSample(index=idx, value=enum.size * g_i, mass=total_mass_C(masses))
+
+    return draw
+
+
 def run_ucd(config, data: Dataset, ks: BaseKernelSet, rho: RhoSchedule) -> RunResult:
-    """Uniform coordinate descent: draw a coordinate uniformly at random from
-    the enumerated set and apply the inverse-probability-weighted estimate
-    (its value is size * g_i), through the same projected update machinery as
-    the proportional sampler."""
-    T = int(config.T)
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    checkpoint_every = int(getattr(config, "checkpoint_every", 100) or 100)
-    enum = enumerate_index_set(
-        ks.indices,
-        ks.D,
-        guard=int(getattr(config, "enum_guard", 10**6)),
-        ks=ks if getattr(config, "precompute_grams", False) else None,
-        precompute_max_bytes=int(getattr(config, "precompute_max_bytes", 2**30)),
-    )
-    rng = np.random.default_rng([int(config.seed), 2])
-    state = OptimizerState(ks, rho, rng)
-    y = data.targets
-
-    started = time.perf_counter()
-    C0 = None
-    converged = False
-    try:
-        for k in range(1, T + 1):
-            dual = solve_alpha(state.support_gram(), y)
-            masses = degree_masses(dual.alpha, ks, rho)
-            C = total_mass_C(masses)
-            if C0 is None:
-                C0 = C
-                if state.step_size <= 0:
-                    override = getattr(config, "step", None)
-                    if override:
-                        state.step_size = float(override)
-                    else:
-                        state.step_size = default_step_size(C0 * C0, T) if C0 > 0 else 1.0
-            state.records.append(
-                RunRecord(
-                    iter=k,
-                    wall_time_s=time.perf_counter() - started,
-                    J_value=dual.J_value,
-                    C_value=C,
-                    support_size=state.theta.support_size,
-                    theta_norm=state.theta.norm(),
-                )
-            )
-            if C <= 0:
-                state.mark_tail_iterates(T - k + 1)
-                converged = True
-                break
-            pos = int(rng.integers(enum.size))
-            idx = enum.tuples[pos]
-            gram = (
-                enum.grams[pos] if enum.grams is not None else product_kernel_matrix(ks, idx).values
-            )
-            g_i = -GRAD_SCALE * float(dual.alpha @ gram @ dual.alpha) / rho.rho_sq[len(idx)]
-            state.step(GradSample(index=idx, value=enum.size * g_i, mass=C), state.step_size)
-            if checkpoint_every and k % checkpoint_every == 0:
-                state.check_combined_gram()
-    except Exception as exc:
-        exc.partial_records = state.records
-        raise
-
-    theta_avg = state.average_theta()
-    final = solve_alpha(assemble_combined_gram(theta_avg, ks, rho), y)
-    return RunResult(
-        theta_avg=theta_avg,
-        final=final,
-        records=state.records,
-        converged=converged,
-        theta_last=state.theta.copy(),
-        dual_last=solve_alpha(GramMatrix(state.rebuild_combined_gram()), y),
-    )
+    """Uniform coordinate descent: the descent loop of `optimizer.run` with
+    `uniform_draws` in place of the proportional sampler."""
+    return run(config, data, ks, rho, draws=uniform_draws)
 
 
 @dataclass
@@ -186,9 +113,6 @@ class FullGradResult:
     J_star: float
     records: list[RunRecord]
     converged: bool
-
-    def __iter__(self):
-        return iter((self.theta_star, self.J_star, self.records))
 
 
 def run_full_gradient(
@@ -203,7 +127,7 @@ def run_full_gradient(
     proportional to the index-set size by construction.
     """
     T = int(config.T)
-    enum = enumerate_index_set(ks.indices, ks.D, guard=int(getattr(config, "enum_guard", 10**6)))
+    enum = enumerate_index_set(ks.indices, ks.D)
     y = data.targets
     n = ks.n
     rho_sq_by_len = rho.rho_sq

@@ -42,21 +42,6 @@ class DualSolveError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class LossSpec:
-    """Loss marker. Only the squared loss l_t(tau) = (tau - y_t)^2 / 2 is
-    supported; its convex conjugate is conj(v) = v^2 / 2 + v y_t."""
-
-    kind: str = "squared"
-
-    def __post_init__(self):
-        if self.kind != "squared":
-            raise ValueError(f"unsupported loss kind {self.kind!r}")
-
-    def conjugate(self, v: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return 0.5 * v**2 + v * y
-
-
-@dataclass(frozen=True)
 class SupportGram:
     """K_theta = C diag(weights) C' in the span of its support: `columns` is
     n x s, one column per distinct monomial, `gram` is C'C (s x s), and
@@ -104,9 +89,9 @@ class DualState:
 
 def dual_objective(alpha: np.ndarray, K: np.ndarray, y: np.ndarray) -> float:
     """The minimized dual objective G(alpha); J = -min_alpha G."""
-    n = len(y)
-    loss = LossSpec()
-    return float(0.5 * alpha @ K @ alpha + np.mean(loss.conjugate(-n * alpha, y)))
+    v = -len(y) * alpha
+    # the squared loss (tau - y_t)^2 / 2 has the conjugate v^2 / 2 + v y_t
+    return float(0.5 * alpha @ K @ alpha + np.mean(0.5 * v**2 + v * y))
 
 
 def solve_alpha(K_theta: GramMatrix | SupportGram | np.ndarray, y: np.ndarray) -> DualState:

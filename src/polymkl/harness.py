@@ -81,6 +81,8 @@ class RunConfig:
             raise ConfigError("degree must be >= 0")
         if self.lam <= 0:
             raise ConfigError("lambda must be positive")
+        if self.checkpoint_every < 1:
+            raise ConfigError("checkpoint-every must be >= 1")
         if self.rho_sq is not None:
             if len(self.rho_sq) != self.D + 1:
                 raise ConfigError(
@@ -150,6 +152,7 @@ def _dispatch(config: RunConfig, train: Dataset, ks: BaseKernelSet, rho: RhoSche
         theta_avg=result.theta_star,
         final=final,
         records=result.records,
+        step_size="line-search",
         converged=result.converged,
         theta_last=result.theta_star,
         dual_last=final,
@@ -195,7 +198,7 @@ def run_experiment(config: RunConfig) -> MetricsOutput:
         "lambda": chosen_lam,
         "rho_sq": ",".join(repr(v) for v in (config.rho_sq or (1.0,) * (config.D + 1))),
         "iters": config.T,
-        "step": _effective_step(config, result),
+        "step": result.step_size,
         "constant_kernel": config.include_constant,
         "n_train": train.n,
         "J_avg_iterate": result.final.J_value,
@@ -214,17 +217,6 @@ def run_experiment(config: RunConfig) -> MetricsOutput:
     return out
 
 
-def _effective_step(config: RunConfig, result) -> float | str:
-    if config.algo == "fullgrad":
-        return "line-search"
-    if config.step:
-        return config.step
-    if not result.records:
-        return "auto"
-    C0 = result.records[0].C_value
-    return optimizer.default_step_size(C0 * C0, config.T) if C0 > 0 else 1.0
-
-
 def _open_exclusive(path: str):
     try:
         return open(path, "x", newline="")
@@ -234,24 +226,28 @@ def _open_exclusive(path: str):
         ) from None
 
 
+def _write_records(fh, records):
+    writer = csv.writer(fh)
+    writer.writerow(["iter", "wall_time_s", "J_value", "C_value", "support_size", "theta_norm"])
+    for rec in records:
+        writer.writerow(
+            [
+                rec.iter,
+                f"{rec.wall_time_s:.6f}",
+                repr(rec.J_value),
+                repr(rec.C_value),
+                rec.support_size,
+                repr(rec.theta_norm),
+            ]
+        )
+
+
 def _write_outputs(stem: str, out: MetricsOutput):
     records_path = f"{stem}.records.csv"
     summary_path = f"{stem}.summary.txt"
     theta_path = f"{stem}.theta.csv"
     with _open_exclusive(records_path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "wall_time_s", "J_value", "C_value", "support_size", "theta_norm"])
-        for rec in out.records:
-            writer.writerow(
-                [
-                    rec.iter,
-                    f"{rec.wall_time_s:.6f}",
-                    repr(rec.J_value),
-                    repr(rec.C_value),
-                    rec.support_size,
-                    repr(rec.theta_norm),
-                ]
-            )
+        _write_records(fh, out.records)
     with _open_exclusive(summary_path) as fh:
         for key, value in out.summary.items():
             fh.write(f"{key}: {value!r}\n" if isinstance(value, str) else f"{key}: {value}\n")
@@ -418,27 +414,13 @@ def parse_cli(argv: list[str]) -> RunConfig:
 
 
 def _flush_partial_records(stem: str, records) -> str | None:
+    path = f"{stem}.records.partial.csv"
     try:
-        path = f"{stem}.records.partial.csv"
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["iter", "wall_time_s", "J_value", "C_value", "support_size", "theta_norm"]
-            )
-            for rec in records:
-                writer.writerow(
-                    [
-                        rec.iter,
-                        f"{rec.wall_time_s:.6f}",
-                        repr(rec.J_value),
-                        repr(rec.C_value),
-                        rec.support_size,
-                        repr(rec.theta_norm),
-                    ]
-                )
-        return path
+            _write_records(fh, records)
     except OSError:
         return None
+    return path
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -29,10 +29,9 @@ class KernelError(ValueError):
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """A symmetric n x n kernel matrix tagged with where it came from."""
+    """A square n x n kernel matrix, checked finite on construction."""
 
     values: np.ndarray
-    provenance: MultiIndex | str = "combined"
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -140,26 +139,12 @@ def build_base_kernels(data: Dataset, include_constant: bool, D: int) -> BaseKer
     return BaseKernelSet(data.inputs, include_constant, D)
 
 
-def hadamard_power(mat: GramMatrix, d: int) -> GramMatrix:
-    """Elementwise d-th power; d = 0 gives the all-ones matrix.
-
-    Computed by repeated multiplication so it agrees bit for bit with a cached
-    chain of elementwise products.
-    """
-    if d < 0:
-        raise KernelError("Hadamard power must be nonnegative")
-    out = np.ones_like(mat.values)
-    for _ in range(d):
-        out = out * mat.values
-    return GramMatrix(out, provenance=mat.provenance if d == 1 else "combined")
-
-
 def product_kernel_matrix(ks: BaseKernelSet, idx: MultiIndex) -> GramMatrix:
     """Elementwise product of the selected base Grams; empty idx is all-ones."""
     out = np.ones((ks.n, ks.n))
     for j in idx:
         out *= ks.kernel(j)
-    return GramMatrix(out, provenance=tuple(idx))
+    return GramMatrix(out)
 
 
 def product_kernel_cross(

@@ -1,6 +1,8 @@
 """Projected stochastic descent over the nonnegative part of the l2 unit ball,
 with a sparse weight representation, the combined Gram kept in the span of
-its support, and lazy iterate averaging.
+its support, and lazy iterate averaging. One loop serves the proportional
+sampler and uniform coordinate descent; only the draw differs
+(`proportional_draws` here, `baselines.uniform_draws`).
 
 The combined Gram is scale * C diag(w) C', with one cached column of C per
 distinct monomial of the support (permutations of a tuple, and tuples that
@@ -35,6 +37,7 @@ from .dual import (
     support_weights,
 )
 from .gradient import (
+    DegreeMasses,
     GradSample,
     RhoSchedule,
     degree_masses,
@@ -178,14 +181,13 @@ class RunResult:
     theta_avg: SparseTheta
     final: DualState
     records: list[RunRecord]
+    # the constant step of the descent loop, or "line-search" for the
+    # full-gradient solver
+    step_size: float | str
     converged: bool = False
     mass_exceeded_budget: bool = False
     theta_last: SparseTheta | None = None
     dual_last: DualState | None = None
-
-    def __iter__(self):
-        # allow (theta_avg, final, records) unpacking
-        return iter((self.theta_avg, self.final, self.records))
 
 
 class OptimizerState:
@@ -201,17 +203,9 @@ class OptimizerState:
     None before the first.
     """
 
-    def __init__(
-        self,
-        ks: BaseKernelSet,
-        rho: RhoSchedule,
-        rng: np.random.Generator,
-        step_size: float = 0.0,
-    ):
+    def __init__(self, ks: BaseKernelSet, rho: RhoSchedule):
         self.ks = ks
         self.rho = rho
-        self.rng = rng
-        self.step_size = step_size
         self.theta = SparseTheta()
         self.iter = 0
         self.last_index: MultiIndex | None = None
@@ -476,35 +470,42 @@ class OptimizerState:
             self._avg_count += count
 
 
-def average_theta(state: OptimizerState) -> SparseTheta:
-    return state.average_theta()
+def proportional_draws(ks: BaseKernelSet, rho: RhoSchedule, seed: int):
+    """The draw of the proportional sampler: one tuple with probability
+    |g_i| / C through a `SamplerWorkspace` on the generator [seed, 1],
+    carrying the importance estimate -C."""
+    workspace = SamplerWorkspace(ks, rho, np.random.default_rng([int(seed), 1]))
+
+    def draw(alpha: np.ndarray, masses: DegreeMasses) -> GradSample:
+        return importance_estimate(workspace.draw(alpha, masses), masses)
+
+    return draw
 
 
-def step(state: OptimizerState, sample: GradSample, eta: float) -> OptimizerState:
-    return state.step(sample, eta)
-
-
-def run(config, data: Dataset, ks: BaseKernelSet, rho: RhoSchedule) -> RunResult:
+def run(
+    config, data: Dataset, ks: BaseKernelSet, rho: RhoSchedule, draws=proportional_draws
+) -> RunResult:
     """Full descent loop: per iteration, an inner solve at the current iterate,
-    the degree masses, one proportional-to-|gradient| draw, and a projected
-    single-coordinate update. Returns the averaged iterate, the inner solve at
-    it, and per-iteration records. Deterministic given config.seed.
+    the degree masses, one draw, and a projected single-coordinate update.
+    Returns the averaged iterate, the inner solve at it, and per-iteration
+    records. Deterministic given config.seed.
 
-    `config` needs fields T, step (None for the default), seed,
-    checkpoint_every, and optionally mass_budget_factor.
+    `config` is a `RunConfig`; the loop reads its fields T, step (None for
+    the default 1 / sqrt(C0^2 T)), seed, checkpoint_every (>= 1) and
+    mass_budget_factor. `draws(ks, rho, seed)` is called once, before the
+    loop, and returns `draw(alpha, masses) -> GradSample`, the estimate
+    applied at that iteration; it owns its generator. The default is
+    `proportional_draws`; `baselines.uniform_draws` gives uniform coordinate
+    descent.
     """
     T = int(config.T)
     if T < 1:
         raise ValueError("T must be >= 1")
-    checkpoint_every = int(getattr(config, "checkpoint_every", 100) or 100)
-    mass_budget_factor = float(getattr(config, "mass_budget_factor", 10.0))
-    rng = np.random.default_rng([int(config.seed), 1])
-    state = OptimizerState(ks, rho, rng)
-    workspace = SamplerWorkspace(ks, rho, rng)
+    draw = draws(ks, rho, config.seed)
+    state = OptimizerState(ks, rho)
     y = data.targets
 
     started = time.perf_counter()
-    C0 = None
     converged = False
     mass_exceeded = False
     try:
@@ -512,18 +513,16 @@ def run(config, data: Dataset, ks: BaseKernelSet, rho: RhoSchedule) -> RunResult
             dual = solve_alpha(state.support_gram(), y)
             masses = degree_masses(dual.alpha, ks, rho)
             C = total_mass_C(masses)
-            if C0 is None:
+            if k == 1:
                 C0 = C
-                if state.step_size <= 0:
-                    override = getattr(config, "step", None)
-                    if override:
-                        state.step_size = float(override)
-                    else:
-                        state.step_size = default_step_size(C0 * C0, T) if C0 > 0 else 1.0
-            if C > mass_budget_factor * max(C0, 1e-300) and not mass_exceeded:
+                if config.step:
+                    step_size = float(config.step)
+                else:
+                    step_size = default_step_size(C0 * C0, T) if C0 > 0 else 1.0
+            if C > config.mass_budget_factor * max(C0, 1e-300) and not mass_exceeded:
                 mass_exceeded = True
                 warnings.warn(
-                    f"gradient mass {C:.3e} exceeded {mass_budget_factor:.1f}x its "
+                    f"gradient mass {C:.3e} exceeded {config.mass_budget_factor:.1f}x its "
                     f"starting value {C0:.3e}; step size may be too optimistic",
                     RuntimeWarning,
                     stacklevel=2,
@@ -543,10 +542,8 @@ def run(config, data: Dataset, ks: BaseKernelSet, rho: RhoSchedule) -> RunResult
                 state.mark_tail_iterates(T - k + 1)
                 converged = True
                 break
-            idx = workspace.draw(dual.alpha, masses)
-            sample = importance_estimate(idx, masses)
-            state.step(sample, state.step_size)
-            if checkpoint_every and k % checkpoint_every == 0:
+            state.step(draw(dual.alpha, masses), step_size)
+            if k % config.checkpoint_every == 0:
                 state.check_combined_gram()
     except Exception as exc:
         exc.partial_records = state.records  # let the harness flush what exists
@@ -560,6 +557,7 @@ def run(config, data: Dataset, ks: BaseKernelSet, rho: RhoSchedule) -> RunResult
         theta_avg=theta_avg,
         final=final,
         records=state.records,
+        step_size=step_size,
         converged=converged,
         mass_exceeded_budget=mass_exceeded,
         theta_last=theta_last,

@@ -351,7 +351,7 @@ def test_criterion_8_structural_invariants():
     # incremental combined Gram vs rebuild over a 50-step run, plus lazy
     # average vs dense accumulation and feasibility at every iterate
     data, ks, rho = random_instance(n=6, r=2, D=2, seed=401)
-    state = OptimizerState(ks, rho, np.random.default_rng(402))
+    state = OptimizerState(ks, rho)
     tuples = [(), (1,), (2,), (1, 2), (2, 2)]
     dense_sum = {idx: 0.0 for idx in tuples}
     steps = 50

@@ -63,13 +63,6 @@ class TestEnumerateIndexSet:
         enum = enumerate_index_set([0, 1, 2], 1)
         assert enum.tuples == [(), (0,), (1,), (2,)]
 
-    def test_precompute_respects_budget(self):
-        data, ks, rho = make_setup()
-        small = enumerate_index_set(ks.indices, 1, ks=ks, precompute_max_bytes=1)
-        assert small.grams is None
-        big = enumerate_index_set(ks.indices, 1, ks=ks, precompute_max_bytes=2**20)
-        assert big.grams is not None and len(big.grams) == big.size
-
 
 class TestFullGradientVector:
     def test_matches_per_tuple_components(self):

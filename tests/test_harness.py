@@ -70,6 +70,13 @@ class TestParseCli:
             parse_cli(["--synthetic", "r=2,train=10,test=5,zap=3"])
         assert "zap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("every", ["0", "-5"])
+    def test_checkpoint_every_below_one_usage_error(self, every, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_cli(["--checkpoint-every", every, "--synthetic", "r=2,train=10,test=5"])
+        assert exc.value.code == 2
+        assert "checkpoint-every" in capsys.readouterr().err
+
     def test_synthetic_degree_above_run_degree(self, capsys):
         with pytest.raises(SystemExit):
             parse_cli(["--synthetic", "r=4,train=10,test=5,maxdeg=3", "--degree", "2"])
@@ -264,7 +271,7 @@ class TestRhoPriorTiltsDegreeSampling:
         def count_top_degree_draws(rho_sq, T=250):
             rho = RhoSchedule(np.array(rho_sq)).scaled(1e-3)
             gen = np.random.default_rng([11, 1])
-            state = OptimizerState(self.ks, rho, gen)
+            state = OptimizerState(self.ks, rho)
             ws = SamplerWorkspace(self.ks, rho, gen)
             eta = None
             top = 0

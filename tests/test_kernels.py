@@ -5,11 +5,9 @@ import pytest
 
 from polymkl import (
     Dataset,
-    GramMatrix,
     KernelError,
     build_base_kernels,
     count_index_set,
-    hadamard_power,
     product_kernel_cross,
     product_kernel_matrix,
 )
@@ -56,33 +54,6 @@ class TestBuildBaseKernels:
         for K in (ks.kernel(j) for j in ks.indices):
             smallest = np.linalg.eigvalsh(K).min()
             assert smallest >= -1e-8 * np.linalg.norm(K)
-
-
-class TestHadamardPower:
-    def test_scalar_cube(self):
-        out = hadamard_power(GramMatrix(np.array([[2.0]])), 3)
-        np.testing.assert_array_equal(out.values, [[8.0]])
-
-    def test_power_zero_is_ones(self):
-        mat = GramMatrix(np.arange(9.0).reshape(3, 3) @ np.arange(9.0).reshape(3, 3).T)
-        np.testing.assert_array_equal(hadamard_power(mat, 0).values, np.ones((3, 3)))
-
-    def test_power_one_identical(self):
-        mat = GramMatrix(np.eye(3) * 4)
-        np.testing.assert_array_equal(hadamard_power(mat, 1).values, mat.values)
-
-    def test_matches_repeated_multiply(self):
-        rng = np.random.default_rng(4)
-        A = rng.normal(size=(5, 5))
-        mat = GramMatrix(A @ A.T)
-        repeated = np.ones((5, 5))
-        for d in range(5):
-            np.testing.assert_array_equal(hadamard_power(mat, d).values, repeated)
-            repeated = repeated * mat.values
-
-    def test_negative_power_errors(self):
-        with pytest.raises(KernelError):
-            hadamard_power(GramMatrix(np.eye(2)), -1)
 
 
 class TestProductKernelMatrix:

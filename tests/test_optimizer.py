@@ -143,7 +143,7 @@ def make_run_setup(n=5, r=2, D=2, seed=0, include_constant=False):
 class TestStep:
     def test_zero_value_only_counters_move(self):
         data, ks, rho = make_run_setup()
-        state = OptimizerState(ks, rho, np.random.default_rng(0))
+        state = OptimizerState(ks, rho)
         state.theta.set_raw((1,), 0.5)
         state.resync_weights()
         before = state.theta.as_dict()
@@ -157,7 +157,7 @@ class TestStep:
 
     def test_fresh_state_single_coordinate(self):
         data, ks, rho = make_run_setup()
-        state = OptimizerState(ks, rho, np.random.default_rng(0))
+        state = OptimizerState(ks, rho)
         c = 3.0
         eta = 0.05
         state.step(GradSample(index=(1, 2), value=-c, mass=c), eta=eta)
@@ -166,13 +166,13 @@ class TestStep:
 
     def test_projection_engages_on_large_step(self):
         data, ks, rho = make_run_setup()
-        state = OptimizerState(ks, rho, np.random.default_rng(0))
+        state = OptimizerState(ks, rho)
         state.step(GradSample(index=(1,), value=-50.0, mass=50.0), eta=1.0)
         assert state.theta.norm() == pytest.approx(1.0, abs=1e-12)
 
     def test_incremental_gram_matches_rebuild_over_random_steps(self):
         data, ks, rho = make_run_setup(n=5, r=2, D=2, seed=4)
-        state = OptimizerState(ks, rho, np.random.default_rng(5))
+        state = OptimizerState(ks, rho)
         rng = np.random.default_rng(6)
         tuples = [(), (1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2)]
         for _ in range(50):
@@ -189,7 +189,7 @@ class TestStep:
         # the wrong column enters both the update and the rebuild, so only the
         # dense product kernel can tell
         data, ks, rho = make_run_setup(n=6, r=2, D=2, seed=7)
-        state = OptimizerState(ks, rho, np.random.default_rng(0))
+        state = OptimizerState(ks, rho)
         swap = {1: 2, 2: 1}
         columns = type(ks).product_columns
         monkeypatch.setattr(
@@ -206,7 +206,7 @@ class TestStep:
         inputs = data.inputs.copy()
         inputs[:, 1] = 0.0
         ks = build_base_kernels(Dataset(inputs=inputs, targets=data.targets), False, 2)
-        state = OptimizerState(ks, rho, np.random.default_rng(0))
+        state = OptimizerState(ks, rho)
         state.step(GradSample(index=(1,), value=-2.0, mass=2.0), eta=0.1)
         state.step(GradSample(index=(1, 2), value=-2.0, mass=2.0), eta=0.1)
         assert state.last_index == (1, 2)
@@ -215,7 +215,7 @@ class TestStep:
 
     def cached_state(self):
         data, ks, rho = make_run_setup(n=6, r=2, D=2, seed=9)
-        state = OptimizerState(ks, rho, np.random.default_rng(0))
+        state = OptimizerState(ks, rho)
         for idx in [(1,), (2, 1), (1, 2), (2,)]:
             state.step(GradSample(index=idx, value=-2.0, mass=2.0), eta=0.1)
         state.check_combined_gram()
@@ -256,7 +256,7 @@ class TestStep:
 class TestLazyAverage:
     def test_constant_iterates(self):
         data, ks, rho = make_run_setup()
-        state = OptimizerState(ks, rho, np.random.default_rng(0))
+        state = OptimizerState(ks, rho)
         state.theta.set_raw((1,), 0.3)
         for _ in range(10):
             state.step(GradSample(index=(2,), value=0.0, mass=0.0), eta=0.1)
@@ -265,7 +265,7 @@ class TestLazyAverage:
 
     def test_two_iterations(self):
         data, ks, rho = make_run_setup()
-        state = OptimizerState(ks, rho, np.random.default_rng(0))
+        state = OptimizerState(ks, rho)
         state.step(GradSample(index=(1,), value=-4.0, mass=4.0), eta=0.1)  # theta -> 0.4
         state.step(GradSample(index=(2,), value=0.0, mass=0.0), eta=0.1)
         avg = state.average_theta()
@@ -274,7 +274,7 @@ class TestLazyAverage:
 
     def test_matches_dense_accumulation(self):
         data, ks, rho = make_run_setup(n=5, r=2, D=1, seed=7)
-        state = OptimizerState(ks, rho, np.random.default_rng(8))
+        state = OptimizerState(ks, rho)
         rng = np.random.default_rng(9)
         tuples = [(), (1,), (2,)]
         dense_sum = {idx: 0.0 for idx in tuples}
@@ -315,14 +315,16 @@ class TestRun:
     @pytest.mark.parametrize("module", [optimizer, baselines])
     def test_returned_duals_do_not_alias_the_loop_buffer(self, module, monkeypatch):
         # inside the loop every solve gets the state's support form; the
-        # states a run returns must be solved from dense Grams of their own
+        # states a run returns must be solved from dense Grams of their own.
+        # Both algorithms run the one loop of `optimizer.run`, so its solve
+        # is the one recorded
         grams = []
 
         def recording_solve(K_theta, y):
             grams.append(K_theta)
             return solve_alpha(K_theta, y)
 
-        monkeypatch.setattr(module, "solve_alpha", recording_solve)
+        monkeypatch.setattr(optimizer, "solve_alpha", recording_solve)
         data, ks, rho = make_run_setup(seed=13)
         algo = run if module is optimizer else baselines.run_ucd
         result = algo(self.config(T=20, checkpoint_every=5), data, ks, rho)
@@ -390,11 +392,12 @@ class TestRun:
         times = [rec.wall_time_s for rec in result.records]
         assert all(b >= a for a, b in zip(times, times[1:]))
 
-    def test_mass_budget_flag_warns_without_failing(self):
+    @pytest.mark.parametrize("algo", [run, baselines.run_ucd])
+    def test_mass_budget_flag_warns_without_failing(self, algo):
         data, ks, rho = make_run_setup(seed=19)
         config = self.config(T=10, seed=8, mass_budget_factor=1e-9)
         with pytest.warns(RuntimeWarning, match="gradient mass"):
-            result = run(config, data, ks, rho)
+            result = algo(config, data, ks, rho)
         assert result.mass_exceeded_budget
         assert len(result.records) == 10  # flagged, not aborted
 
@@ -437,7 +440,7 @@ class TestStepAverageAgainstManualLoop:
         result = run(config, data, ks, rho)
 
         rng = np.random.default_rng([9, 1])
-        state = OptimizerState(ks, rho, rng)
+        state = OptimizerState(ks, rho)
         ws = SamplerWorkspace(ks, rho, rng)
         y = data.targets
         eta = None

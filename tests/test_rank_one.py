@@ -96,7 +96,7 @@ class TestAgainstDense:
 
     def test_step_gram_delta(self, include_constant, D, seed):
         data, ks, rho, rng = make_instance(include_constant, D, seed)
-        state = OptimizerState(ks, rho, rng)
+        state = OptimizerState(ks, rho)
         for idx in random_theta(ks, rng, size=10).raw:
             before_gram = state.combined_unscaled.copy()
             before_raw = state.theta.raw.get(idx, 0.0)
@@ -108,7 +108,7 @@ class TestAgainstDense:
 
     def test_rebuild_and_assemble(self, include_constant, D, seed):
         data, ks, rho, rng = make_instance(include_constant, D, seed)
-        state = OptimizerState(ks, rho, rng)
+        state = OptimizerState(ks, rho)
         state.theta = random_theta(ks, rng)
         state.theta.scale = 0.7
         expected = dense_gram(state.theta, ks, rho)
@@ -161,7 +161,7 @@ class TestNoSquareTemporaries:
 
     def test_step(self):
         ks, rho, rng = self.instance()
-        state = OptimizerState(ks, rho, rng)
+        state = OptimizerState(ks, rho)
         sample = GradSample(index=(1, 0, 2), value=-0.5, mass=0.5)
         state.step(sample, eta=0.1)
         assert self.peak_bytes(lambda: state.step(sample, eta=0.1)) < self.budget
@@ -170,7 +170,7 @@ class TestNoSquareTemporaries:
         # the loop body of `run`: support solve, degree masses, draw and step
         ks, rho, rng = self.instance()
         y = rng.normal(size=ks.n)
-        state = OptimizerState(ks, rho, rng)
+        state = OptimizerState(ks, rho)
         ws = SamplerWorkspace(ks, rho, rng)
 
         def iteration():

@@ -46,7 +46,7 @@ def make_state(include_constant, D, lam, seed=0, n=30, r=3):
     data = Dataset(inputs=rng.normal(size=(n, r)), targets=rng.normal(size=n))
     ks = build_base_kernels(data, include_constant=include_constant, D=D)
     rho = RhoSchedule(rng.uniform(0.5, 2.0, size=D + 1)).scaled(lam)
-    return data, OptimizerState(ks, rho, rng), rng
+    return data, OptimizerState(ks, rho), rng
 
 
 def random_steps(state, rng, count):
