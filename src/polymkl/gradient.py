@@ -79,19 +79,27 @@ def grad_component(alpha: np.ndarray, K_i: GramMatrix | np.ndarray, rho_sq_d: fl
 
 
 def degree_masses(alpha: np.ndarray, ks: BaseKernelSet, rho: RhoSchedule) -> DegreeMasses:
-    """All D+1 degree masses via one quadratic form per cached power of S;
-    the rank-one matrix alpha alpha' is never materialized. S^(.)0 is all
-    ones, so degree 0 needs no matrix: its form is (sum alpha)^2."""
+    """All D+1 degree masses; the rank-one matrix alpha alpha' is never
+    materialized. S^(.)0 is all ones, so degree 0 is (sum alpha)^2. A degree
+    held as features, S^(.)d = Phi_d Phi_d', costs n F_d as |Phi_d' alpha|^2;
+    a dense degree costs n^2 as the quadratic form in S^(.)d."""
     if rho.D != ks.D:
         raise ValueError(f"rho covers degrees 0..{rho.D} but kernel set has D={ks.D}")
     delta = np.empty(ks.D + 1)
     delta[0] = float(np.sum(alpha)) ** 2 / rho.rho_sq[0]
     for d in range(1, ks.D + 1):
-        delta[d] = (alpha @ (ks.powers[d] @ alpha)) / rho.rho_sq[d]
-    # quadratic forms in PSD matrices; clamp the tiny negative round-off
-    delta[(delta < 0) & (delta >= -1e-12 * max(1.0, float(np.max(np.abs(delta)))))] = 0.0
-    if np.any(delta < 0):
-        raise FloatingPointError(f"negative degree mass beyond round-off: {delta}")
+        phi = ks.features.get(d)
+        if phi is not None:
+            v = phi.T @ alpha
+            delta[d] = (v @ v) / rho.rho_sq[d]
+        else:
+            delta[d] = (alpha @ (ks.dense_powers[d] @ alpha)) / rho.rho_sq[d]
+    if ks.dense_powers:
+        # quadratic forms in PSD matrices; clamp the tiny negative round-off.
+        # The other masses are sums of squares and never negative.
+        delta[(delta < 0) & (delta >= -1e-12 * max(1.0, float(np.max(np.abs(delta)))))] = 0.0
+        if np.any(delta < 0):
+            raise FloatingPointError(f"negative degree mass beyond round-off: {delta}")
     return DegreeMasses(delta=delta, total=float(delta.sum()))
 
 

@@ -14,17 +14,22 @@ requested output stem:
     <out>.theta.csv     the averaged iterate's support: degree, tuple, weight
 
 Identical configuration and seed reproduce the records byte for byte except
-for the wall_time_s column. Output files are created exclusively; an existing
-file is an error so concurrent runs cannot silently share a path.
+for the wall_time_s column. An existing output file is an error, so runs
+cannot silently share a path. Each artifact is written to a temporary file
+beside its path and only then linked into place, so a crash while writing
+leaves no artifact behind to block a rerun.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import math
+import os
 import statistics
 import sys
 import time
+import uuid
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -83,6 +88,8 @@ class RunConfig:
             raise ConfigError("lambda must be positive")
         if self.checkpoint_every < 1:
             raise ConfigError("checkpoint-every must be >= 1")
+        if self.step is not None and not (math.isfinite(self.step) and self.step > 0):
+            raise ConfigError(f"step must be a positive finite number, got {self.step}")
         if self.rho_sq is not None:
             if len(self.rho_sq) != self.D + 1:
                 raise ConfigError(
@@ -217,15 +224,6 @@ def run_experiment(config: RunConfig) -> MetricsOutput:
     return out
 
 
-def _open_exclusive(path: str):
-    try:
-        return open(path, "x", newline="")
-    except FileExistsError:
-        raise ConfigError(
-            f"output file {path} already exists; choose a fresh --out path"
-        ) from None
-
-
 def _write_records(fh, records):
     writer = csv.writer(fh)
     writer.writerow(["iter", "wall_time_s", "J_value", "C_value", "support_size", "theta_norm"])
@@ -242,21 +240,56 @@ def _write_records(fh, records):
         )
 
 
+def _write_summary(fh, summary):
+    for key, value in summary.items():
+        fh.write(f"{key}: {value!r}\n" if isinstance(value, str) else f"{key}: {value}\n")
+
+
+def _write_theta(fh, theta_support):
+    writer = csv.writer(fh)
+    writer.writerow(["degree", "tuple", "weight"])
+    for degree, idx, value in theta_support:
+        writer.writerow([degree, "-".join(str(j) for j in idx), repr(value)])
+
+
+def _output_taken(path: str) -> ConfigError:
+    return ConfigError(f"output file {path} already exists; choose a fresh --out path")
+
+
 def _write_outputs(stem: str, out: MetricsOutput):
-    records_path = f"{stem}.records.csv"
-    summary_path = f"{stem}.summary.txt"
-    theta_path = f"{stem}.theta.csv"
-    with _open_exclusive(records_path) as fh:
-        _write_records(fh, out.records)
-    with _open_exclusive(summary_path) as fh:
-        for key, value in out.summary.items():
-            fh.write(f"{key}: {value!r}\n" if isinstance(value, str) else f"{key}: {value}\n")
-    with _open_exclusive(theta_path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["degree", "tuple", "weight"])
-        for degree, idx, value in out.theta_support:
-            writer.writerow([degree, "-".join(str(j) for j in idx), repr(value)])
-    out.paths = {"records": records_path, "summary": summary_path, "theta": theta_path}
+    """Write the three artifacts, or none of them. All paths are checked free
+    first. Each file is written under a temporary name beside its path and
+    then hard-linked into place: unlike a rename, the link fails on a path
+    taken in the meantime instead of replacing it."""
+    artifacts = {
+        "records": (f"{stem}.records.csv", lambda fh: _write_records(fh, out.records)),
+        "summary": (f"{stem}.summary.txt", lambda fh: _write_summary(fh, out.summary)),
+        "theta": (f"{stem}.theta.csv", lambda fh: _write_theta(fh, out.theta_support)),
+    }
+    for path, _ in artifacts.values():
+        if os.path.lexists(path):
+            raise _output_taken(path)
+    staged, placed = [], []
+    try:
+        for path, write in artifacts.values():
+            tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+            with open(tmp, "x", newline="") as fh:
+                staged.append(tmp)
+                write(fh)
+        for tmp, (path, _) in zip(staged, artifacts.values()):
+            try:
+                os.link(tmp, path)
+            except FileExistsError:
+                raise _output_taken(path) from None
+            placed.append(path)
+    except BaseException:
+        for path in placed:
+            os.unlink(path)
+        raise
+    finally:
+        for tmp in staged:
+            os.unlink(tmp)
+    out.paths = {name: path for name, (path, _) in artifacts.items()}
 
 
 def read_theta_csv(path: str) -> dict[tuple[int, ...], float]:
@@ -340,7 +373,9 @@ def parse_cli(argv: list[str]) -> RunConfig:
         "--lambda-grid", metavar="LIST", help="comma list of ridge strengths tried on validation MSE"
     )
     parser.add_argument("--iters", type=int, default=1000, help="iteration count T")
-    parser.add_argument("--step", type=float, help="step size override (default: theory constant)")
+    parser.add_argument(
+        "--step", type=float, help="positive step size override (default: theory constant)"
+    )
     parser.add_argument("--seed", type=int, default=0, help="random seed")
     parser.add_argument(
         "--constant", choices=("on", "off"), default="on", help="include the constant base kernel"

@@ -1,5 +1,5 @@
-"""Rank-one base kernels, the elementwise (Hadamard) powers of their sum, and
-product-kernel Gram assembly.
+"""Rank-one base kernels, exact forms of the elementwise (Hadamard) powers of
+their sum, and product-kernel Gram assembly.
 
 A product kernel is identified by a MultiIndex: an ordered tuple of base-kernel
 indices. Index 0 is the constant kernel (all-ones Gram) when enabled; indices
@@ -8,9 +8,13 @@ tuple is the degree-0 kernel, identically 1.
 
 Every base kernel is rank one, K_j = z_j z_j' with z_0 = 1 and z_j = x_j, so
 every product kernel is z z' with z the elementwise product of its columns.
-The fast paths work on these columns; `product_kernel_matrix`,
-`product_kernel_cross` and `BaseKernelSet.kernel` build the dense n x n Grams
-and serve as the independent oracles.
+Their sum S = Z Z' over the m base columns has rank at most m, so its power
+S^(.)k factors exactly as Phi_k Phi_k' through the F_k = C(m+k-1, k) scaled
+symmetric monomials of degree k. `BaseKernelSet` holds each degree in the
+cheaper of the two forms: Phi_k where F_k < n (a quadratic form costs n F_k),
+the dense S^(.)k elsewhere (n^2). The fast paths work on these columns;
+`product_kernel_matrix`, `product_kernel_cross` and `BaseKernelSet.kernel`
+build the dense n x n Grams and serve as the independent oracles.
 """
 
 from __future__ import annotations
@@ -44,8 +48,16 @@ class GramMatrix:
 
 class BaseKernelSet:
     """Immutable bundle of the base-kernel columns Z (n x m, one column z_j per
-    base index, in `indices` order), their Gram S = Z Z' = sum_j K_j, and the
-    cached elementwise powers S^(.)0..D.
+    base index, in `indices` order) and one exact form of each elementwise
+    power S^(.)k, k = 1..D, of their Gram S = Z Z' = sum_j K_j.
+
+    Where F_k = C(m+k-1, k) < n, `features[k]` holds Phi_k (n x F_k) with
+    S^(.)k = Phi_k Phi_k'. Its column for the multiset c_1 <= ... <= c_k of
+    base positions is sqrt(k! / prod cnt!) * prod_i Z[:, c_i], with cnt the
+    multiplicities; Phi_1 is Z itself. Elsewhere `dense_powers[k]` holds the
+    n x n array S^(.)k. F_k never falls as k grows, so the feature degrees
+    are 1..K and the dense ones K+1..D. S^(.)0 is all ones and held in
+    neither.
 
     No n x n base Gram is stored; `kernel(j)` builds one on demand. Shared
     read-only by the sampler, gradient, and optimizer code; never mutated
@@ -63,13 +75,53 @@ class BaseKernelSet:
             raise KernelError("need at least one base kernel")
         self._position = {j: pos for pos, j in enumerate(self.indices)}
         self.Z = self.product_columns([(j,) for j in self.indices])
-        self.S = self.Z @ self.Z.T
-        # powers[d] = S^(.)d elementwise; powers[0] is a read-only all-ones
-        # view that holds no memory, and powers[1] is S itself. O(D n^2) total.
-        powers = [np.broadcast_to(1.0, (self.n, self.n)), self.S]
-        for _ in range(2, D + 1):
-            powers.append(powers[-1] * self.S)
-        self.powers = powers[: D + 1]
+        m = len(self.indices)
+        # the form of every degree is fixed from F_k before anything is built
+        num_feature = 0
+        while num_feature < D and math.comb(m + num_feature, num_feature + 1) < self.n:
+            num_feature += 1
+        self.features = self._features(num_feature)
+        self.dense_powers = self._dense_powers(num_feature + 1)
+
+    def _features(self, K: int) -> dict[int, np.ndarray]:
+        """Phi_1..Phi_K, each from the one below it. Column (c_1..c_k) of Phi_k
+        is column (c_1..c_{k-1}) of Phi_{k-1} times Z[:, c_k] times
+        sqrt(k / cnt), cnt being how often c_k occurs, that is the length of
+        the run of c_k that ends the multiset."""
+        if K == 0:
+            return {}
+        m = self.Z.shape[1]
+        features = {1: self.Z}
+        # per column of the previous degree: its last position and run length
+        last = np.arange(m)
+        run = np.ones(m, dtype=np.int64)
+        for k in range(2, K + 1):
+            children = m - last
+            parent = np.repeat(np.arange(last.size), children)
+            first_child = np.cumsum(children) - children
+            child = np.arange(parent.size) - first_child[parent] + last[parent]
+            run = np.where(child == last[parent], run[parent] + 1, 1)
+            last = child
+            phi = features[k - 1][:, parent]
+            phi *= self.Z[:, child]
+            phi *= np.sqrt(k / run)
+            features[k] = phi
+        return features
+
+    def _dense_powers(self, first: int) -> dict[int, np.ndarray]:
+        """S^(.)k for k = first..D. S is kept only as S^(.)1; otherwise the top
+        power is written into S's own buffer."""
+        if first > self.D:
+            return {}
+        S = self.Z @ self.Z.T
+        powers = {1: S} if first == 1 else {}
+        power = S
+        for k in range(2, self.D + 1):
+            out = S if k == self.D and first > 1 else None
+            power = np.multiply(power, S, out=out)
+            if k >= first:
+                powers[k] = power
+        return powers
 
     @property
     def num_kernels(self) -> int:
@@ -134,8 +186,8 @@ def product_columns(inputs: np.ndarray, tuples: list[MultiIndex]) -> np.ndarray:
 
 def build_base_kernels(data: Dataset, include_constant: bool, D: int) -> BaseKernelSet:
     """Per-variable linear kernels K_j = x_j x_j', optionally plus an all-ones
-    constant kernel, held as columns, with S = sum K_j and its Hadamard powers
-    precomputed."""
+    constant kernel, held as columns, with each Hadamard power of S = sum K_j
+    up to degree D precomputed in its cheaper exact form."""
     return BaseKernelSet(data.inputs, include_constant, D)
 
 

@@ -515,7 +515,7 @@ def run(
             C = total_mass_C(masses)
             if k == 1:
                 C0 = C
-                if config.step:
+                if config.step is not None:
                     step_size = float(config.step)
                 else:
                     step_size = default_step_size(C0 * C0, T) if C0 > 0 else 1.0

@@ -1,5 +1,5 @@
 """Draw a product-kernel multi-index with probability proportional to the
-magnitude of its gradient component, in O(m n^2 D) per draw for m base kernels.
+magnitude of its gradient component.
 
 The draw is hierarchical: first the degree d, with weight
 delta(d) = alpha' S^(.)d alpha / rho_d^2, then one base-kernel index per
@@ -7,11 +7,13 @@ position. Every base kernel is rank one, K_j = z_j z_j', so the running
 Hadamard product of alpha alpha' with the factors chosen so far is u u', with
 u = alpha * z_prefix elementwise. Position i uses conditional weights
 
-    pi(j) proportional to sum_{t,s} u_t u_s S^(.)(d-i)_ts z_jt z_js
-          = colsum(U * (S^(.)(d-i) U))_j,   U = u[:, None] * Z,
+    pi(j) proportional to sum_{t,s} u_t u_s S^(.)k_ts z_jt z_js
+          = colsum(U * (S^(.)k U))_j,   U = u[:, None] * Z,   k = d - i,
 
-one n x n by n x m matrix product per position. Their sum over j telescopes
-to the previous position's chosen weight. The resulting joint law over ordered
+for m base kernels. Where the kernel set holds S^(.)k = Phi_k Phi_k' (F_k < n
+features), that is colsum((Phi_k' U)^2) at n F_k m flops; elsewhere it is one
+n x n by n x m product, n^2 m flops. Their sum over j telescopes to the
+previous position's chosen weight. The resulting joint law over ordered
 tuples is exactly the normalized |gradient| distribution, which
 `brute_force_q` enumerates densely for testing.
 """
@@ -60,10 +62,13 @@ class SamplerWorkspace:
         self.ks = ks
         self.rho = rho
         self.rng = rng
-        # running factor u = alpha * z_prefix, and the n x m products U, P U
+        # running factor u = alpha * z_prefix, U = u[:, None] * Z, and the
+        # products Phi_k' U (F_k x m) or S^(.)k U (n x m)
         self.u = np.empty(ks.n)
         self._U = np.empty(ks.Z.shape, order="F")
-        self._PU = np.empty(ks.Z.shape, order="F")
+        m = ks.Z.shape[1]
+        self._PhiU = {k: np.empty((phi.shape[1], m)) for k, phi in ks.features.items()}
+        self._PU = np.empty(ks.Z.shape, order="F") if ks.dense_powers else None
 
     def draw(self, alpha: np.ndarray, masses: DegreeMasses | None = None) -> MultiIndex:
         ks = self.ks
@@ -103,7 +108,12 @@ class SamplerWorkspace:
             weights = U.sum(axis=0)
             weights *= weights
             return weights
-        PU = np.matmul(self.ks.powers[remaining], U, out=self._PU)
+        phi = self.ks.features.get(remaining)
+        if phi is not None:
+            # S^(.)k = Phi Phi', so each weight is a squared column norm of Phi' U
+            V = np.matmul(phi.T, U, out=self._PhiU[remaining])
+            return np.einsum("fj,fj->j", V, V)
+        PU = np.matmul(self.ks.dense_powers[remaining], U, out=self._PU)
         return np.einsum("tj,tj->j", U, PU)
 
 

@@ -243,12 +243,14 @@ def test_criterion_6_per_iteration_scaling():
 
 def equal_weight_model(ks, rho, train, query_inputs):
     """The equal-weight point of the feasible set: theta_i = 1/sqrt(N) on each of
-    the N ordered tuples of degree <= D, so ||theta|| = 1. Built from the cached
-    powers of S (S^(.)d sums the degree-d product kernels). Returns the inner
-    solve at that point and its predictions at the query inputs."""
+    the N ordered tuples of degree <= D, so ||theta|| = 1. Built from the powers
+    of S = sum_j K_j (S^(.)d sums the degree-d product kernels), formed from
+    the dense base Grams. Returns the inner solve at that point and its
+    predictions at the query inputs."""
     D = ks.D
     weight = 1.0 / np.sqrt(sum(ks.num_kernels**d for d in range(D + 1)))
-    K_eq = weight * sum(ks.powers[d] / rho.rho_sq[d] for d in range(D + 1))
+    S = sum(ks.kernel(j) for j in ks.indices)
+    K_eq = weight * sum(S**d / rho.rho_sq[d] for d in range(D + 1))
     state = solve_alpha(GramMatrix(K_eq), train.targets)
     S_cross = sum(product_kernel_cross(train.inputs, query_inputs, (j,)) for j in ks.indices)
     cross = weight * sum(S_cross**d / rho.rho_sq[d] for d in range(D + 1))

@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +81,18 @@ class TestParseCli:
         assert exc.value.code == 2
         assert "checkpoint-every" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("step", ["0", "-0.1"])
+    def test_step_not_positive_usage_error(self, step, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_cli(["--step", step, "--synthetic", "r=2,train=10,test=5"])
+        assert exc.value.code == 2
+        assert "step" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("step", [float("nan"), float("inf")])
+    def test_step_not_finite(self, step):
+        with pytest.raises(ConfigError, match="step"):
+            RunConfig(step=step, synthetic=SyntheticSpec(r=2, n_train=10, n_test=5))
+
     def test_synthetic_degree_above_run_degree(self, capsys):
         with pytest.raises(SystemExit):
             parse_cli(["--synthetic", "r=4,train=10,test=5,maxdeg=3", "--degree", "2"])
@@ -141,6 +157,30 @@ class TestRunExperiment:
         run_experiment(quick_config(tmp_path))
         with pytest.raises(ConfigError, match="exists"):
             run_experiment(quick_config(tmp_path))
+
+    def test_crash_while_writing_leaves_nothing(self, tmp_path, monkeypatch):
+        import polymkl.harness as harness_mod
+
+        def failing(fh, theta_support):
+            fh.write("degree,tu")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(harness_mod, "_write_theta", failing)
+        with pytest.raises(OSError, match="disk full"):
+            run_experiment(quick_config(tmp_path))
+        assert os.listdir(tmp_path) == []
+        monkeypatch.undo()
+        out = run_experiment(quick_config(tmp_path))
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            os.path.basename(p) for p in out.paths.values()
+        )
+
+    def test_taken_path_blocks_before_any_write(self, tmp_path):
+        (tmp_path / "run.theta.csv").write_text("kept\n")
+        with pytest.raises(ConfigError, match="exists"):
+            run_experiment(quick_config(tmp_path))
+        assert os.listdir(tmp_path) == ["run.theta.csv"]
+        assert (tmp_path / "run.theta.csv").read_text() == "kept\n"
 
     def test_summary_mse_recomputable_from_artifacts(self, tmp_path):
         # rebuild theta from the persisted support, re-solve, and re-predict on
@@ -288,3 +328,16 @@ class TestRhoPriorTiltsDegreeSampling:
         flat = count_top_degree_draws([1.0, 1.0, 1.0, 1.0])
         tilted = count_top_degree_draws([1.0, 1.0, 1.0, 4.0])
         assert (flat, tilted) == (99, 137)  # frozen paired-run outcome, seed [11, 1]
+
+
+def test_python_dash_m_runs_without_warning():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "polymkl", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0
+    assert "usage: polymkl" in done.stdout
+    assert "Warning" not in done.stderr, done.stderr

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +17,20 @@ from polymkl import (
 def random_dataset(n=10, r=3, seed=0):
     rng = np.random.default_rng(seed)
     return Dataset(inputs=rng.normal(size=(n, r)), targets=rng.normal(size=n))
+
+
+def held_power(ks, d):
+    """S^(.)d rebuilt densely from the form the kernel set holds."""
+    if d == 0:
+        return np.ones((ks.n, ks.n))
+    if d in ks.features:
+        return ks.features[d] @ ks.features[d].T
+    return ks.dense_powers[d]
+
+
+def oracle_power(ks, d):
+    """S^(.)d from the dense base Grams, independent of the held forms."""
+    return sum(ks.kernel(j) for j in ks.indices) ** d
 
 
 class TestBuildBaseKernels:
@@ -37,16 +52,32 @@ class TestBuildBaseKernels:
             expected = sum(np.outer(c, c) for c in data.inputs.T)
             if const:
                 expected = expected + np.ones((10, 10))
-            np.testing.assert_allclose(ks.S, expected, rtol=1e-12)
+            np.testing.assert_allclose(held_power(ks, 1), expected, rtol=1e-12)
 
     def test_power_cache(self):
-        data = random_dataset(n=6, r=2, seed=2)
-        ks = build_base_kernels(data, include_constant=False, D=3)
-        np.testing.assert_array_equal(ks.powers[0], np.ones((6, 6)))
-        manual = np.ones((6, 6))
-        for d in range(1, 4):
-            manual = manual * ks.S
-            np.testing.assert_array_equal(ks.powers[d], manual)
+        # m=2, F = 2/3/4: all degrees as features at n=6, mixed at n=3, dense at n=2
+        for n in (6, 3, 2):
+            ks = build_base_kernels(random_dataset(n=n, r=2, seed=2), include_constant=False, D=3)
+            for d in range(1, 4):
+                expected = oracle_power(ks, d)
+                np.testing.assert_allclose(
+                    held_power(ks, d), expected, rtol=0, atol=1e-12 * np.abs(expected).max()
+                )
+
+    @pytest.mark.parametrize(
+        "n,features,dense",
+        [(25, [1, 2, 3], []), (12, [1, 2], [3]), (10, [1], [2, 3]), (3, [], [1, 2, 3])],
+    )
+    def test_form_per_degree(self, n, features, dense):
+        # r=3 with the constant kernel: m=4 and F = 4/10/20; features where F_k < n,
+        # so at n=10 degree 2 is dense
+        ks = build_base_kernels(random_dataset(n=n, r=3, seed=4), include_constant=True, D=3)
+        assert sorted(ks.features) == features and sorted(ks.dense_powers) == dense
+        for k, phi in ks.features.items():
+            assert phi.shape == (n, math.comb(4 + k - 1, k))
+        if features:
+            assert ks.features[1] is ks.Z
+        assert not hasattr(ks, "S")
 
     def test_base_kernels_are_psd(self):
         data = random_dataset(n=8, r=4, seed=3)
@@ -96,8 +127,9 @@ class TestProductKernelMatrix:
                 total = np.zeros((6, 6))
                 for idx in itertools.product(ks.indices, repeat=d):
                     total += product_kernel_matrix(ks, idx).values
+                power = held_power(ks, d)
                 np.testing.assert_allclose(
-                    total, ks.powers[d], rtol=1e-9, atol=1e-9 * np.abs(ks.powers[d]).max()
+                    total, power, rtol=1e-9, atol=1e-9 * np.abs(power).max()
                 )
 
 

@@ -1,11 +1,14 @@
 """The rank-one fast paths against the dense n x n oracles.
 
 Every product kernel is z z' with z the elementwise product of its columns of
-[1, X]. The sampler's position weights, the optimizer's incremental Gram, the
-Gram rebuilds and predict all work on those columns; here each is checked on
-seeded random instances against Grams built from `BaseKernelSet.kernel`,
-`product_kernel_matrix` and `product_kernel_cross`. The allocation tests pin
-that a steady-state draw and step create no n x n temporary.
+[1, X]. The degree masses, the sampler's position weights, the optimizer's
+incremental Gram, the Gram rebuilds and predict all work on those columns or
+on the per-degree features Phi_k with S^(.)k = Phi_k Phi_k'; here each is
+checked on seeded random instances against Grams built from
+`BaseKernelSet.kernel`, `product_kernel_matrix` and `product_kernel_cross`,
+and against `brute_force_q`. The allocation tests pin that building the
+kernel set where every degree takes features, and a steady-state mass, draw
+and step, create no n x n temporary.
 """
 
 import itertools
@@ -26,7 +29,7 @@ from polymkl import (
 from polymkl.dual import assemble_combined_gram, predict, solve_alpha
 from polymkl.gradient import DegreeMasses, importance_estimate
 from polymkl.kernels import product_kernel_cross, product_kernel_matrix
-from polymkl.sampler import SamplerWorkspace
+from polymkl.sampler import SamplerWorkspace, brute_force_q
 
 RTOL = 1e-12
 
@@ -68,6 +71,36 @@ def random_theta(ks, rng, size=6):
     return SparseTheta.from_dict({idx: float(rng.uniform(0.1, 1.0)) for idx in picked})
 
 
+def oracle_power(ks, d):
+    """S^(.)d from the dense base Grams, independent of the kernel set's forms."""
+    return sum(ks.kernel(j) for j in ks.indices) ** d
+
+
+def check_position_weights(ks, rho, alpha, rng):
+    """Position weights at every prefix of every degree against the running
+    product M = alpha alpha' times the prefix Grams, with
+    remaining = d - len(prefix) - 1."""
+    ws = SamplerWorkspace(ks, rho, rng)
+    for prefix in all_tuples(ks, ks.D - 1):
+        M = np.outer(alpha, alpha)
+        u = alpha.copy()
+        for j in prefix:
+            M = M * ks.kernel(j)
+            u = u * ks.product_columns([(j,)])[:, 0]
+        for remaining in range(ks.D - len(prefix)):
+            P = oracle_power(ks, remaining)
+            dense = [np.sum(M * P * ks.kernel(j)) for j in ks.indices]
+            assert_close(ws.position_weights(u, remaining), dense)
+
+
+def top_degree_masses(alpha, ks, rho):
+    """Degree masses with all mass on the top degree, so a draw runs every
+    position."""
+    delta = np.zeros(ks.D + 1)
+    delta[ks.D] = degree_masses(alpha, ks, rho).delta[ks.D]
+    return DegreeMasses(delta=delta, total=float(delta.sum()))
+
+
 def dense_gram(theta, ks, rho):
     K = np.zeros((ks.n, ks.n))
     for idx, value in theta.items():
@@ -79,20 +112,7 @@ def dense_gram(theta, ks, rho):
 class TestAgainstDense:
     def test_position_weights(self, include_constant, D, seed):
         data, ks, rho, rng = make_instance(include_constant, D, seed)
-        alpha = rng.normal(size=ks.n)
-        ws = SamplerWorkspace(ks, rho, rng)
-        # every prefix of every degree: the running product M = alpha alpha'
-        # times the prefix Grams, and remaining = d - len(prefix) - 1
-        for prefix in all_tuples(ks, D - 1):
-            M = np.outer(alpha, alpha)
-            u = alpha.copy()
-            for j in prefix:
-                M = M * ks.kernel(j)
-                u = u * ks.product_columns([(j,)])[:, 0]
-            for remaining in range(D - len(prefix)):
-                P = ks.powers[remaining]
-                dense = [np.sum(M * P * ks.kernel(j)) for j in ks.indices]
-                assert_close(ws.position_weights(u, remaining), dense)
+        check_position_weights(ks, rho, rng.normal(size=ks.n), rng)
 
     def test_step_gram_delta(self, include_constant, D, seed):
         data, ks, rho, rng = make_instance(include_constant, D, seed)
@@ -127,10 +147,33 @@ class TestAgainstDense:
         assert_close(predict(state, theta, data.inputs, queries, rho), expected)
 
 
+@pytest.mark.parametrize("n", [25, 12, 3])
+class TestBothForms:
+    """r=3 with the constant kernel, so m=4 and F = 4/10/20: every degree takes
+    features at n=25, degrees 1-2 do at n=12, and none does at n=3."""
+
+    D = 3
+
+    def test_degree_masses(self, n):
+        data, ks, rho, rng = make_instance(True, self.D, seed=n, n=n)
+        alpha = rng.normal(size=n)
+        masses = degree_masses(alpha, ks, rho)
+        dense = [alpha @ oracle_power(ks, d) @ alpha / rho.rho_sq[d] for d in range(self.D + 1)]
+        assert_close(masses.delta, dense)
+        q = brute_force_q(alpha, ks, rho, self.D)
+        per_degree = [sum(p for idx, p in q.items() if len(idx) == d) for d in range(self.D + 1)]
+        assert_close(masses.delta / masses.total, per_degree)
+
+    def test_position_weights(self, n):
+        data, ks, rho, rng = make_instance(True, self.D, seed=n, n=n)
+        check_position_weights(ks, rho, rng.normal(size=n), rng)
+
+
 class TestNoSquareTemporaries:
     """A steady-state draw, step and whole loop iteration each allocate well
     under one n x n array of float64: fresh n^2 buffers in the loop cost page
-    faults on every iteration."""
+    faults on every iteration. Where every degree takes features, building the
+    kernel set does too."""
 
     n = 300
     budget = n * n * 8 // 2
@@ -152,10 +195,17 @@ class TestNoSquareTemporaries:
         ks, rho, rng = self.instance()
         alpha = rng.normal(size=ks.n)
         ws = SamplerWorkspace(ks, rho, rng)
-        # all mass on the top degree, so the draw runs every position
-        delta = np.zeros(ks.D + 1)
-        delta[ks.D] = degree_masses(alpha, ks, rho).delta[ks.D]
-        masses = DegreeMasses(delta=delta, total=float(delta.sum()))
+        masses = top_degree_masses(alpha, ks, rho)
+        ws.draw(alpha, masses)
+        assert self.peak_bytes(lambda: ws.draw(alpha, masses)) < self.budget
+
+    def test_draw_dense_degrees(self):
+        # r=30: m=31 and F = 31/496/5456, so degrees 2 and 3 stay dense at n=300
+        data, ks, rho, rng = make_instance(True, 3, seed=6, n=self.n, r=30)
+        assert sorted(ks.dense_powers) == [2, 3]
+        alpha = rng.normal(size=ks.n)
+        ws = SamplerWorkspace(ks, rho, rng)
+        masses = top_degree_masses(alpha, ks, rho)
         ws.draw(alpha, masses)
         assert self.peak_bytes(lambda: ws.draw(alpha, masses)) < self.budget
 
@@ -183,3 +233,21 @@ class TestNoSquareTemporaries:
             iteration()
         assert 0 < state.num_columns < ks.n
         assert self.peak_bytes(iteration) < self.budget
+
+    def test_build_masses_and_draw_where_all_features(self):
+        # n=2000, r=5, D=3: m=6 and F = 6/21/56, so every degree takes features
+        n = 2000
+        budget = n * n * 8 // 2
+        rng = np.random.default_rng(8)
+        data = Dataset(inputs=rng.normal(size=(n, 5)), targets=rng.normal(size=n))
+        rho = RhoSchedule(rng.uniform(0.5, 2.0, size=4))
+        built = []
+        assert self.peak_bytes(lambda: built.append(build_base_kernels(data, True, 3))) < budget
+        ks = built[0]
+        assert sorted(ks.features) == [1, 2, 3] and not ks.dense_powers
+
+        alpha = rng.normal(size=n)
+        assert self.peak_bytes(lambda: degree_masses(alpha, ks, rho)) < budget
+        ws = SamplerWorkspace(ks, rho, rng)
+        masses = top_degree_masses(alpha, ks, rho)
+        assert self.peak_bytes(lambda: ws.draw(alpha, masses)) < budget
