@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, MultiIndex
-from .dual import solve_alpha
+from .dual import DualState, solve_alpha
 from .gradient import GRAD_SCALE, DegreeMasses, GradSample, RhoSchedule, total_mass_C
 from .kernels import BaseKernelSet, GramMatrix, product_kernel_matrix
 from .optimizer import RunRecord, RunResult, SparseTheta, run
@@ -110,9 +110,14 @@ def run_ucd(config, data: Dataset, ks: BaseKernelSet, rho: RhoSchedule) -> RunRe
 @dataclass
 class FullGradResult:
     theta_star: SparseTheta
-    J_star: float
+    # the dense inner solve at theta_star
+    final: DualState
     records: list[RunRecord]
     converged: bool
+
+    @property
+    def J_star(self) -> float:
+        return self.final.J_value
 
 
 def run_full_gradient(
@@ -205,13 +210,12 @@ def run_full_gradient(
             break
 
     # exact final values, independent of the incremental updates
-    dual = solve_alpha(GramMatrix(exact_K(theta)), y)
     theta_star = SparseTheta.from_dict(
         {idx: float(theta[p]) for idx, p in positions.items() if theta[p] != 0.0}
     )
     return FullGradResult(
         theta_star=theta_star,
-        J_star=dual.J_value,
+        final=solve_alpha(GramMatrix(exact_K(theta)), y),
         records=records,
         converged=converged,
     )

@@ -84,9 +84,6 @@ class StandardizerParams:
             feature_names=data.feature_names,
         )
 
-    def invert_targets(self, targets: np.ndarray) -> np.ndarray:
-        return np.asarray(targets) * self.target_scale + self.target_mean
-
 
 @dataclass(frozen=True)
 class SyntheticSpec:

@@ -9,16 +9,20 @@ pinned by tests against a direct numerical minimization of the dual objective
 
 whose minimizer is alpha and whose negated minimum is J.
 
-The descent loop hands the solver its Gram in the span of the support,
-K_theta = C diag(w) C' over s columns, one per distinct monomial. Woodbury's
-identity turns the n x n system into the s x s capacitance system
+The learner hands the solver every combined Gram in the span of its
+support, K_theta = C diag(w) C' over s columns, one per distinct monomial:
+the descent loop from its cache, and the final solves from
+`assemble_combined_gram`, which builds the form afresh from a sparse theta.
+Woodbury's identity turns the n x n system into the s x s capacitance system
 (n I + W^(1/2) C'C W^(1/2)) c = W^(1/2) C' y, whose eigenvalues are all >= n
 for any s, and alpha = (y - C W^(1/2) c) / n: O(n s + s^3) with no n x n
-array.
+array. The dense Cholesky on a `GramMatrix` serves the enumerated baselines
+and the test oracles.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +34,9 @@ from .kernels import (  # noqa: F401
     BaseKernelSet,
     GramMatrix,
     KernelError,
+    monomial_key,
     product_columns,
     product_kernel_matrix,
-    weighted_outer,
 )
 
 
@@ -44,9 +48,11 @@ class DualSolveError(RuntimeError):
 @dataclass(frozen=True)
 class SupportGram:
     """K_theta = C diag(weights) C' in the span of its support: `columns` is
-    n x s, one column per distinct monomial, `gram` is C'C (s x s), and
-    `weights` (length s) already carry the iterate's scale. Weights within
-    round-off below zero are read as zero."""
+    n x s, one column per distinct monomial (`monomial_key`), `gram` is C'C
+    (s x s), and `weights` (length s) are the summed theta_i / rho_|i|^2 of
+    each monomial's tuples, with the iterate's scale applied. Weights within
+    round-off below zero are read as zero. The learner's only Gram form;
+    `dense` builds the n x n array for oracles and tests."""
 
     columns: np.ndarray
     gram: np.ndarray
@@ -73,13 +79,16 @@ class SupportGram:
         return np.maximum(w, 0.0)
 
     def dense(self) -> np.ndarray:
-        """The n x n Gram C diag(weights) C', exactly symmetric."""
-        return weighted_outer(self.columns, self.nonnegative_weights())
+        """The n x n Gram C diag(weights) C', as the single product B B' with
+        B = C diag(weights)^(1/2), so exactly symmetric."""
+        B = self.columns * np.sqrt(self.nonnegative_weights())
+        return B @ B.T
 
 
 @dataclass(frozen=True)
 class DualState:
-    """The inner solve at one Gram, dense or in support form."""
+    """The inner solve at one Gram: a `SupportGram` in the learner, a dense
+    `GramMatrix` in the enumerated baselines and the oracles."""
 
     alpha: np.ndarray
     K_theta: GramMatrix | SupportGram
@@ -165,17 +174,26 @@ def _solve_support(K_theta: SupportGram, y: np.ndarray) -> DualState:
     return DualState(alpha=alpha, K_theta=K_theta, J_value=float(0.5 * y @ alpha), n=n)
 
 
-def support_weights(theta, rho) -> tuple[list, np.ndarray]:
-    """The support tuples of theta and their Gram weights theta_i / rho_d(i)^2."""
-    support = list(theta.items())
-    weights = np.array([value / rho.rho_sq[len(idx)] for idx, value in support])
-    return [idx for idx, _ in support], weights
+def monomial_weights(theta, rho) -> tuple[list, np.ndarray]:
+    """theta's support grouped by monomial: the distinct `monomial_key`s, in
+    order of first appearance, and for each the Gram weight
+    sum theta_i / rho_|i|^2 over its tuples, as one exactly rounded sum."""
+    terms: dict = {}
+    for idx, value in theta.items():
+        terms.setdefault(monomial_key(idx), []).append(value / rho.rho_sq[len(idx)])
+    return list(terms), np.array([math.fsum(t) for t in terms.values()])
 
 
-def assemble_combined_gram(theta, ks: BaseKernelSet, rho) -> GramMatrix:
-    """K_theta = sum over support of (theta_i / rho_d(i)^2) z_i z_i', built
-    fresh as one product over the support columns."""
-    return GramMatrix(ks.weighted_gram(*support_weights(theta, rho)))
+def assemble_combined_gram(theta, ks: BaseKernelSet, rho) -> SupportGram:
+    """K_theta = sum over support of (theta_i / rho_d(i)^2) z_i z_i' in support
+    form, built fresh: one column per distinct monomial, their Gram C'C, and
+    the summed weights. O(n s^2), with no n x n array."""
+    keys, weights = monomial_weights(theta, rho)
+    # the keys drop index 0, so product_columns cannot reject it on its own
+    if not ks.has_constant and any(0 in idx for idx, _ in theta.items()):
+        raise KernelError("no base kernel with index 0")
+    C = ks.product_columns(keys)
+    return SupportGram(C, C.T @ C, weights)
 
 
 def objective_J(theta, ks: BaseKernelSet, rho, y: np.ndarray) -> float:
@@ -192,13 +210,14 @@ def predict(
 ) -> np.ndarray:
     """Predictions y_hat_q = sum_t alpha_t sum_i (theta_i / rho^2) k_i(x_t, x_q).
     Each product kernel is rank one, so this is
-    sum_i w_i z_i(query) (z_i(train) . alpha) over the support columns."""
+    sum_k w_k z_k(query) (z_k(train) . alpha) over the support's distinct
+    monomials k."""
     train_inputs = np.asarray(train_inputs)
     query_inputs = np.asarray(query_inputs)
     if train_inputs.shape[1] != query_inputs.shape[1]:
         raise KernelError(
             f"column mismatch: train has {train_inputs.shape[1]}, query has {query_inputs.shape[1]}"
         )
-    tuples, weights = support_weights(theta, rho)
-    along_alpha = product_columns(train_inputs, tuples).T @ state.alpha
-    return product_columns(query_inputs, tuples) @ (weights * along_alpha)
+    keys, weights = monomial_weights(theta, rho)
+    along_alpha = product_columns(train_inputs, keys).T @ state.alpha
+    return product_columns(query_inputs, keys) @ (weights * along_alpha)

@@ -44,7 +44,7 @@ from .dataset import (
     split,
     standardize,
 )
-from .dual import assemble_combined_gram, predict, solve_alpha
+from .dual import predict
 from .gradient import RhoSchedule
 from .kernels import BaseKernelSet, build_base_kernels, count_index_set
 
@@ -154,15 +154,14 @@ def _dispatch(config: RunConfig, train: Dataset, ks: BaseKernelSet, rho: RhoSche
     if config.algo == "ucd":
         return baselines.run_ucd(config, train, ks, rho)
     result = baselines.run_full_gradient(config, train, ks, rho, tol=config.fullgrad_tol)
-    final = solve_alpha(assemble_combined_gram(result.theta_star, ks, rho), train.targets)
     return optimizer.RunResult(
         theta_avg=result.theta_star,
-        final=final,
+        final=result.final,
         records=result.records,
         step_size="line-search",
         converged=result.converged,
         theta_last=result.theta_star,
-        dual_last=final,
+        dual_last=result.final,
     )
 
 

@@ -150,22 +150,12 @@ class BaseKernelSet:
         x = self.inputs[:, j - 1]
         return np.outer(x, x)
 
-    def weighted_gram(self, tuples: list[MultiIndex], weights) -> np.ndarray:
-        """sum_i weights[i] z_i z_i' as the single product B B' with
-        B = Z_s diag(weights)^(1/2), exactly symmetric; weights must be
-        nonnegative."""
-        return weighted_outer(self.product_columns(tuples), weights)
 
-
-def weighted_outer(columns: np.ndarray, weights) -> np.ndarray:
-    """sum_i weights[i] c_i c_i' over the columns c_i, as the single product
-    B B' with B = columns diag(weights)^(1/2), exactly symmetric; weights must
-    be nonnegative."""
-    weights = np.asarray(weights, dtype=np.float64)
-    if np.any(weights < 0):
-        raise KernelError("combination weights must be nonnegative")
-    B = columns * np.sqrt(weights)
-    return B @ B.T
+def monomial_key(idx: MultiIndex) -> MultiIndex:
+    """The monomial a tuple's product kernel is: its sorted nonzero base
+    indices. Permutations, and the constant kernel's index 0, leave the
+    column z unchanged, so tuples with one key share one column."""
+    return tuple(sorted(j for j in idx if j != 0))
 
 
 def product_columns(inputs: np.ndarray, tuples: list[MultiIndex]) -> np.ndarray:

@@ -9,7 +9,10 @@ distinct monomial of the support (permutations of a tuple, and tuples that
 differ only by the constant kernel, share one), their Gram G = C'C, and
 per-monomial weights w. A step adds to one weight in O(1); a monomial's
 first step adds its column and a row of G in O(n s). The inner solve works
-on these through Woodbury's identity, so the loop holds no n x n array.
+on these through Woodbury's identity. The two final solves, at the averaged
+and at the last iterate, take the same form, assembled afresh from theta by
+`assemble_combined_gram`. So a run holds no n x n array outside the
+checkpoint's dense check of one column.
 
 The iterate theta lives on exponentially many coordinates but only touched
 ones are stored: theta_i = scale * raw_i. A projection that shrinks the whole
@@ -29,13 +32,7 @@ import numpy as np
 from scipy.linalg.blas import dger
 
 from .dataset import Dataset, MultiIndex
-from .dual import (
-    DualState,
-    SupportGram,
-    assemble_combined_gram,
-    solve_alpha,
-    support_weights,
-)
+from .dual import DualState, SupportGram, assemble_combined_gram, solve_alpha
 from .gradient import (
     DegreeMasses,
     GradSample,
@@ -44,7 +41,7 @@ from .gradient import (
     importance_estimate,
     total_mass_C,
 )
-from .kernels import BaseKernelSet, GramMatrix, product_kernel_matrix
+from .kernels import BaseKernelSet, GramMatrix, monomial_key, product_kernel_matrix
 from .sampler import SamplerWorkspace
 
 # rescale only when the squared norm exceeds this, so that re-projecting an
@@ -150,13 +147,6 @@ def project_pos_l2ball(theta: SparseTheta) -> SparseTheta:
     return theta
 
 
-def monomial_key(idx: MultiIndex) -> MultiIndex:
-    """The monomial a tuple's product kernel is: its sorted nonzero base
-    indices. Permutations, and the constant kernel's index 0, leave the
-    column z unchanged, so tuples with one key share one column."""
-    return tuple(sorted(j for j in idx if j != 0))
-
-
 def default_step_size(B_estimate: float, T: int) -> float:
     """Constant step 1 / sqrt(B T) for a unit-strongly-convex potential on the
     unit ball started at zero; B defaults to the squared gradient mass at the
@@ -258,10 +248,10 @@ class OptimizerState:
         array (n x n; for oracles and tests)."""
         return GramMatrix(self._support_form(self.theta.scale).dense())
 
-    def rebuild_combined_gram(self) -> np.ndarray:
-        """The combined Gram rebuilt from the support tuples, as one product
-        over their columns, independently of the cache."""
-        return self.ks.weighted_gram(*support_weights(self.theta, self.rho))
+    def rebuild_combined_gram(self) -> SupportGram:
+        """The combined Gram in support form, assembled afresh from theta's
+        tuples, independently of the cache's slots, columns and weights."""
+        return assemble_combined_gram(self.theta, self.ks, self.rho)
 
     def _slot(self, idx: MultiIndex) -> int:
         """The cache slot of tuple idx, adding its monomial's column (and a
@@ -401,12 +391,12 @@ class OptimizerState:
         """Raise FloatingPointError if the cached weights have drifted from a
         re-sum over theta, if the cached G differs from a fresh C'C, if the
         cached Gram times a fixed probe vector differs from the same product
-        over the support tuples' own columns and weights, or if the cached
-        column of `last_index` (while its monomial is cached) disagrees with
-        its dense product kernel. The first two share the cache's tuple
-        mapping and columns; the probe shares neither, so it catches a tuple
-        in the wrong slot or a wrong column of any monomial; the dense kernel
-        shares no code with the columns at all."""
+        over `rebuild_combined_gram`, or if the cached column of `last_index`
+        (while its monomial is cached) disagrees with its dense product
+        kernel. The first two share the cache's tuple mapping and columns;
+        the probe shares neither, so it catches a tuple in the wrong slot or
+        a wrong column of any monomial; the dense kernel shares no code with
+        the columns at all."""
         resummed = np.array([math.fsum(t) for t in self._resummed_terms()])
         s = len(resummed)
         denom = float(np.max(np.abs(resummed), initial=0.0))
@@ -423,12 +413,11 @@ class OptimizerState:
         probe = np.random.default_rng(0).standard_normal(self.ks.n)
         K = self._support_form(self.theta.scale)
         cached = K.columns @ (K.weights * (K.columns.T @ probe))
-        tuples, weights = support_weights(self.theta, self.rho)
-        Z = self.ks.product_columns(tuples)
-        along = Z.T @ probe
-        expected = Z @ (weights * along)
+        R = self.rebuild_combined_gram()
+        along = R.columns.T @ probe
+        expected = R.columns @ (R.weights * along)
         # the size of the sum before any cancellation between its terms
-        size = np.linalg.norm(np.abs(Z) @ (np.abs(weights) * np.abs(along)))
+        size = np.linalg.norm(np.abs(R.columns) @ (np.abs(R.weights) * np.abs(along)))
         error = np.linalg.norm(cached - expected)
         if not error <= rel_tol * size:
             raise FloatingPointError(
@@ -488,7 +477,8 @@ def run(
     """Full descent loop: per iteration, an inner solve at the current iterate,
     the degree masses, one draw, and a projected single-coordinate update.
     Returns the averaged iterate, the inner solve at it, and per-iteration
-    records. Deterministic given config.seed.
+    records. Deterministic given config.seed. Every solve, in the loop and
+    after it, is in support form.
 
     `config` is a `RunConfig`; the loop reads its fields T, step (None for
     the default 1 / sqrt(C0^2 T)), seed, checkpoint_every (>= 1) and
@@ -552,7 +542,7 @@ def run(
     theta_avg = state.average_theta()
     final = solve_alpha(assemble_combined_gram(theta_avg, ks, rho), y)
     theta_last = state.theta.copy()
-    dual_last = solve_alpha(GramMatrix(state.rebuild_combined_gram()), y)
+    dual_last = solve_alpha(state.rebuild_combined_gram(), y)
     return RunResult(
         theta_avg=theta_avg,
         final=final,

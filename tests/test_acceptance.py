@@ -271,7 +271,7 @@ def check_equal_weight_model():
     assert abs(theta.norm() - 1.0) <= 1e-12
 
     state, preds = equal_weight_model(ks, rho, train, query)
-    K_ref = assemble_combined_gram(theta, ks, rho).values
+    K_ref = assemble_combined_gram(theta, ks, rho).dense()
     preds_ref = predict(state, theta, train.inputs, query, rho)
     gram_err = np.linalg.norm(state.K_theta.values - K_ref) / np.linalg.norm(K_ref)
     pred_err = np.linalg.norm(preds - preds_ref) / np.linalg.norm(preds_ref)
@@ -364,7 +364,7 @@ def test_criterion_8_structural_invariants():
         idx = tuples[int(pick_rng.integers(len(tuples)))]
         value = -float(pick_rng.uniform(0.0, 6.0))
         state.step(GradSample(index=idx, value=value, mass=-value), eta=0.25)
-        rebuilt = state.rebuild_combined_gram()
+        rebuilt = state.rebuild_combined_gram().dense()
         current = state.theta.scale * state.combined_unscaled
         denom = max(np.linalg.norm(rebuilt), 1e-300)
         assert np.linalg.norm(current - rebuilt) / denom <= 1e-9

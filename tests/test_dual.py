@@ -6,6 +6,7 @@ from polymkl import (
     Dataset,
     DualSolveError,
     GramMatrix,
+    KernelError,
     RhoSchedule,
     SparseTheta,
     build_base_kernels,
@@ -112,6 +113,13 @@ class TestObjectiveJ:
         y = self.data.targets
         assert J == pytest.approx(np.dot(y, y) / (2 * len(y)), rel=1e-12)
 
+    def test_unknown_base_index_rejected(self):
+        # the constant kernel (index 0) is off here, and r=3 has no index 4
+        for idx in [(0, 1), (4,)]:
+            theta = SparseTheta.from_dict({idx: 0.5})
+            with pytest.raises(KernelError, match="no base kernel"):
+                objective_J(theta, self.ks, self.rho, self.data.targets)
+
     def test_rho_rescaling_identity(self):
         theta = SparseTheta.from_dict({(1,): 0.4, (2, 3): 0.2})
         doubled_rho = RhoSchedule(self.rho.rho_sq * 4.0)  # rho doubled, rho^2 x4
@@ -151,7 +159,7 @@ class TestPredict:
         K = assemble_combined_gram(theta, self.ks, self.rho)
         state = solve_alpha(K, self.data.targets)
         preds = predict(state, theta, self.data.inputs, self.data.inputs, self.rho)
-        np.testing.assert_allclose(preds, K.values @ state.alpha, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(preds, K.dense() @ state.alpha, rtol=1e-10, atol=1e-12)
 
     def test_zero_theta_zero_predictions(self):
         state = solve_alpha(np.zeros((10, 10)), self.data.targets)

@@ -17,7 +17,6 @@ from polymkl import (
 )
 from polymkl import baselines, optimizer
 from polymkl.dual import SupportGram, solve_alpha
-from polymkl.kernels import GramMatrix
 from polymkl.gradient import degree_masses, importance_estimate, total_mass_C
 from polymkl.sampler import SamplerWorkspace
 
@@ -179,7 +178,7 @@ class TestStep:
             idx = tuples[int(rng.integers(len(tuples)))]
             value = -float(rng.uniform(0.1, 5.0))
             state.step(GradSample(index=idx, value=value, mass=-value), eta=0.2)
-            rebuilt = state.rebuild_combined_gram()
+            rebuilt = state.rebuild_combined_gram().dense()
             current = state.theta.scale * state.combined_unscaled
             denom = max(np.linalg.norm(rebuilt), 1e-300)
             assert np.linalg.norm(current - rebuilt) / denom <= 1e-9
@@ -314,10 +313,10 @@ class TestRun:
 
     @pytest.mark.parametrize("module", [optimizer, baselines])
     def test_returned_duals_do_not_alias_the_loop_buffer(self, module, monkeypatch):
-        # inside the loop every solve gets the state's support form; the
-        # states a run returns must be solved from dense Grams of their own.
-        # Both algorithms run the one loop of `optimizer.run`, so its solve
-        # is the one recorded
+        # every solve takes a support form: inside the loop the state's own,
+        # and after it, for the averaged and the last iterate, forms assembled
+        # afresh that share no array with the loop's. Both algorithms run the
+        # one loop of `optimizer.run`, so its solve is the one recorded
         grams = []
 
         def recording_solve(K_theta, y):
@@ -330,11 +329,14 @@ class TestRun:
         result = algo(self.config(T=20, checkpoint_every=5), data, ks, rho)
         loop, returned = grams[:-2], grams[-2:]
         assert len(loop) == 20
-        assert all(isinstance(K, SupportGram) for K in loop)
-        assert all(isinstance(K, GramMatrix) for K in returned)
-        assert [result.final.K_theta, result.dual_last.K_theta] == returned
-        cache = [a for K in loop for a in (K.columns, K.gram, K.weights)]
-        assert not any(np.shares_memory(K.values, a) for K in returned for a in cache)
+        assert all(isinstance(K, SupportGram) for K in grams)
+        assert result.final.K_theta is returned[0]
+        assert result.dual_last.K_theta is returned[1]
+
+        def arrays(forms):
+            return [a for K in forms for a in (K.columns, K.gram, K.weights)]
+
+        assert not any(np.shares_memory(a, b) for a in arrays(returned) for b in arrays(loop))
 
     def test_single_iteration_average_is_zero(self):
         data, ks, rho = make_run_setup(seed=10)

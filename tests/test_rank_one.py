@@ -7,8 +7,8 @@ on the per-degree features Phi_k with S^(.)k = Phi_k Phi_k'; here each is
 checked on seeded random instances against Grams built from
 `BaseKernelSet.kernel`, `product_kernel_matrix` and `product_kernel_cross`,
 and against `brute_force_q`. The allocation tests pin that building the
-kernel set where every degree takes features, and a steady-state mass, draw
-and step, create no n x n temporary.
+kernel set where every degree takes features, a steady-state mass, draw and
+step, and a whole run between checkpoints, create no n x n temporary.
 """
 
 import itertools
@@ -22,13 +22,16 @@ from polymkl import (
     GradSample,
     OptimizerState,
     RhoSchedule,
+    RunConfig,
     SparseTheta,
+    SyntheticSpec,
     build_base_kernels,
     degree_masses,
+    run,
 )
 from polymkl.dual import assemble_combined_gram, predict, solve_alpha
 from polymkl.gradient import DegreeMasses, importance_estimate
-from polymkl.kernels import product_kernel_cross, product_kernel_matrix
+from polymkl.kernels import monomial_key, product_kernel_cross, product_kernel_matrix
 from polymkl.sampler import SamplerWorkspace, brute_force_q
 
 RTOL = 1e-12
@@ -129,11 +132,22 @@ class TestAgainstDense:
     def test_rebuild_and_assemble(self, include_constant, D, seed):
         data, ks, rho, rng = make_instance(include_constant, D, seed)
         state = OptimizerState(ks, rho)
-        state.theta = random_theta(ks, rng)
+        theta = random_theta(ks, rng).as_dict()
+        # tuples that share a monomial: the permutations of one top-degree
+        # tuple, and (j,) beside (0, j) and (j, 0) with the constant kernel
+        shared = list(itertools.permutations(ks.indices[-D:]))
+        if include_constant:
+            shared += [(0,), (2,), (0, 2), (2, 0)][: 2 * D]
+        theta.update({idx: float(rng.uniform(0.1, 1.0)) for idx in shared})
+        state.theta = SparseTheta.from_dict(theta)
         state.theta.scale = 0.7
+        keys = {monomial_key(idx) for idx in state.theta.raw}
+        if D > 1 or include_constant:
+            assert len(keys) < state.theta.support_size
         expected = dense_gram(state.theta, ks, rho)
-        assert_close(state.rebuild_combined_gram(), expected)
-        assert_close(assemble_combined_gram(state.theta, ks, rho).values, expected)
+        for K in (state.rebuild_combined_gram(), assemble_combined_gram(state.theta, ks, rho)):
+            assert K.columns.shape[1] == len(keys)
+            assert_close(K.dense(), expected)
 
     def test_predict(self, include_constant, D, seed):
         data, ks, rho, rng = make_instance(include_constant, D, seed)
@@ -251,3 +265,20 @@ class TestNoSquareTemporaries:
         ws = SamplerWorkspace(ks, rho, rng)
         masses = top_degree_masses(alpha, ks, rho)
         assert self.peak_bytes(lambda: ws.draw(alpha, masses)) < budget
+
+    def test_whole_run_where_all_features(self):
+        # the loop and both final solves in support form; checkpoint_every > T
+        # leaves out the dense column check, which builds n x n kernels on
+        # purpose
+        n, T = 2000, 10
+        budget = n * n * 8 // 2
+        rng = np.random.default_rng(9)
+        data = Dataset(inputs=rng.normal(size=(n, 5)), targets=rng.normal(size=n))
+        ks = build_base_kernels(data, True, 3)
+        rho = RhoSchedule.uniform(3).scaled(1e-5)
+        spec = SyntheticSpec(r=5, n_train=n, n_test=1)
+        config = RunConfig(D=3, T=T, synthetic=spec, checkpoint_every=T + 1)
+        results = []
+        peak = self.peak_bytes(lambda: results.append(run(config, data, ks, rho)))
+        assert len(results[0].records) == T and results[0].theta_avg.support_size > 0
+        assert peak < budget
