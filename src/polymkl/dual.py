@@ -17,7 +17,10 @@ Woodbury's identity turns the n x n system into the s x s capacitance system
 (n I + W^(1/2) C'C W^(1/2)) c = W^(1/2) C' y, whose eigenvalues are all >= n
 for any s, and alpha = (y - C W^(1/2) c) / n: O(n s + s^3) with no n x n
 array. The dense Cholesky on a `GramMatrix` serves the enumerated baselines
-and the test oracles.
+and the test oracles. Both call LAPACK potrf/potrs directly (`.lapack`), the
+routines behind scipy's cho_factor/cho_solve: at the small s of a descent
+loop the per-call checks and copies of those wrappers cost more than the
+arithmetic. Any nonzero `info` raises `DualSolveError`.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 # product_kernel_matrix is unused here, but the benchmark's tracer
 # (bench/measure.py) wraps this module attribute by name, so it stays imported
@@ -38,6 +40,7 @@ from .kernels import (  # noqa: F401
     product_columns,
     product_kernel_matrix,
 )
+from .lapack import dpotrf, dpotrs
 
 
 class DualSolveError(RuntimeError):
@@ -69,14 +72,18 @@ class SupportGram:
     def nonnegative_weights(self) -> np.ndarray:
         """The weights with negative round-off (down to -1e-12 of the largest)
         clamped to zero; raise FloatingPointError beyond that or on a
-        non-finite weight."""
+        non-finite weight. Without negative round-off this is the stored
+        array itself, which callers must not modify."""
         w = self.weights
-        if not np.all(np.isfinite(w)):
+        if not w.size:
+            return w
+        # min and max carry a NaN or an infinity through, and give max|w|
+        low, high = float(w.min()), float(w.max())
+        if not (math.isfinite(low) and math.isfinite(high)):
             raise FloatingPointError("non-finite support weight")
-        floor = -1e-12 * float(np.max(np.abs(w), initial=0.0))
-        if np.any(w < floor):
-            raise FloatingPointError(f"negative support weight beyond round-off: {w.min()}")
-        return np.maximum(w, 0.0)
+        if low < -1e-12 * max(high, -low):
+            raise FloatingPointError(f"negative support weight beyond round-off: {low}")
+        return np.maximum(w, 0.0) if low < 0.0 else w
 
     def dense(self) -> np.ndarray:
         """The n x n Gram C diag(weights) C', as the single product B B' with
@@ -122,12 +129,13 @@ def solve_alpha(K_theta: GramMatrix | SupportGram | np.ndarray, y: np.ndarray) -
     # a second n x n copy of its own
     system = np.array(K, order="F")
     system[np.diag_indices_from(system)] += n
-    try:
-        # finiteness was validated when the Gram was constructed
-        factor = scipy.linalg.cho_factor(system, lower=True, overwrite_a=True, check_finite=False)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise DualSolveError(f"Cholesky failed on K_theta + nI: {exc}") from exc
-    alpha = scipy.linalg.cho_solve(factor, y, check_finite=False)
+    # finiteness was validated when the Gram was constructed
+    factor, info = dpotrf(system, lower=True, clean=False, overwrite_a=True)
+    if info:
+        raise DualSolveError(f"Cholesky failed on K_theta + nI: potrf info {info}")
+    alpha, info = dpotrs(factor, y, lower=True)
+    if info:
+        raise DualSolveError(f"solve failed on K_theta + nI: potrs info {info}")
     if not np.all(np.isfinite(alpha)):
         raise DualSolveError("non-finite dual solution; upstream state is corrupt")
     return DualState(alpha=alpha, K_theta=gram, J_value=float(0.5 * y @ alpha), n=n)
@@ -146,28 +154,29 @@ def _solve_support(K_theta: SupportGram, y: np.ndarray) -> DualState:
     if C.shape[0] != n:
         raise DualSolveError(f"support columns have {C.shape[0]} rows, but n={n}")
     weights = K_theta.nonnegative_weights()
-    root = np.sqrt(weights)
-    # Fortran order, so LAPACK factors it in place without a copy of its own
-    capacitance = np.array(K_theta.gram, order="F")
-    capacitance *= root[:, None]
-    capacitance *= root
-    capacitance[np.diag_indices_from(capacitance)] += n
-    try:
-        factor = scipy.linalg.cho_factor(
-            capacitance, lower=True, overwrite_a=True, check_finite=False
-        )
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise DualSolveError(f"Cholesky failed on the capacitance matrix: {exc}") from exc
+    s = len(weights)
+    if s == 0:
+        # no columns: K_theta = 0, and y / n is correctly rounded
+        alpha = y / n
+    else:
+        root = np.sqrt(weights)
+        # Fortran order, so potrf factors it in place
+        capacitance = np.multiply(K_theta.gram, root[:, None], order="F")
+        capacitance *= root
+        capacitance.flat[:: s + 1] += n
+        factor, info = dpotrf(capacitance, lower=True, clean=False, overwrite_a=True)
+        if info:
+            raise DualSolveError(f"Cholesky failed on the capacitance matrix: potrf info {info}")
 
-    def solve(r: np.ndarray) -> np.ndarray:
-        c = scipy.linalg.cho_solve(factor, root * (C.T @ r), check_finite=False)
-        out = r - C @ (root * c)
-        out /= n
-        return out
+        def solve(r: np.ndarray) -> np.ndarray:
+            c, info = dpotrs(factor, root * (C.T @ r), lower=True, overwrite_b=True)
+            if info:
+                raise DualSolveError(f"capacitance solve failed: potrs info {info}")
+            out = r - C @ (root * c)
+            out /= n
+            return out
 
-    alpha = solve(y)
-    if C.shape[1]:
-        # with no columns alpha = y / n is already correctly rounded
+        alpha = solve(y)
         alpha += solve(y - n * alpha - C @ (weights * (C.T @ alpha)))
     if not np.all(np.isfinite(alpha)):
         raise DualSolveError("non-finite dual solution; upstream state is corrupt")

@@ -85,15 +85,16 @@ def degree_masses(alpha: np.ndarray, ks: BaseKernelSet, rho: RhoSchedule) -> Deg
     a dense degree costs n^2 as the quadratic form in S^(.)d."""
     if rho.D != ks.D:
         raise ValueError(f"rho covers degrees 0..{rho.D} but kernel set has D={ks.D}")
-    delta = np.empty(ks.D + 1)
-    delta[0] = float(np.sum(alpha)) ** 2 / rho.rho_sq[0]
+    forms = [float(alpha.sum()) ** 2]
     for d in range(1, ks.D + 1):
         phi = ks.features.get(d)
         if phi is not None:
             v = phi.T @ alpha
-            delta[d] = (v @ v) / rho.rho_sq[d]
+            forms.append(v @ v)
         else:
-            delta[d] = (alpha @ (ks.dense_powers[d] @ alpha)) / rho.rho_sq[d]
+            forms.append(alpha @ (ks.dense_powers[d] @ alpha))
+    # one division per entry, as rounded as the scalar divisions
+    delta = np.array(forms) / rho.rho_sq
     if ks.dense_powers:
         # quadratic forms in PSD matrices; clamp the tiny negative round-off.
         # The other masses are sums of squares and never negative.

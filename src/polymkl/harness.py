@@ -188,12 +188,15 @@ def run_experiment(config: RunConfig) -> MetricsOutput:
             result = _dispatch(cand, train, ks, rho)
             val_mse = _test_mse(result, ks, rho, train, val)
             if best is None or val_mse < best[0]:
-                best = (val_mse, lam)
-        chosen_lam = best[1]
+                best = (val_mse, lam, result)
+        # a fit is deterministic given its config, so the chosen fit is the
+        # run's result as it stands
+        _, chosen_lam, result = best
         config = replace(config, lam=chosen_lam, lambda_grid=None)
-
-    rho = config.rho_schedule()
-    result = _dispatch(config, train, ks, rho)
+        rho = config.rho_schedule()
+    else:
+        rho = config.rho_schedule()
+        result = _dispatch(config, train, ks, rho)
     test_mse = _test_mse(result, ks, rho, train, test) if test is not None else float("nan")
     total_wall = time.perf_counter() - total_start
 
@@ -448,10 +451,15 @@ def parse_cli(argv: list[str]) -> RunConfig:
 
 
 def _flush_partial_records(stem: str, records) -> str | None:
+    """Write the records of a failed run to `<stem>.records.partial.csv`; an
+    existing file there is left alone, as every other output path is."""
     path = f"{stem}.records.partial.csv"
     try:
-        with open(path, "w", newline="") as fh:
+        with open(path, "x", newline="") as fh:
             _write_records(fh, records)
+    except FileExistsError:
+        print(f"partial records not flushed: {path} already exists", file=sys.stderr)
+        return None
     except OSError:
         return None
     return path

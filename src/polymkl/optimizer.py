@@ -29,7 +29,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dger
 
 from .dataset import Dataset, MultiIndex
 from .dual import DualState, SupportGram, assemble_combined_gram, solve_alpha
@@ -42,6 +41,7 @@ from .gradient import (
     total_mass_C,
 )
 from .kernels import BaseKernelSet, GramMatrix, monomial_key, product_kernel_matrix
+from .lapack import dger
 from .sampler import SamplerWorkspace
 
 # rescale only when the squared norm exceeds this, so that re-projecting an
@@ -141,6 +141,13 @@ def project_pos_l2ball(theta: SparseTheta) -> SparseTheta:
     negatives = [idx for idx, v in theta.raw.items() if v < 0]
     for idx in negatives:
         theta.set_raw(idx, 0.0)
+    return _shrink_into_ball(theta)
+
+
+def _shrink_into_ball(theta: SparseTheta) -> SparseTheta:
+    """The projection for a theta with no negative entry, which is every
+    theta whose entries went through `set_raw`: rescale by 1/norm if the norm
+    exceeds one."""
     nsq = theta.norm_sq
     if nsq > 1.0 + _PROJECT_SLACK:
         theta.scale /= math.sqrt(nsq)
@@ -380,7 +387,8 @@ class OptimizerState:
                 self._w[slot] += (actual_raw - old_raw) / self.rho.rho_sq[len(idx)]
             self._dead += int(self._live[slot] == 0) - int(was_dead)
             self.last_index = idx
-            project_pos_l2ball(self.theta)
+            # set_raw evicted any nonpositive entry, so only the rescale is left
+            _shrink_into_ball(self.theta)
             if self.theta.scale < _REBASE_THRESHOLD:
                 self._rebase()
             if 2 * self._dead > self.num_columns:

@@ -40,18 +40,20 @@ class SamplerError(RuntimeError):
 def _draw_categorical(rng: np.random.Generator, weights: np.ndarray, scale: float) -> int:
     """One uniform variate against the cumulative sums of `weights`, renormalized
     by their computed total. Negative round-off down to -_NEG_TOL*scale is
-    clamped to zero; anything lower signals corruption."""
+    clamped to zero; anything lower signals corruption. The total is numpy's
+    pairwise sum, not the last cumulative sum, which rounds differently from
+    eight weights on."""
     weights = np.asarray(weights, dtype=np.float64)
-    floor = -_NEG_TOL * max(1.0, scale)
-    if np.any(weights < floor):
-        raise SamplerError(f"negative sampling mass beyond round-off: min={weights.min()}")
-    weights = np.maximum(weights, 0.0)
+    low = weights.min(initial=np.inf)
+    if low < -_NEG_TOL * max(1.0, scale):
+        raise SamplerError(f"negative sampling mass beyond round-off: min={low}")
+    if low < 0.0:
+        weights = np.maximum(weights, 0.0)
     total = float(weights.sum())
     if total <= 0:
         raise SamplerError("all sampling masses vanished; upstream state is corrupt")
-    cumulative = np.cumsum(weights)
     u = rng.random() * total
-    return int(np.searchsorted(cumulative, u, side="right").clip(0, len(weights) - 1))
+    return min(int(weights.cumsum().searchsorted(u, side="right")), len(weights) - 1)
 
 
 class SamplerWorkspace:
@@ -85,7 +87,7 @@ class SamplerWorkspace:
         chosen: list[int] = []
         # entering position i the denominator is the weight that won position
         # i-1 (telescoping); at i=1 it is the degree weight before rho-scaling
-        denom = masses.delta[d] * self.rho.rho_sq[d]
+        denom = float(masses.delta[d] * self.rho.rho_sq[d])
         for i in range(1, d + 1):
             weights = self.position_weights(u, d - i)
             total = float(weights.sum())

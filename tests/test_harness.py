@@ -221,6 +221,50 @@ class TestRunExperiment:
         out = run_experiment(config)
         assert out.summary["lambda"] in (1e-6, 1e-3, 1.0)
 
+    def test_lambda_grid_keeps_the_chosen_fit(self, tmp_path, monkeypatch):
+        # one fit per grid value, and the chosen fit's artifacts are those of a
+        # plain run at the chosen lambda; the grid in both orders, so that the
+        # chosen value is not always the last one fitted
+        import polymkl.optimizer as optimizer_mod
+
+        real_run = optimizer_mod.run
+        fitted = []
+
+        def counting_run(config, *args, **kwargs):
+            fitted.append(config.lam)
+            return real_run(config, *args, **kwargs)
+
+        monkeypatch.setattr(optimizer_mod, "run", counting_run)
+        grid = (1e-6, 1e-3, 1.0)
+        chosen = set()
+        for name, order in (("up", grid), ("down", grid[::-1])):
+            fitted.clear()
+            out = run_experiment(
+                quick_config(tmp_path, name=name, lambda_grid=order, synthetic_val=20)
+            )
+            assert fitted == list(order)
+            chosen.add(out.summary["lambda"])
+        assert len(chosen) == 1
+        (lam,) = chosen
+        fitted.clear()
+        run_experiment(quick_config(tmp_path, name="plain", lam=lam, synthetic_val=20))
+        assert fitted == [lam]
+
+        def records(name):
+            with open(tmp_path / f"{name}.records.csv") as fh:
+                return [row[:1] + row[2:] for row in csv.reader(fh)]
+
+        def summary(name):
+            lines = (tmp_path / f"{name}.summary.txt").read_text().splitlines()
+            return [line for line in lines if not line.startswith("total_wall_time_s:")]
+
+        for name in ("up", "down"):
+            assert records(name) == records("plain")
+            assert summary(name) == summary("plain")
+            assert (tmp_path / f"{name}.theta.csv").read_text() == (
+                tmp_path / "plain.theta.csv"
+            ).read_text()
+
     def test_lambda_grid_without_validation_errors(self, tmp_path):
         with pytest.raises(ConfigError, match="validation"):
             run_experiment(quick_config(tmp_path, name="g2", lambda_grid=(1e-3, 1.0)))
@@ -251,6 +295,35 @@ class TestRunExperiment:
         with open(out + ".records.partial.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 5
+
+    def test_partial_records_never_overwrite_an_existing_file(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import polymkl.harness as harness_mod
+        import polymkl.optimizer as optimizer_mod
+
+        real = optimizer_mod.solve_alpha
+        calls = {"n": 0}
+
+        def exploding(K, y):
+            calls["n"] += 1
+            if calls["n"] > 2:
+                raise RuntimeError("synthetic failure")
+            return real(K, y)
+
+        monkeypatch.setattr(optimizer_mod, "solve_alpha", exploding)
+        out = str(tmp_path / "boom")
+        earlier = Path(out + ".records.partial.csv")
+        earlier.write_text("an earlier run's partial records\n")
+        code = harness_mod.main(
+            ["--algo", "stoch", "--synthetic", "r=2,train=10,test=5,terms=2,maxdeg=1",
+             "--degree", "1", "--iters", "5", "--seed", "1", "--out", out]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "synthetic failure" in err
+        assert "already exists" in err and "flushed to" not in err
+        assert earlier.read_text() == "an earlier run's partial records\n"
 
     def test_csv_data_path(self, tmp_path):
         rng = np.random.default_rng(3)

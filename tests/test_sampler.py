@@ -13,7 +13,7 @@ from polymkl import (
     sample_multi_index,
 )
 from polymkl.gradient import DegreeMasses
-from polymkl.sampler import SamplerError, SamplerWorkspace
+from polymkl.sampler import _NEG_TOL, SamplerError, SamplerWorkspace, _draw_categorical
 
 
 def random_instance(n=10, r=3, D=2, seed=0):
@@ -214,3 +214,79 @@ class TestWorkspaceInvariant:
                 M = M * ks.kernel(j)
             np.testing.assert_array_equal(ws.u, u)
             np.testing.assert_allclose(np.outer(ws.u, ws.u), M, rtol=1e-12, atol=0)
+
+
+def draw_categorical_reference(rng, weights, scale):
+    """The categorical draw as first written, kept frozen: the draw must stay
+    bit-identical to it, index and generator state alike."""
+    weights = np.asarray(weights, dtype=np.float64)
+    floor = -_NEG_TOL * max(1.0, scale)
+    if np.any(weights < floor):
+        raise SamplerError(f"negative sampling mass beyond round-off: min={weights.min()}")
+    weights = np.maximum(weights, 0.0)
+    total = float(weights.sum())
+    if total <= 0:
+        raise SamplerError("all sampling masses vanished; upstream state is corrupt")
+    cumulative = np.cumsum(weights)
+    u = rng.random() * total
+    return int(np.searchsorted(cumulative, u, side="right").clip(0, len(weights) - 1))
+
+
+class FixedVariate:
+    """A stand-in generator whose every variate is `value`."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+class TestCategoricalDrawBitIdentity:
+    def random_weights(self, rng, m, kind):
+        scale = float(rng.choice([1e-3, 1.0, 1e4]))
+        weights = rng.uniform(0.0, scale, size=m) * rng.choice([1.0, 1e-9], size=m)
+        if kind == "zeros":
+            weights[rng.random(m) < 0.4] = 0.0
+        elif kind == "round-off":
+            # negatives above the floor -_NEG_TOL * max(1, scale)
+            low = rng.random(m) < 0.4
+            weights[low] = -rng.uniform(0.0, 0.9, size=low.sum()) * _NEG_TOL * max(1.0, scale)
+        if weights.sum() <= 0:
+            weights[-1] = scale
+        return weights, scale
+
+    @pytest.mark.parametrize("kind", ["plain", "zeros", "round-off"])
+    def test_same_index_and_generator_state(self, kind):
+        rng = np.random.default_rng(50)
+        for m in range(1, 65):
+            for _ in range(20):
+                weights, scale = self.random_weights(rng, m, kind)
+                seed = int(rng.integers(2**32))
+                ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = _draw_categorical(ours, weights.copy(), scale)
+                assert got == draw_categorical_reference(theirs, weights, scale)
+                assert type(got) is int
+                assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_last_index_clamp(self):
+        # the cumulative sum of many small weights after a large one stops
+        # short of the pairwise total, so a variate near 1 lands past it
+        weights = np.array([1.0] + [1e-16] * 63)
+        u = (1.0 - 2.0**-53) * float(weights.sum())
+        assert np.cumsum(weights).searchsorted(u, side="right") == len(weights)
+        rng = FixedVariate(1.0 - 2.0**-53)
+        assert _draw_categorical(rng, weights, 1.0) == len(weights) - 1
+        assert draw_categorical_reference(rng, weights, 1.0) == len(weights) - 1
+
+    @pytest.mark.parametrize(
+        "weights",
+        [np.array([0.5, -1e-6, 0.5]), np.zeros(5), np.array([0.0]), np.array([-1e-13, 0.0])],
+    )
+    def test_still_raises(self, weights):
+        for draw in (_draw_categorical, draw_categorical_reference):
+            rng = np.random.default_rng(51)
+            before = rng.bit_generator.state
+            with pytest.raises(SamplerError):
+                draw(rng, weights, 1.0)
+            assert rng.bit_generator.state == before

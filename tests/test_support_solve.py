@@ -11,6 +11,10 @@ its weights from theta and a fresh C'C.
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +32,8 @@ from polymkl import (
     run,
     standardize,
 )
-from polymkl.dual import SupportGram, solve_alpha
+import polymkl.dual as dual_mod
+from polymkl.dual import DualSolveError, SupportGram, solve_alpha
 from polymkl.kernels import GramMatrix
 from polymkl.optimizer import monomial_key
 
@@ -254,3 +259,145 @@ def test_run_matches_dense_inner_solves(monkeypatch):
         for a, b in zip(support, dense):
             assert abs(a.J_value - b.J_value) <= 1e-10 * abs(b.J_value)
             assert abs(a.C_value - b.C_value) <= 1e-10 * abs(b.C_value)
+
+
+def solve_support_reference(K: SupportGram, y: np.ndarray) -> np.ndarray:
+    """The capacitance solve as first written on cho_factor/cho_solve, kept
+    frozen: the LAPACK-direct solve must give the same alpha bit for bit."""
+    n = len(y)
+    C = K.columns
+    weights = np.maximum(K.weights, 0.0)
+    root = np.sqrt(weights)
+    capacitance = np.array(K.gram, order="F")
+    capacitance *= root[:, None]
+    capacitance *= root
+    capacitance[np.diag_indices_from(capacitance)] += n
+    factor = scipy.linalg.cho_factor(capacitance, lower=True, overwrite_a=True, check_finite=False)
+
+    def solve(r):
+        c = scipy.linalg.cho_solve(factor, root * (C.T @ r), check_finite=False)
+        out = r - C @ (root * c)
+        out /= n
+        return out
+
+    alpha = solve(y)
+    if C.shape[1]:
+        alpha += solve(y - n * alpha - C @ (weights * (C.T @ alpha)))
+    return alpha
+
+
+def random_support_grams():
+    """Support forms from random steps on every instance, from more
+    monomials than rows, and with negative weight round-off."""
+    for include_constant, D, lam in INSTANCES:
+        data, state, rng = make_state(include_constant, D, lam, seed=int(20 + D))
+        for _ in range(4):
+            random_steps(state, rng, 3)
+            yield state.support_gram(), data.targets
+    rng = np.random.default_rng(8)
+    inputs = rng.normal(size=(8, 3))
+    monomials = [t for d in range(4) for t in itertools.combinations_with_replacement((1, 2, 3), d)]
+    C = build_base_kernels(Dataset(inputs, rng.normal(size=8)), False, 3).product_columns(monomials)
+    for lam in LAMBDAS:
+        weights = rng.uniform(0.5, 2.0, size=20) / lam
+        weights[::3] = 0.0
+        weights[1] = -1e-14 * weights.max()
+        yield SupportGram(C, C.T @ C, weights), rng.normal(size=8)
+
+
+def dense_solve_reference(K: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The dense solve as first written on cho_factor/cho_solve, kept frozen."""
+    system = np.array(K, order="F")
+    system[np.diag_indices_from(system)] += len(y)
+    factor = scipy.linalg.cho_factor(system, lower=True, overwrite_a=True, check_finite=False)
+    return scipy.linalg.cho_solve(factor, y, check_finite=False)
+
+
+def test_lapack_solves_match_cho_factor_route_bitwise():
+    count = 0
+    for K, y in random_support_grams():
+        got = solve_alpha(K, y)
+        expected = solve_support_reference(K, y)
+        assert np.array_equal(got.alpha, expected)
+        assert got.J_value == float(0.5 * y @ expected)
+        dense = K.dense()
+        got = solve_alpha(GramMatrix(dense), y)
+        assert np.array_equal(got.alpha, dense_solve_reference(dense, y))
+        count += 1
+    assert count == 3 * 3 * 2 * 4 + 3
+
+
+def not_positive_definite():
+    """A support form whose capacitance n I + W^(1/2) G W^(1/2) is indefinite:
+    the stated G = -10 n I is no Gram of the columns."""
+    rng = np.random.default_rng(9)
+    n, s = 12, 3
+    C = rng.normal(size=(n, s))
+    return SupportGram(C, -10.0 * n * np.eye(s), np.ones(s)), rng.normal(size=n)
+
+
+def test_indefinite_capacitance_raises():
+    K, y = not_positive_definite()
+    with pytest.raises(DualSolveError, match="potrf info 1"):
+        solve_alpha(K, y)
+
+
+@pytest.mark.parametrize("routine", ["dpotrf", "dpotrs"])
+@pytest.mark.parametrize("info", [-2, 3])
+def test_any_nonzero_lapack_info_raises(monkeypatch, routine, info):
+    real = getattr(dual_mod, routine)
+
+    def failing(*args, **kwargs):
+        out, _ = real(*args, **kwargs)
+        return out, info
+
+    monkeypatch.setattr(dual_mod, routine, failing)
+    K, y = next(random_support_grams())
+    with pytest.raises(DualSolveError, match=f"info {info}"):
+        solve_alpha(K, y)
+
+
+def test_indefinite_dense_system_raises():
+    _, y = not_positive_definite()
+    with pytest.raises(DualSolveError, match="potrf info"):
+        solve_alpha(GramMatrix(-100.0 * np.eye(len(y))), y)
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def test_routines_load_without_scipy_linalg_and_are_shared_with_it():
+    code = (
+        "import sys\n"
+        "import polymkl.lapack as ours\n"
+        "print('loaded:', 'scipy.linalg' in sys.modules)\n"
+        "import scipy.linalg.blas, scipy.linalg.lapack\n"
+        "print('shared:', ours.dpotrf is scipy.linalg.lapack.dpotrf,"
+        " ours.dpotrs is scipy.linalg.lapack.dpotrs, ours.dger is scipy.linalg.blas.dger)\n"
+    )
+    done = run_python("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[:2] == ["loaded: False", "shared: True True True"]
+
+
+def test_indefinite_capacitance_raises_under_python_O():
+    # the info checks are no asserts, so -O must not strip them
+    code = (
+        "import numpy as np\n"
+        "from polymkl.dual import DualSolveError, SupportGram, solve_alpha\n"
+        "rng = np.random.default_rng(9)\n"
+        "C = rng.normal(size=(12, 3))\n"
+        "K = SupportGram(C, -120.0 * np.eye(3), np.ones(3))\n"
+        "try:\n"
+        "    solve_alpha(K, rng.normal(size=12))\n"
+        "except DualSolveError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    done = run_python("-O", "-c", code)
+    assert done.returncode == 0, done.stderr
+    assert "raised:" in done.stdout and "potrf info 1" in done.stdout
