@@ -55,6 +55,10 @@ class ConfigError(ValueError):
     pass
 
 
+def _positive_finite(value: float) -> bool:
+    return math.isfinite(value) and value > 0
+
+
 @dataclass
 class RunConfig:
     algo: str = "stoch"
@@ -84,19 +88,25 @@ class RunConfig:
             raise ConfigError("T must be >= 1")
         if self.D < 0:
             raise ConfigError("degree must be >= 0")
-        if self.lam <= 0:
-            raise ConfigError("lambda must be positive")
+        if not _positive_finite(self.lam):
+            raise ConfigError(f"lambda must be a positive finite number, got {self.lam}")
+        if self.lambda_grid is not None and not all(map(_positive_finite, self.lambda_grid)):
+            raise ConfigError(
+                f"lambda-grid entries must be positive finite numbers, got {self.lambda_grid}"
+            )
         if self.checkpoint_every < 1:
             raise ConfigError("checkpoint-every must be >= 1")
-        if self.step is not None and not (math.isfinite(self.step) and self.step > 0):
+        if self.step is not None and not _positive_finite(self.step):
             raise ConfigError(f"step must be a positive finite number, got {self.step}")
         if self.rho_sq is not None:
             if len(self.rho_sq) != self.D + 1:
                 raise ConfigError(
                     f"rho-sq needs {self.D + 1} entries for degree {self.D}, got {len(self.rho_sq)}"
                 )
-            if any(v <= 0 for v in self.rho_sq):
-                raise ConfigError("rho-sq entries must be positive")
+            if not all(map(_positive_finite, self.rho_sq)):
+                raise ConfigError(
+                    f"rho-sq entries must be positive finite numbers, got {self.rho_sq}"
+                )
         if (self.data_path is None) == (self.synthetic is None):
             raise ConfigError("exactly one of --data and --synthetic is required")
         if self.data_path is not None and self.split_sizes is None:

@@ -14,7 +14,9 @@ symmetric monomials of degree k. `BaseKernelSet` holds each degree in the
 cheaper of the two forms: Phi_k where F_k < n (a quadratic form costs n F_k),
 the dense S^(.)k elsewhere (n^2). The fast paths work on these columns;
 `product_kernel_matrix`, `product_kernel_cross` and `BaseKernelSet.kernel`
-build the dense n x n Grams and serve as the independent oracles.
+build Grams straight from the inputs and serve as the independent oracles.
+The tests and baselines take them dense (n x n); the descent loop's Gram
+check takes one 1 x n row of `product_kernel_cross`.
 """
 
 from __future__ import annotations

@@ -11,8 +11,9 @@ per-monomial weights w. A step adds to one weight in O(1); a monomial's
 first step adds its column and a row of G in O(n s). The inner solve works
 on these through Woodbury's identity. The two final solves, at the averaged
 and at the last iterate, take the same form, assembled afresh from theta by
-`assemble_combined_gram`. So a run holds no n x n array outside the
-checkpoint's dense check of one column.
+`assemble_combined_gram`. So the loop allocates no n x n array: the
+checkpoint checks the last updated column against its kernel's diagonal and
+one row, computed from the inputs in O(n k).
 
 The iterate theta lives on exponentially many coordinates but only touched
 ones are stored: theta_i = scale * raw_i. A projection that shrinks the whole
@@ -40,8 +41,15 @@ from .gradient import (
     importance_estimate,
     total_mass_C,
 )
-from .kernels import BaseKernelSet, GramMatrix, monomial_key, product_kernel_matrix
-from .lapack import dger
+# product_kernel_matrix is unused here, but the benchmark's tracer
+# (bench/measure.py) wraps this module attribute by name, so it stays imported
+from .kernels import (  # noqa: F401
+    BaseKernelSet,
+    GramMatrix,
+    monomial_key,
+    product_kernel_cross,
+    product_kernel_matrix,
+)
 from .sampler import SamplerWorkspace
 
 # rescale only when the squared norm exceeds this, so that re-projecting an
@@ -400,11 +408,12 @@ class OptimizerState:
         re-sum over theta, if the cached G differs from a fresh C'C, if the
         cached Gram times a fixed probe vector differs from the same product
         over `rebuild_combined_gram`, or if the cached column of `last_index`
-        (while its monomial is cached) disagrees with its dense product
-        kernel. The first two share the cache's tuple mapping and columns;
-        the probe shares neither, so it catches a tuple in the wrong slot or
-        a wrong column of any monomial; the dense kernel shares no code with
-        the columns at all."""
+        (while its monomial is cached) disagrees with entries of its product
+        kernel (`_check_column`). The first two share the cache's tuple
+        mapping and columns; the probe shares neither, so it catches a tuple
+        in the wrong slot or a wrong column of any monomial; the kernel
+        entries come straight from the inputs and share no code with the
+        columns at all."""
         resummed = np.array([math.fsum(t) for t in self._resummed_terms()])
         s = len(resummed)
         denom = float(np.max(np.abs(resummed), initial=0.0))
@@ -434,16 +443,39 @@ class OptimizerState:
             )
         slot = self._slot_of_tuple.get(self.last_index)
         if slot is not None:
-            residual = product_kernel_matrix(self.ks, self.last_index).values
-            denom = max(np.linalg.norm(residual), 1e-300)
-            # residual -= z z' in place (BLAS ger), with no second n x n array
-            z = self._C[:, slot]
-            dger(-1.0, z, z, a=residual.T, overwrite_a=True)
-            error = np.linalg.norm(residual) / denom
-            if not error <= rel_tol:
-                raise FloatingPointError(
-                    f"column of {self.last_index} disagrees with its dense kernel: {error:.3e}"
-                )
+            self._check_column(self.last_index, self._C[:, slot], rel_tol)
+
+    def _check_column(self, idx: MultiIndex, z: np.ndarray, rel_tol: float):
+        """Compare z z' with entries of the product kernel K of idx, taken
+        straight from the inputs: its diagonal d and its row p = argmax d.
+        For the rank-one K = w w' this is z z' = K: the diagonal fixes
+        |z| = |w|, and row p fixes one common sign. O(n k), with no n x n
+        array."""
+        inputs = self.ks.inputs
+        diagonal = np.ones(self.ks.n)
+        for j in idx:
+            if j != 0:
+                diagonal *= inputs[:, j - 1] * inputs[:, j - 1]
+        p = int(np.argmax(diagonal))
+        bound = rel_tol * diagonal[p]
+        if diagonal[p] == 0.0:
+            if np.any(z):
+                raise FloatingPointError(f"column of {idx} is nonzero where its kernel is zero")
+            return
+        # written so that a NaN fails them too
+        error = float(np.max(np.abs(z * z - diagonal)))
+        if not error <= bound:
+            raise FloatingPointError(
+                f"column of {idx} disagrees with its kernel's diagonal: "
+                f"{error:.3e} of {diagonal[p]:.3e}"
+            )
+        row = product_kernel_cross(inputs, inputs[p : p + 1], idx)[0]
+        error = float(np.max(np.abs(z[p] * z - row)))
+        if not error <= bound:
+            raise FloatingPointError(
+                f"column of {idx} disagrees with its kernel's row {p}: "
+                f"{error:.3e} of {diagonal[p]:.3e}"
+            )
 
     def average_theta(self) -> SparseTheta:
         """The average of the iterates counted so far, reconstructed exactly from

@@ -20,7 +20,7 @@ from polymkl import (
 )
 from polymkl.dataset import gen_synthetic, standardize
 from polymkl.dual import assemble_combined_gram
-from polymkl.harness import ConfigError, read_theta_csv
+from polymkl.harness import ConfigError, main, read_theta_csv
 
 
 class TestParseCli:
@@ -92,6 +92,43 @@ class TestParseCli:
     def test_step_not_finite(self, step):
         with pytest.raises(ConfigError, match="step"):
             RunConfig(step=step, synthetic=SyntheticSpec(r=2, n_train=10, n_test=5))
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, float("nan"), float("inf")])
+    def test_lambda_not_positive_finite(self, lam):
+        with pytest.raises(ConfigError, match="lambda"):
+            RunConfig(lam=lam, synthetic=SyntheticSpec(r=2, n_train=10, n_test=5))
+
+    @pytest.mark.parametrize(
+        "grid", [(1e-3, -1.0), (1e-3, 0.0), (float("nan"),), (1.0, float("inf"))]
+    )
+    def test_lambda_grid_entry_not_positive_finite(self, grid):
+        with pytest.raises(ConfigError, match="lambda-grid"):
+            RunConfig(lambda_grid=grid, synthetic=SyntheticSpec(r=2, n_train=10, n_test=5))
+
+    @pytest.mark.parametrize(
+        "rho_sq", [(1, 0, 1, 1), (1, -2, 1, 1), (1, float("nan"), 1, 1), (float("inf"), 1, 1, 1)]
+    )
+    def test_rho_sq_entry_not_positive_finite(self, rho_sq):
+        with pytest.raises(ConfigError, match="rho-sq"):
+            RunConfig(rho_sq=rho_sq, synthetic=SyntheticSpec(r=2, n_train=10, n_test=5))
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--lambda", "nan"],
+            ["--lambda", "inf"],
+            ["--lambda-grid", "1e-3,-1"],
+            ["--rho-sq", "1,nan,1,1"],
+        ],
+    )
+    def test_bad_ridge_or_scale_usage_error_before_any_fit(self, flags, capsys, tmp_path):
+        out = str(tmp_path / "run")
+        argv = flags + ["--synthetic", "r=2,train=10,test=5,val=5", "--out", out]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert flags[0].lstrip("-") in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_synthetic_degree_above_run_degree(self, capsys):
         with pytest.raises(SystemExit):

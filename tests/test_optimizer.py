@@ -186,7 +186,7 @@ class TestStep:
 
     def test_check_catches_a_column_shared_by_step_and_rebuild(self, monkeypatch):
         # the wrong column enters both the update and the rebuild, so only the
-        # dense product kernel can tell
+        # kernel entries taken from the inputs can tell
         data, ks, rho = make_run_setup(n=6, r=2, D=2, seed=7)
         state = OptimizerState(ks, rho)
         swap = {1: 2, 2: 1}
@@ -197,7 +197,7 @@ class TestStep:
         )
         state.step(GradSample(index=(1, 1), value=-2.0, mass=2.0), eta=0.1)
         state.step(GradSample(index=(2,), value=-2.0, mass=2.0), eta=0.1)
-        with pytest.raises(FloatingPointError, match="dense kernel"):
+        with pytest.raises(FloatingPointError, match="its kernel"):
             state.check_combined_gram()
 
     def test_check_passes_on_a_zero_column(self):
@@ -210,6 +210,97 @@ class TestStep:
         state.step(GradSample(index=(1, 2), value=-2.0, mass=2.0), eta=0.1)
         assert state.last_index == (1, 2)
         state.check_combined_gram()
+
+    @staticmethod
+    def state_with_column(corrupt, inputs=None):
+        """A state whose last step is on (1, 2), with `corrupt(z, p)` applied
+        to that monomial's column wherever it is built, so that the cache, its
+        Gram and the rebuild all agree and only the column check can tell.
+        p is the row of the kernel's largest diagonal entry."""
+        data, ks, rho = make_run_setup(n=8, r=2, D=2, seed=11)
+        if inputs is not None:
+            data = Dataset(inputs=inputs, targets=data.targets)
+            ks = build_base_kernels(data, False, 2)
+        p = int(np.argmax((data.inputs[:, 0] * data.inputs[:, 1]) ** 2))
+        columns = type(ks).product_columns
+
+        def patched(tuples):
+            out = columns(ks, tuples)
+            for c, idx in enumerate(tuples):
+                if optimizer.monomial_key(idx) == (1, 2):
+                    corrupt(out[:, c], p)
+            return out
+
+        ks.product_columns = patched
+        state = OptimizerState(ks, rho)
+        state.step(GradSample(index=(1,), value=-2.0, mass=2.0), eta=0.1)
+        state.step(GradSample(index=(1, 2), value=-2.0, mass=2.0), eta=0.1)
+        assert state.last_index == (1, 2)
+        return state
+
+    @staticmethod
+    def largest_other(z, p):
+        others = np.abs(z).copy()
+        others[p] = 0.0
+        return int(np.argmax(others))
+
+    def test_check_catches_one_flipped_sign_by_the_row(self):
+        # z_t^2 is unchanged, so the diagonal agrees
+        def flip(z, p):
+            z[self.largest_other(z, p)] *= -1.0
+
+        state = self.state_with_column(flip)
+        with pytest.raises(FloatingPointError, match="kernel's row"):
+            state.check_combined_gram()
+
+    def test_check_catches_one_scaled_entry_by_the_diagonal(self):
+        def scale(z, p):
+            t = self.largest_other(z, p)
+            # the error 2e-7 z_t^2 is ten times the bound 1e-9 z_p^2 or more
+            assert 2e-7 * z[t] ** 2 > 1e-8 * z[p] ** 2
+            z[t] *= 1.0 + 1e-7
+
+        state = self.state_with_column(scale)
+        with pytest.raises(FloatingPointError, match="kernel's diagonal"):
+            state.check_combined_gram()
+
+    def test_check_catches_a_wrong_entry_at_row_p(self):
+        # flipping z_p keeps the diagonal and K_pp, and flips the rest of row p
+        def flip(z, p):
+            z[p] *= -1.0
+
+        state = self.state_with_column(flip)
+        with pytest.raises(FloatingPointError, match="kernel's row"):
+            state.check_combined_gram()
+
+    def test_check_skips_the_constant_kernel(self):
+        # (0, 2) is the monomial (2,): one column, and the constant factor 1
+        data, ks, rho = make_run_setup(n=8, r=2, D=2, seed=11, include_constant=True)
+        state = OptimizerState(ks, rho)
+        state.step(GradSample(index=(2,), value=-2.0, mass=2.0), eta=0.1)
+        state.step(GradSample(index=(0, 2), value=-2.0, mass=2.0), eta=0.1)
+        assert state.last_index == (0, 2) and state.monomials == [(2,)]
+        state.check_combined_gram()
+
+    def test_check_catches_a_zero_column_of_a_nonzero_kernel(self):
+        def zero(z, p):
+            z[:] = 0.0
+
+        state = self.state_with_column(zero)
+        with pytest.raises(FloatingPointError, match="kernel's diagonal"):
+            state.check_combined_gram()
+
+    def test_check_catches_a_nonzero_column_of_a_zero_kernel(self):
+        # 1e-170 squares to zero, so only the explicit zero test can tell
+        inputs = np.random.default_rng(12).normal(size=(8, 2))
+        inputs[:, 1] = 0.0
+
+        def tiny(z, p):
+            z[:] = 1e-170
+
+        state = self.state_with_column(tiny, inputs=inputs)
+        with pytest.raises(FloatingPointError, match="kernel is zero"):
+            state.check_combined_gram()
 
 
     def cached_state(self):

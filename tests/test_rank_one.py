@@ -268,8 +268,7 @@ class TestNoSquareTemporaries:
 
     def test_whole_run_where_all_features(self):
         # the loop and both final solves in support form; checkpoint_every > T
-        # leaves out the dense column check, which builds n x n kernels on
-        # purpose
+        # leaves out the Gram check, which the test below adds
         n, T = 2000, 10
         budget = n * n * 8 // 2
         rng = np.random.default_rng(9)
@@ -280,5 +279,30 @@ class TestNoSquareTemporaries:
         config = RunConfig(D=3, T=T, synthetic=spec, checkpoint_every=T + 1)
         results = []
         peak = self.peak_bytes(lambda: results.append(run(config, data, ks, rho)))
+        assert len(results[0].records) == T and results[0].theta_avg.support_size > 0
+        assert peak < budget
+
+    def test_whole_run_with_checkpoints_where_all_features(self, monkeypatch):
+        # as above, with the Gram check at k=5 and k=10: the last updated
+        # column is checked against kernel entries, not an n x n kernel
+        n, T = 2000, 10
+        budget = n * n * 8 // 2
+        rng = np.random.default_rng(9)
+        data = Dataset(inputs=rng.normal(size=(n, 5)), targets=rng.normal(size=n))
+        ks = build_base_kernels(data, True, 3)
+        rho = RhoSchedule.uniform(3).scaled(1e-5)
+        spec = SyntheticSpec(r=5, n_train=n, n_test=1)
+        config = RunConfig(D=3, T=T, synthetic=spec, checkpoint_every=5)
+        checks = []
+        check = OptimizerState.check_combined_gram
+
+        def counted(state, *args, **kwargs):
+            checks.append(state.iter)
+            return check(state, *args, **kwargs)
+
+        monkeypatch.setattr(OptimizerState, "check_combined_gram", counted)
+        results = []
+        peak = self.peak_bytes(lambda: results.append(run(config, data, ks, rho)))
+        assert checks == [5, 10]
         assert len(results[0].records) == T and results[0].theta_avg.support_size > 0
         assert peak < budget
