@@ -88,14 +88,16 @@ def uniform_draws(ks: BaseKernelSet, rho: RhoSchedule, seed: int):
     enumerated set, uniformly on the generator [seed, 2], with its exact
     component from its dense product kernel, carrying the
     inverse-probability estimate size * g_i. The set is enumerated once,
-    here, so one beyond the guard fails before the loop starts."""
+    here, so one beyond the guard fails before the loop starts. K_i is PSD,
+    so the exact component is <= 0; a quadratic form that rounds below zero
+    (where sum(alpha) is near 0, say) is read as 0."""
     enum = enumerate_index_set(ks.indices, ks.D)
     rng = np.random.default_rng([int(seed), 2])
 
     def draw(alpha: np.ndarray, masses: DegreeMasses) -> GradSample:
         idx = enum.tuples[int(rng.integers(enum.size))]
         gram = product_kernel_matrix(ks, idx).values
-        g_i = -GRAD_SCALE * float(alpha @ gram @ alpha) / rho.rho_sq[len(idx)]
+        g_i = -GRAD_SCALE * max(float(alpha @ gram @ alpha), 0.0) / rho.rho_sq[len(idx)]
         return GradSample(index=idx, value=enum.size * g_i, mass=total_mass_C(masses))
 
     return draw

@@ -15,12 +15,12 @@ the descent loop from its cache, and the final solves from
 `assemble_combined_gram`, which builds the form afresh from a sparse theta.
 Woodbury's identity turns the n x n system into the s x s capacitance system
 (n I + W^(1/2) C'C W^(1/2)) c = W^(1/2) C' y, whose eigenvalues are all >= n
-for any s, and alpha = (y - C W^(1/2) c) / n: O(n s + s^3) with no n x n
-array. The dense Cholesky on a `GramMatrix` serves the enumerated baselines
-and the test oracles. Both call LAPACK potrf/potrs directly (`.lapack`), the
-routines behind scipy's cho_factor/cho_solve: at the small s of a descent
-loop the per-call checks and copies of those wrappers cost more than the
-arithmetic. Any nonzero `info` raises `DualSolveError`.
+for any s as no weight is negative, and alpha = (y - C W^(1/2) c) / n:
+O(n s + s^3) with no n x n array. The dense Cholesky on a `GramMatrix`
+serves the enumerated baselines and the test oracles. Both call LAPACK
+potrf/potrs directly (`.lapack`), the routines behind scipy's
+cho_factor/cho_solve: at the small s of a descent loop the per-call checks
+and copies of those wrappers cost more than the arithmetic. Any nonzero `info` raises `DualSolveError`.
 """
 
 from __future__ import annotations
@@ -53,9 +53,12 @@ class SupportGram:
     """K_theta = C diag(weights) C' in the span of its support: `columns` is
     n x s, one column per distinct monomial (`monomial_key`), `gram` is C'C
     (s x s), and `weights` (length s) are the summed theta_i / rho_|i|^2 of
-    each monomial's tuples, with the iterate's scale applied. Weights within
-    round-off below zero are read as zero. The learner's only Gram form;
-    `dense` builds the n x n array for oracles and tests."""
+    each monomial's tuples, with the iterate's scale applied. Each weight is
+    a sum of positive terms, or 0.0 for a monomial with no tuple left, so a
+    negative or non-finite one means corrupt state: construction raises
+    FloatingPointError on it, and the solve and `dense` read the weights as
+    they are. The learner's only Gram form; `dense` builds the n x n array
+    for oracles and tests."""
 
     columns: np.ndarray
     gram: np.ndarray
@@ -68,27 +71,18 @@ class SupportGram:
                 f"support form shapes disagree: columns {self.columns.shape}, "
                 f"gram {self.gram.shape}, weights {self.weights.shape}"
             )
-
-    def nonnegative_weights(self) -> np.ndarray:
-        """The weights with negative round-off (down to -1e-12 of the largest)
-        clamped to zero; raise FloatingPointError beyond that or on a
-        non-finite weight. Without negative round-off this is the stored
-        array itself, which callers must not modify."""
-        w = self.weights
-        if not w.size:
-            return w
-        # min and max carry a NaN or an infinity through, and give max|w|
-        low, high = float(w.min()), float(w.max())
-        if not (math.isfinite(low) and math.isfinite(high)):
-            raise FloatingPointError("non-finite support weight")
-        if low < -1e-12 * max(high, -low):
-            raise FloatingPointError(f"negative support weight beyond round-off: {low}")
-        return np.maximum(w, 0.0) if low < 0.0 else w
+        if s:
+            # min and max carry a NaN through, so it fails the test too
+            low, high = float(self.weights.min()), float(self.weights.max())
+            if not (0.0 <= low and high < math.inf):
+                raise FloatingPointError(
+                    f"support weights must be finite and >= 0, got min {low}, max {high}"
+                )
 
     def dense(self) -> np.ndarray:
         """The n x n Gram C diag(weights) C', as the single product B B' with
         B = C diag(weights)^(1/2), so exactly symmetric."""
-        B = self.columns * np.sqrt(self.nonnegative_weights())
+        B = self.columns * np.sqrt(self.weights)
         return B @ B.T
 
 
@@ -153,7 +147,7 @@ def _solve_support(K_theta: SupportGram, y: np.ndarray) -> DualState:
     C = K_theta.columns
     if C.shape[0] != n:
         raise DualSolveError(f"support columns have {C.shape[0]} rows, but n={n}")
-    weights = K_theta.nonnegative_weights()
+    weights = K_theta.weights
     s = len(weights)
     if s == 0:
         # no columns: K_theta = 0, and y / n is correctly rounded

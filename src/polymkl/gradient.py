@@ -30,8 +30,9 @@ class RhoSchedule:
 
     def __post_init__(self):
         rho_sq = np.asarray(self.rho_sq, dtype=np.float64)
-        if rho_sq.ndim != 1 or rho_sq.size < 1 or np.any(rho_sq <= 0):
-            raise ValueError("rho_sq must be a nonempty vector of positive reals")
+        # written so that a NaN fails it too
+        if rho_sq.ndim != 1 or rho_sq.size < 1 or not np.all((rho_sq > 0) & (rho_sq < np.inf)):
+            raise ValueError("rho_sq must be a nonempty vector of positive finite reals")
         object.__setattr__(self, "rho_sq", rho_sq)
 
     @property

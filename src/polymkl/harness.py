@@ -111,6 +111,14 @@ class RunConfig:
             raise ConfigError("exactly one of --data and --synthetic is required")
         if self.data_path is not None and self.split_sizes is None:
             raise ConfigError("--split a,b,c is required with --data")
+        if self.split_sizes is not None and min(self.split_sizes) < 0:
+            raise ConfigError(f"split sizes must be >= 0, got {self.split_sizes}")
+        if self.synthetic_val < 0:
+            raise ConfigError(f"synthetic val must be >= 0, got {self.synthetic_val}")
+        # standardization fits a mean and a spread on the train split
+        n_train = self.split_sizes[0] if self.data_path is not None else self.synthetic.n_train
+        if n_train < 2:
+            raise ConfigError(f"the train split needs at least 2 rows, got {n_train}")
         if self.synthetic is not None and self.synthetic.max_degree > self.D:
             raise ConfigError(
                 f"synthetic maxdeg={self.synthetic.max_degree} exceeds the run degree D={self.D}"
@@ -150,8 +158,6 @@ def _prepare_data(config: RunConfig):
         else:
             train, test, _truth = gen_synthetic(spec)
             val = None
-    if train is None:
-        raise ConfigError("empty train split")
     std_train, params = standardize(train)
     std_val = params.apply(val) if val is not None else None
     std_test = params.apply(test) if test is not None else None
@@ -221,7 +227,7 @@ def run_experiment(config: RunConfig) -> MetricsOutput:
         "constant_kernel": config.include_constant,
         "n_train": train.n,
         "J_avg_iterate": result.final.J_value,
-        "J_last_iterate": result.dual_last.J_value if result.dual_last else result.final.J_value,
+        "J_last_iterate": result.dual_last.J_value,
         "test_mse": test_mse,
         "support_size": result.theta_avg.support_size,
         "theta_norm": result.theta_avg.norm(),

