@@ -187,15 +187,21 @@ def monomial_weights(theta, rho) -> tuple[list, np.ndarray]:
     return list(terms), np.array([math.fsum(t) for t in terms.values()])
 
 
-def assemble_combined_gram(theta, ks: BaseKernelSet, rho) -> SupportGram:
-    """K_theta = sum over support of (theta_i / rho_d(i)^2) z_i z_i' in support
-    form, built fresh: one column per distinct monomial, their Gram C'C, and
-    the summed weights. O(n s^2), with no n x n array."""
+def support_columns(theta, ks: BaseKernelSet, rho) -> tuple[np.ndarray, np.ndarray]:
+    """theta's support built fresh from its tuples: the n x s columns, one per
+    distinct monomial, and their summed weights theta_i / rho_d(i)^2, so that
+    K_theta = C diag(weights) C'. O(n s)."""
     keys, weights = monomial_weights(theta, rho)
     # the keys drop index 0, so product_columns cannot reject it on its own
     if not ks.has_constant and any(0 in idx for idx, _ in theta.items()):
         raise KernelError("no base kernel with index 0")
-    C = ks.product_columns(keys)
+    return ks.product_columns(keys), weights
+
+
+def assemble_combined_gram(theta, ks: BaseKernelSet, rho) -> SupportGram:
+    """K_theta in support form, built fresh: `support_columns` and their Gram
+    C'C. O(n s^2), with no n x n array."""
+    C, weights = support_columns(theta, ks, rho)
     return SupportGram(C, C.T @ C, weights)
 
 

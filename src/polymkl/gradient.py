@@ -12,7 +12,7 @@ finite-difference tests and must not be changed independently of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,10 +54,17 @@ class RhoSchedule:
 @dataclass(frozen=True)
 class DegreeMasses:
     """delta[d] = alpha' S^(.)d alpha / rho_d^2: the total |gradient| mass of all
-    degree-d product kernels, up to the common GRAD_SCALE factor."""
+    degree-d product kernels, up to the common GRAD_SCALE factor.
+
+    `projections[d]` = Phi_d' alpha for each degree d the kernel set holds as
+    features, the vector whose squared norm is the mass before rho-scaling.
+    The sampler reads the weights of a degree-d draw's first position off
+    it. Masses built without projections still draw; the first position then
+    projects afresh, like every later one."""
 
     delta: np.ndarray
     total: float
+    projections: dict[int, np.ndarray] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -82,15 +89,17 @@ def grad_component(alpha: np.ndarray, K_i: GramMatrix | np.ndarray, rho_sq_d: fl
 def degree_masses(alpha: np.ndarray, ks: BaseKernelSet, rho: RhoSchedule) -> DegreeMasses:
     """All D+1 degree masses; the rank-one matrix alpha alpha' is never
     materialized. S^(.)0 is all ones, so degree 0 is (sum alpha)^2. A degree
-    held as features, S^(.)d = Phi_d Phi_d', costs n F_d as |Phi_d' alpha|^2;
-    a dense degree costs n^2 as the quadratic form in S^(.)d."""
+    held as features, S^(.)d = Phi_d Phi_d', costs n F_d as |Phi_d' alpha|^2,
+    and its projection Phi_d' alpha is kept for the sampler; a dense degree
+    costs n^2 as the quadratic form in S^(.)d."""
     if rho.D != ks.D:
         raise ValueError(f"rho covers degrees 0..{rho.D} but kernel set has D={ks.D}")
     forms = [float(alpha.sum()) ** 2]
+    projections = {}
     for d in range(1, ks.D + 1):
         phi = ks.features.get(d)
         if phi is not None:
-            v = phi.T @ alpha
+            v = projections[d] = phi.T @ alpha
             forms.append(v @ v)
         else:
             forms.append(alpha @ (ks.dense_powers[d] @ alpha))
@@ -102,7 +111,7 @@ def degree_masses(alpha: np.ndarray, ks: BaseKernelSet, rho: RhoSchedule) -> Deg
         delta[(delta < 0) & (delta >= -1e-12 * max(1.0, float(np.max(np.abs(delta)))))] = 0.0
         if np.any(delta < 0):
             raise FloatingPointError(f"negative degree mass beyond round-off: {delta}")
-    return DegreeMasses(delta=delta, total=float(delta.sum()))
+    return DegreeMasses(delta=delta, total=float(delta.sum()), projections=projections)
 
 
 def total_mass_C(masses: DegreeMasses) -> float:

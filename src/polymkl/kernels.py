@@ -12,7 +12,11 @@ Their sum S = Z Z' over the m base columns has rank at most m, so its power
 S^(.)k factors exactly as Phi_k Phi_k' through the F_k = C(m+k-1, k) scaled
 symmetric monomials of degree k. `BaseKernelSet` holds each degree in the
 cheaper of the two forms: Phi_k where F_k < n (a quadratic form costs n F_k),
-the dense S^(.)k elsewhere (n^2). The fast paths work on these columns;
+the dense S^(.)k elsewhere (n^2). Beside each feature degree k+1 it holds
+the m x F_(k+1) lift L_k: for any u, the squared column norms of
+Phi_k'(u * Z) are L_k (Phi_(k+1)' u)^2, so the sampler reads a position's
+weights off one projection onto the next degree's features. The fast paths
+work on these columns;
 `product_kernel_matrix`, `product_kernel_cross` and `BaseKernelSet.kernel`
 build Grams straight from the inputs and serve as the independent oracles.
 The tests and baselines take them dense (n x n); the descent loop's Gram
@@ -61,6 +65,13 @@ class BaseKernelSet:
     are 1..K and the dense ones K+1..D. S^(.)0 is all ones and held in
     neither.
 
+    For k = 1..K-1, `lifts[k]` holds L_k (m x F_(k+1)): entry (j, c') is how
+    often base position j occurs in the multiset c', divided by k+1. Since
+    (u * z_j)' Phi_k[:, c] = sqrt(cnt_(c+j)(j) / (k+1)) (Phi_(k+1)' u)_(c+j),
+    the squared column norms of Phi_k'(u * Z) equal L_k v^2 with
+    v = Phi_(k+1)' u. Each column of L_k sums to 1, so the weights sum to
+    |v|^2. L_0 is the identity and is not stored.
+
     No n x n base Gram is stored; `kernel(j)` builds one on demand. Shared
     read-only by the sampler, gradient, and optimizer code; never mutated
     after construction.
@@ -82,33 +93,39 @@ class BaseKernelSet:
         num_feature = 0
         while num_feature < D and math.comb(m + num_feature, num_feature + 1) < self.n:
             num_feature += 1
-        self.features = self._features(num_feature)
+        self.features, self.lifts = self._features(num_feature)
         self.dense_powers = self._dense_powers(num_feature + 1)
 
-    def _features(self, K: int) -> dict[int, np.ndarray]:
-        """Phi_1..Phi_K, each from the one below it. Column (c_1..c_k) of Phi_k
-        is column (c_1..c_{k-1}) of Phi_{k-1} times Z[:, c_k] times
-        sqrt(k / cnt), cnt being how often c_k occurs, that is the length of
-        the run of c_k that ends the multiset."""
+    def _features(self, K: int) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
+        """Phi_1..Phi_K, each from the one below it, and the lifts L_1..L_{K-1}.
+        Column c' = (c_1..c_k) of Phi_k is column (c_1..c_{k-1}) of Phi_{k-1}
+        times Z[:, c_k] times sqrt(k / cnt), cnt being how often c_k occurs in
+        c'. L_{k-1} (m x F_k) holds at (j, c') how often j occurs in c',
+        divided by k, so each of its columns sums to 1."""
         if K == 0:
-            return {}
+            return {}, {}
         m = self.Z.shape[1]
         features = {1: self.Z}
-        # per column of the previous degree: its last position and run length
+        lifts = {}
+        # per column of the previous degree: its last position and the
+        # multiplicity of every position in it
         last = np.arange(m)
-        run = np.ones(m, dtype=np.int64)
+        counts = np.eye(m, dtype=np.int64)
         for k in range(2, K + 1):
             children = m - last
             parent = np.repeat(np.arange(last.size), children)
             first_child = np.cumsum(children) - children
-            child = np.arange(parent.size) - first_child[parent] + last[parent]
-            run = np.where(child == last[parent], run[parent] + 1, 1)
+            column = np.arange(parent.size)
+            child = column - first_child[parent] + last[parent]
+            counts = counts[parent]
+            counts[column, child] += 1
             last = child
             phi = features[k - 1][:, parent]
             phi *= self.Z[:, child]
-            phi *= np.sqrt(k / run)
+            phi *= np.sqrt(k / counts[column, child])
             features[k] = phi
-        return features
+            lifts[k - 1] = counts.T / k
+        return features, lifts
 
     def _dense_powers(self, first: int) -> dict[int, np.ndarray]:
         """S^(.)k for k = first..D. S is kept only as S^(.)1; otherwise the top

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, MultiIndex
-from .dual import DualState, SupportGram, assemble_combined_gram, solve_alpha
+from .dual import DualState, SupportGram, assemble_combined_gram, solve_alpha, support_columns
 from .gradient import (
     DegreeMasses,
     GradSample,
@@ -67,6 +67,10 @@ _REBASE_THRESHOLD = 1e-2
 
 # refresh the incrementally tracked sum of squared raws this often
 _NORM_REFRESH = 256
+
+# the spacing of the subnormals: below the normal range a rounding errs by up
+# to half of it, however small its result
+_SUBNORMAL = math.ulp(0.0)
 
 
 class SparseTheta:
@@ -150,10 +154,18 @@ class SparseTheta:
 def project_pos_l2ball(theta: SparseTheta) -> SparseTheta:
     """Euclidean projection onto {theta >= 0, ||theta||_2 <= 1}, in place. A
     SparseTheta holds no negative entry, so this is the rescale by 1/norm
-    when the norm exceeds one. Idempotent."""
+    when the norm exceeds one. Idempotent. A raw above about 1.3e154 squares
+    to infinity, so a squared norm that is not finite is taken again as the
+    norm of the raws scaled by the largest (`math.hypot`)."""
     nsq = theta.norm_sq
     if nsq > 1.0 + _PROJECT_SLACK:
-        theta.scale /= math.sqrt(nsq)
+        if nsq < math.inf:
+            theta.scale /= math.sqrt(nsq)
+        else:
+            norm = math.hypot(*theta.raw.values())
+            if norm == math.inf:
+                raise FloatingPointError("norm of the raw weights overflows")
+            theta.scale = 1.0 / norm
     return theta
 
 
@@ -220,6 +232,8 @@ class OptimizerState:
         self._C = np.empty((ks.n, 0), order="F")
         self._G = np.empty((0, 0))
         self._w = np.empty(0)
+        # the Gram check's fixed probe, made at its first call
+        self._probe: np.ndarray | None = None
         # averaging: prefix sum of scales of iterates counted so far, the
         # number counted, and per-coordinate (accumulator, prefix-sum mark)
         self._ps = 0.0
@@ -383,33 +397,43 @@ class OptimizerState:
         """Raise FloatingPointError if the cached weights have drifted from a
         re-sum over theta, if the cached G differs from a fresh C'C, if the
         cached Gram times a fixed probe vector differs from the same product
-        over `rebuild_combined_gram`, or if the cached column of `last_index`
-        disagrees with entries of its product kernel (`_check_column`). The first two share the cache's tuple
-        mapping and columns; the probe shares neither, so it catches a tuple
-        in the wrong slot or a wrong column of any monomial; the kernel
-        entries come straight from the inputs and share no code with the
-        columns at all."""
-        resummed = np.array([math.fsum(t) for t in self._resummed_terms()])
+        over `support_columns` of theta, or if the cached column of
+        `last_index` disagrees with entries of its product kernel
+        (`_check_column`). The first two share the cache's tuple mapping and
+        columns; the probe shares neither, so it catches a tuple in the wrong
+        slot or a wrong column of any monomial; the kernel entries come
+        straight from the inputs and share no code with the columns at all.
+
+        The weight drift may reach rel_tol times the largest weight, plus one
+        smallest subnormal per rounding behind it (per step taken, and per
+        re-summed term): below the normal range a rounding costs an absolute
+        half ulp, which no relative bound covers."""
+        terms = self._resummed_terms()
+        resummed = np.array([math.fsum(t) for t in terms])
         s = len(resummed)
         denom = float(np.max(np.abs(resummed), initial=0.0))
         drift = float(np.max(np.abs(self._w[:s] - resummed), initial=0.0))
+        roundings = self.iter + max(map(len, terms), default=0)
         # written so that a NaN fails it too
-        if not drift <= rel_tol * denom:
+        if not drift <= rel_tol * denom + roundings * _SUBNORMAL:
             raise FloatingPointError(f"cached support weights drifted: {drift:.3e} of {denom:.3e}")
         C = self._C[:, :s]
         fresh = C.T @ C
         error = np.linalg.norm(self._G[:s, :s] - fresh)
         if not error <= rel_tol * np.linalg.norm(fresh):
             raise FloatingPointError(f"cached column Gram disagrees with C'C: {error:.3e}")
-        # a fixed probe, so the check draws nothing from the run's generator
-        probe = np.random.default_rng(0).standard_normal(self.ks.n)
+        # a fixed probe, made once per state, so the check draws nothing from
+        # the run's generator
+        if self._probe is None:
+            self._probe = np.random.default_rng(0).standard_normal(self.ks.n)
+        probe = self._probe
         K = self._support_form(self.theta.scale)
         cached = K.columns @ (K.weights * (K.columns.T @ probe))
-        R = self.rebuild_combined_gram()
-        along = R.columns.T @ probe
-        expected = R.columns @ (R.weights * along)
+        columns, weights = support_columns(self.theta, self.ks, self.rho)
+        along = columns.T @ probe
+        expected = columns @ (weights * along)
         # the size of the sum before any cancellation between its terms
-        size = np.linalg.norm(np.abs(R.columns) @ (R.weights * np.abs(along)))
+        size = np.linalg.norm(np.abs(columns) @ (weights * np.abs(along)))
         error = np.linalg.norm(cached - expected)
         if not error <= rel_tol * size:
             raise FloatingPointError(

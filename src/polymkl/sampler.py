@@ -10,12 +10,17 @@ u = alpha * z_prefix elementwise. Position i uses conditional weights
     pi(j) proportional to sum_{t,s} u_t u_s S^(.)k_ts z_jt z_js
           = colsum(U * (S^(.)k U))_j,   U = u[:, None] * Z,   k = d - i,
 
-for m base kernels. Where the kernel set holds S^(.)k = Phi_k Phi_k' (F_k < n
-features), that is colsum((Phi_k' U)^2) at n F_k m flops; elsewhere it is one
-n x n by n x m product, n^2 m flops. Their sum over j telescopes to the
-previous position's chosen weight. The resulting joint law over ordered
-tuples is exactly the normalized |gradient| distribution, which
-`brute_force_q` enumerates densely for testing.
+for m base kernels. Where the kernel set holds the next degree's features
+Phi_(k+1) (F_(k+1) < n), they are read off one projection: with
+v = Phi_(k+1)' u the weights are L_k v^2 (`BaseKernelSet.lifts`; L_0 is the
+identity and Phi_1 = Z), at n F_(k+1) + m F_(k+1) flops. At the first
+position u = alpha, and the degree masses already hold v, so it costs
+nothing more. At the top feature degree K, where Phi_(K+1) is not held, they
+are colsum((Phi_K' U)^2) at n F_K m flops; at a dense degree one n x n by
+n x m product, n^2 m flops. Their sum over j telescopes to the previous
+position's chosen weight. The resulting joint law over ordered tuples is
+exactly the normalized |gradient| distribution, which `brute_force_q`
+enumerates densely for testing.
 """
 
 from __future__ import annotations
@@ -64,13 +69,17 @@ class SamplerWorkspace:
         self.ks = ks
         self.rho = rho
         self.rng = rng
-        # running factor u = alpha * z_prefix, U = u[:, None] * Z, and the
-        # products Phi_k' U (F_k x m) or S^(.)k U (n x m)
+        # running factor u = alpha * z_prefix; where a degree is dense, also
+        # U = u[:, None] * Z and the product Phi_K' U (F_K x m) at the top
+        # feature degree K or S^(.)k U (n x m) above it
         self.u = np.empty(ks.n)
-        self._U = np.empty(ks.Z.shape, order="F")
-        m = ks.Z.shape[1]
-        self._PhiU = {k: np.empty((phi.shape[1], m)) for k, phi in ks.features.items()}
-        self._PU = np.empty(ks.Z.shape, order="F") if ks.dense_powers else None
+        self._U = self._PhiU = self._PU = None
+        if ks.dense_powers:
+            self._U = np.empty(ks.Z.shape, order="F")
+            self._PU = np.empty(ks.Z.shape, order="F")
+            if ks.features:
+                top = ks.features[len(ks.features)]
+                self._PhiU = np.empty((top.shape[1], ks.Z.shape[1]))
 
     def draw(self, alpha: np.ndarray, masses: DegreeMasses | None = None) -> MultiIndex:
         ks = self.ks
@@ -88,8 +97,13 @@ class SamplerWorkspace:
         # entering position i the denominator is the weight that won position
         # i-1 (telescoping); at i=1 it is the degree weight before rho-scaling
         denom = float(masses.delta[d] * self.rho.rho_sq[d])
+        projection = masses.projections.get(d)
         for i in range(1, d + 1):
-            weights = self.position_weights(u, d - i)
+            if i == 1 and projection is not None:
+                # the degree masses already projected alpha onto Phi_d
+                weights = self._lift(projection, d - 1)
+            else:
+                weights = self.position_weights(u, d - i)
             total = float(weights.sum())
             # written so that a NaN total fails it too
             if not abs(total - denom) <= 1e-9 * max(1.0, abs(denom)):
@@ -102,21 +116,25 @@ class SamplerWorkspace:
 
     def position_weights(self, u: np.ndarray, remaining: int) -> np.ndarray:
         """Unnormalized weight of every base index at a position whose running
-        factor is u, with `remaining` positions after it:
+        factor is u, with `remaining` < D positions after it:
         colsum(U * (S^(.)remaining U)) with U = u[:, None] * Z."""
-        U = np.multiply(u[:, None], self.ks.Z, out=self._U)
-        if remaining == 0:
-            # S^(.)0 is all ones, so the weights are the squared column sums
-            weights = U.sum(axis=0)
-            weights *= weights
-            return weights
-        phi = self.ks.features.get(remaining)
+        ks = self.ks
+        phi = ks.Z if remaining == 0 else ks.features.get(remaining + 1)
         if phi is not None:
-            # S^(.)k = Phi Phi', so each weight is a squared column norm of Phi' U
-            V = np.matmul(phi.T, U, out=self._PhiU[remaining])
+            return self._lift(phi.T @ u, remaining)
+        U = np.multiply(u[:, None], ks.Z, out=self._U)
+        phi = ks.features.get(remaining)
+        if phi is not None:
+            # S^(.)K = Phi Phi', so each weight is a squared column norm of Phi' U
+            V = np.matmul(phi.T, U, out=self._PhiU)
             return np.einsum("fj,fj->j", V, V)
-        PU = np.matmul(self.ks.dense_powers[remaining], U, out=self._PU)
+        PU = np.matmul(ks.dense_powers[remaining], U, out=self._PU)
         return np.einsum("tj,tj->j", U, PU)
+
+    def _lift(self, v: np.ndarray, remaining: int) -> np.ndarray:
+        """The weights L_remaining v^2 from v = Phi_(remaining+1)' u."""
+        squares = v * v
+        return squares if remaining == 0 else self.ks.lifts[remaining] @ squares
 
 
 def sample_multi_index(

@@ -25,7 +25,7 @@ MONOMIALS = [
 ]
 MAGNITUDES = st.one_of(
     st.floats(1e-3, 1e3),
-    st.sampled_from([0.0, 1e-200, 1e-30, 1e6, 1e20, 1e150]),
+    st.sampled_from([0.0, 5e-324, 1e-200, 1e-30, 1e6, 1e20, 1e150]),
 )
 
 

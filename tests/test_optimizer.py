@@ -195,6 +195,39 @@ class TestStep:
         state.step(GradSample(index=(1,), value=-50.0, mass=50.0), eta=1.0)
         assert state.theta.norm() == pytest.approx(1.0, abs=1e-12)
 
+    def test_step_whose_square_overflows_keeps_the_other_coordinates(self):
+        # 1e200 squares to inf: the projection must take the norm of the raws
+        # scaled by the largest instead of dividing by sqrt(inf) = inf, which
+        # would fold every raw to 0 at the rebase
+        data, ks, rho = make_run_setup()
+        state = OptimizerState(ks, rho)
+        state.step(GradSample(index=(1,), value=-0.5, mass=0.5), eta=1.0)
+        state.step(GradSample(index=(2,), value=-1e200, mass=1e200), eta=1.0)
+        assert set(state.theta.raw) == {(1,), (2,)}
+        assert state.theta.value((2,)) == pytest.approx(1.0, rel=1e-15)
+        assert state.theta.value((1,)) == pytest.approx(5e-201, rel=1e-15)
+        assert state.theta.norm() == pytest.approx(1.0, rel=1e-15)
+        state.check_combined_gram()
+
+    def subnormal_state(self):
+        # every weight is subnormal, where 1e-9 of the largest underflows to
+        # 0 and one rounding of the incremental sum is a whole ulp
+        data, ks, _ = make_run_setup(D=3)
+        state = OptimizerState(ks, RhoSchedule(np.array([1.0, 1.0, 1.0, 1.5e-2])))
+        for _ in range(2):
+            state.step(GradSample(index=(1, 1, 1), value=-5e-324, mass=5e-324), eta=1.0)
+        assert 0.0 < state.support_gram().weights[0] < 1e-320
+        return state
+
+    def test_subnormal_weights_pass_the_check(self):
+        self.subnormal_state().check_combined_gram()
+
+    def test_check_catches_a_corrupt_subnormal_weight(self):
+        state = self.subnormal_state()
+        state._w[0] *= 2.0
+        with pytest.raises(FloatingPointError, match="weights drifted"):
+            state.check_combined_gram()
+
     def test_incremental_gram_matches_rebuild_over_random_steps(self):
         data, ks, rho = make_run_setup(n=5, r=2, D=2, seed=4)
         state = OptimizerState(ks, rho)

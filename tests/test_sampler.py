@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +20,10 @@ from polymkl.gradient import DegreeMasses
 from polymkl.sampler import _NEG_TOL, SamplerError, SamplerWorkspace, _draw_categorical
 
 
-def random_instance(n=10, r=3, D=2, seed=0):
+def random_instance(n=10, r=3, D=2, seed=0, include_constant=False):
     rng = np.random.default_rng(seed)
     data = Dataset(inputs=rng.normal(size=(n, r)), targets=rng.normal(size=n))
-    ks = build_base_kernels(data, include_constant=False, D=D)
+    ks = build_base_kernels(data, include_constant=include_constant, D=D)
     rho = RhoSchedule.uniform(D)
     alpha = rng.normal(size=n)
     return alpha, ks, rho
@@ -104,32 +108,44 @@ class TestBruteForceQ:
                 sampler_mod.ENUMERATION_GUARD = old
 
 
+def assert_law_matches(alpha, ks, rho, draws, seed, label):
+    """The draw's joint law over ordered tuples must match the enumerated
+    |gradient| distribution: small TV distance and a chi-square
+    goodness-of-fit that is not rejected at 1e-3."""
+    q = brute_force_q(alpha, ks, rho, ks.D)
+    counts = empirical_distribution(alpha, ks, rho, draws, seed=seed)
+    tv = 0.5 * sum(abs(counts.get(idx, 0) / draws - p) for idx, p in q.items())
+    assert tv <= 0.02, f"{label}: TV {tv}"
+    keys = [idx for idx, p in q.items() if p * draws >= 5]
+    observed = np.array([counts.get(idx, 0) for idx in keys], dtype=float)
+    expected = np.array([q[idx] * draws for idx in keys])
+    # fold leftover mass into one bin so totals match
+    leftover_obs = draws - observed.sum()
+    leftover_exp = draws - expected.sum()
+    if leftover_exp > 5:
+        observed = np.append(observed, leftover_obs)
+        expected = np.append(expected, leftover_exp)
+    else:
+        observed[-1] += leftover_obs
+        expected[-1] += leftover_exp
+    stat, pvalue = scipy.stats.chisquare(observed, expected)
+    assert pvalue > 1e-3, f"{label}: chi2 p={pvalue}"
+
+
 class TestExactLaw:
     def test_tv_distance_and_chisquare(self):
-        # the draw's joint law over ordered tuples must match the enumerated
-        # |gradient| distribution: small TV distance and a chi-square
-        # goodness-of-fit that is not rejected at 1e-3
         draws = 10**5
         for seed in range(5):
             alpha, ks, rho = random_instance(n=10, r=3, D=2, seed=10 + seed)
-            q = brute_force_q(alpha, ks, rho, 2)
-            counts = empirical_distribution(alpha, ks, rho, draws, seed=100 + seed)
-            tv = 0.5 * sum(abs(counts.get(idx, 0) / draws - p) for idx, p in q.items())
-            assert tv <= 0.02, f"instance {seed}: TV {tv}"
-            keys = [idx for idx, p in q.items() if p * draws >= 5]
-            observed = np.array([counts.get(idx, 0) for idx in keys], dtype=float)
-            expected = np.array([q[idx] * draws for idx in keys])
-            # fold leftover mass into one bin so totals match
-            leftover_obs = draws - observed.sum()
-            leftover_exp = draws - expected.sum()
-            if leftover_exp > 5:
-                observed = np.append(observed, leftover_obs)
-                expected = np.append(expected, leftover_exp)
-            else:
-                observed[-1] += leftover_obs
-                expected[-1] += leftover_exp
-            stat, pvalue = scipy.stats.chisquare(observed, expected)
-            assert pvalue > 1e-3, f"instance {seed}: chi2 p={pvalue}"
+            assert_law_matches(alpha, ks, rho, draws, 100 + seed, f"instance {seed}")
+
+    def test_tv_distance_and_chisquare_where_every_position_lifts(self):
+        # F_1 = 3 and F_2 = 6 fall below n = 12, so both degrees are features
+        # and every position reads its weights off the next degree's
+        # projection, the first one off the degree masses
+        alpha, ks, rho = random_instance(n=12, r=2, D=2, seed=15, include_constant=True)
+        assert sorted(ks.features) == [1, 2] and not ks.dense_powers
+        assert_law_matches(alpha, ks, rho, 10**5, 105, "every position lifts")
 
     def test_marginal_degree_law(self):
         draws = 10**5
@@ -193,6 +209,74 @@ class TestDeterminismAndCost:
         bogus = DegreeMasses(delta=np.array([0.0, 0.0, 2.0 * true]), total=2.0 * true)
         with pytest.raises(SamplerError, match="telescoping"):
             sample_multi_index(alpha, ks, rho, np.random.default_rng(0), bogus)
+
+
+class TestFirstPosition:
+    @pytest.mark.parametrize(
+        "n,r,D,include_constant",
+        [
+            (80, 5, 3, True),
+            (30, 5, 3, True),
+            (12, 3, 3, True),
+            (12, 2, 2, True),
+            (40, 3, 2, False),
+        ],
+    )
+    def test_weights_from_projections_match_a_fresh_projection(
+        self, n, r, D, include_constant
+    ):
+        alpha, ks, rho = random_instance(n, r, D, seed=60, include_constant=include_constant)
+        masses = degree_masses(alpha, ks, rho)
+        assert sorted(masses.projections) == sorted(ks.features)
+        ws = SamplerWorkspace(ks, rho, np.random.default_rng(61))
+        for d, projection in masses.projections.items():
+            fresh = ws.position_weights(alpha, d - 1)
+            lifted = ws._lift(projection, d - 1)
+            scale = np.max(np.abs(fresh))
+            assert np.max(np.abs(lifted - fresh)) <= 1e-12 * scale, d
+
+
+# a degree-D draw on a kernel set whose top feature block is scaled by
+# 1 + 1e-6: the masses and the first position agree with each other, but the
+# second position projects onto the uncorrupted block below
+CORRUPT_TOP_BLOCK = """
+import numpy as np
+from polymkl import Dataset, RhoSchedule, build_base_kernels, degree_masses
+from polymkl.gradient import DegreeMasses
+from polymkl.sampler import SamplerError, SamplerWorkspace
+
+rng = np.random.default_rng(70)
+data = Dataset(inputs=rng.normal(size=(80, 5)), targets=rng.normal(size=80))
+ks = build_base_kernels(data, include_constant=True, D=3)
+rho = RhoSchedule.uniform(3)
+alpha = rng.normal(size=80)
+print("features:", sorted(ks.features))
+ks.features[3] = ks.features[3] * (1 + 1e-6)
+masses = degree_masses(alpha, ks, rho)
+delta = np.array([0.0, 0.0, 0.0, masses.delta[3]])
+top = DegreeMasses(delta=delta, total=float(delta[3]), projections=masses.projections)
+ws = SamplerWorkspace(ks, rho, np.random.default_rng(71))
+try:
+    ws.draw(alpha, top)
+except SamplerError as exc:
+    print("raised:", exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python -O"])
+def test_corrupt_top_feature_block_raises_within_the_draw(flags):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run(
+        [sys.executable, *flags, "-c", CORRUPT_TOP_BLOCK],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "features: [1, 2, 3]" in done.stdout
+    assert "raised: telescoping identity violated" in done.stdout
 
 
 class TestWorkspaceInvariant:
