@@ -10,11 +10,14 @@ enumerated kernel set and a CLI benchmark harness are included.
 
 from .baselines import (
     EnumeratedIndexSet,
-    FullGradResult,
+    brute_force_q,
+    dual_objective,
     enumerate_index_set,
     full_gradient,
+    grad_component,
     run_full_gradient,
     run_ucd,
+    solve_dense,
 )
 from .dataset import (
     Dataset,
@@ -32,7 +35,6 @@ from .dual import (
     DualSolveError,
     DualState,
     assemble_combined_gram,
-    dual_objective,
     objective_J,
     predict,
     solve_alpha,
@@ -43,7 +45,6 @@ from .gradient import (
     GradSample,
     RhoSchedule,
     degree_masses,
-    grad_component,
     importance_estimate,
     total_mass_C,
 )
@@ -66,7 +67,7 @@ from .optimizer import (
     project_pos_l2ball,
     run,
 )
-from .sampler import SamplerError, SamplerWorkspace, brute_force_q, sample_multi_index
+from .sampler import SamplerError, SamplerWorkspace
 
 __version__ = "0.1.0"
 

@@ -1,10 +1,16 @@
-"""Reference solvers over the explicitly enumerated index set: uniform
-coordinate descent (one uniformly random coordinate per iteration) and
-deterministic full-gradient projected descent with backtracking line search.
+"""Everything that pays for the enumerated index set or a dense n x n Gram:
+the reference solvers over the explicitly enumerated set, uniform coordinate
+descent (one uniformly random coordinate per iteration) and deterministic
+full-gradient projected descent with backtracking line search, and the dense
+oracles the learner's fast paths are tested against: `solve_dense`,
+`dual_objective`, `grad_component` and `brute_force_q`.
 
-Both pay the honest enumeration cost per iteration, which is what the scaling
-benchmarks contrast against the proportional sampler. The full-gradient solver
-doubles as the optimum oracle in tests.
+Both solvers pay the honest enumeration cost per iteration, which is what the
+scaling benchmarks contrast against the proportional sampler. The
+full-gradient solver doubles as the optimum oracle in tests. Every walk over
+the enumerated set is `_iter_tuple_grams`, and every enumeration stops at
+ENUMERATION_GUARD tuples (`enumerate_index_set`). This module imports the
+learner; no module of the learner imports it.
 """
 
 from __future__ import annotations
@@ -16,10 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, MultiIndex
-from .dual import DualState, solve_alpha
+from .dual import DualSolveError, DualState
 from .gradient import GRAD_SCALE, DegreeMasses, GradSample, RhoSchedule, total_mass_C
 from .kernels import BaseKernelSet, GramMatrix, product_kernel_matrix
+from .lapack import dpotrf, dpotrs
 from .optimizer import RunRecord, RunResult, SparseTheta, run
+from .sampler import SamplerError
+
+ENUMERATION_GUARD = 10**6
 
 
 class EnumerationError(ValueError):
@@ -37,10 +47,10 @@ class EnumeratedIndexSet:
         return len(self.tuples)
 
 
-def enumerate_index_set(r_indices, D: int, guard: int = 10**6) -> EnumeratedIndexSet:
+def enumerate_index_set(r_indices, D: int) -> EnumeratedIndexSet:
     """Enumerate every ordered tuple over the given base-kernel indices up to
     degree D. `r_indices` may be an int r (meaning indices 1..r) or an explicit
-    index list."""
+    index list. A set beyond ENUMERATION_GUARD tuples raises."""
     if isinstance(r_indices, int):
         if r_indices < 1:
             raise EnumerationError("need at least one base kernel")
@@ -50,8 +60,8 @@ def enumerate_index_set(r_indices, D: int, guard: int = 10**6) -> EnumeratedInde
     if D < 0:
         raise EnumerationError("D must be nonnegative")
     size = sum(len(indices) ** d for d in range(D + 1))
-    if size > guard:
-        raise EnumerationError(f"index set of size {size} exceeds guard {guard}")
+    if size > ENUMERATION_GUARD:
+        raise EnumerationError(f"index set of size {size} exceeds guard {ENUMERATION_GUARD}")
     tuples: list[MultiIndex] = []
     for d in range(D + 1):
         tuples.extend(itertools.product(indices, repeat=d))
@@ -72,6 +82,66 @@ def _iter_tuple_grams(ks: BaseKernelSet, D: int):
     yield from walk((), ones)
 
 
+def solve_dense(K_theta: GramMatrix, y: np.ndarray) -> DualState:
+    """Solve (K_theta + n I) alpha = y by a dense Cholesky, O(n^3); J = y . alpha / 2.
+    The enumerated baselines' solve, and the oracle for `dual.solve_alpha`."""
+    K = K_theta.values
+    y = np.asarray(y, dtype=np.float64)
+    n = len(y)
+    if K.shape != (n, n):
+        raise DualSolveError(f"K_theta shape {K.shape} does not match n={n}")
+    # a Fortran-ordered copy, so LAPACK factors it in place instead of making
+    # a second n x n copy of its own
+    system = np.array(K, order="F")
+    system[np.diag_indices_from(system)] += n
+    # finiteness was validated when the Gram was constructed
+    factor, info = dpotrf(system, lower=True, clean=False, overwrite_a=True)
+    if info:
+        raise DualSolveError(f"Cholesky failed on K_theta + nI: potrf info {info}")
+    alpha, info = dpotrs(factor, y, lower=True)
+    if info:
+        raise DualSolveError(f"solve failed on K_theta + nI: potrs info {info}")
+    if not np.all(np.isfinite(alpha)):
+        raise DualSolveError("non-finite dual solution; upstream state is corrupt")
+    return DualState(alpha=alpha, K_theta=K_theta, J_value=float(0.5 * y @ alpha), n=n)
+
+
+def dual_objective(alpha: np.ndarray, K: np.ndarray, y: np.ndarray) -> float:
+    """The dual objective
+
+        G(alpha) = alpha' K alpha / 2 + (1/n) sum_t conj_loss_t(-n alpha_t),
+
+    whose minimizer is the inner solve's alpha and whose negated minimum is J."""
+    v = -len(y) * alpha
+    # the squared loss (tau - y_t)^2 / 2 has the conjugate v^2 / 2 + v y_t
+    return float(0.5 * alpha @ K @ alpha + np.mean(0.5 * v**2 + v * y))
+
+
+def grad_component(alpha: np.ndarray, K_i: GramMatrix | np.ndarray, rho_sq_d: float) -> float:
+    """The exact component g_i = -GRAD_SCALE * (alpha' K_i alpha) / rho_d^2 from
+    the dense product kernel K_i. K_i is PSD, so g_i <= 0; a quadratic form
+    that rounds below zero (where sum(alpha) is near 0, say) is read as 0."""
+    values = K_i.values if isinstance(K_i, GramMatrix) else np.asarray(K_i)
+    return -GRAD_SCALE * max(float(alpha @ values @ alpha), 0.0) / rho_sq_d
+
+
+def brute_force_q(
+    alpha: np.ndarray, ks: BaseKernelSet, rho: RhoSchedule, D: int
+) -> dict[MultiIndex, float]:
+    """Exact normalized |gradient| over every ordered tuple of degree <= D, the
+    law the proportional sampler draws from. Test oracle only: enumeration is
+    exponential in D and stops at ENUMERATION_GUARD tuples."""
+    enumerate_index_set(ks.indices, D)  # raises beyond the guard
+    magnitudes = {
+        idx: -grad_component(alpha, gram, rho.rho_sq[len(idx)])
+        for idx, gram in _iter_tuple_grams(ks, D)
+    }
+    total = sum(magnitudes.values())
+    if total <= 0:
+        raise SamplerError("zero total gradient mass; nothing to normalize")
+    return {idx: mass / total for idx, mass in magnitudes.items()}
+
+
 def full_gradient(
     alpha: np.ndarray, ks: BaseKernelSet, rho: RhoSchedule, enum: EnumeratedIndexSet
 ) -> np.ndarray:
@@ -86,18 +156,15 @@ def full_gradient(
 def uniform_draws(ks: BaseKernelSet, rho: RhoSchedule, seed: int):
     """The draw of uniform coordinate descent: one coordinate of the
     enumerated set, uniformly on the generator [seed, 2], with its exact
-    component from its dense product kernel, carrying the
+    component from its dense product kernel (`grad_component`), carrying the
     inverse-probability estimate size * g_i. The set is enumerated once,
-    here, so one beyond the guard fails before the loop starts. K_i is PSD,
-    so the exact component is <= 0; a quadratic form that rounds below zero
-    (where sum(alpha) is near 0, say) is read as 0."""
+    here, so one beyond the guard fails before the loop starts."""
     enum = enumerate_index_set(ks.indices, ks.D)
     rng = np.random.default_rng([int(seed), 2])
 
     def draw(alpha: np.ndarray, masses: DegreeMasses) -> GradSample:
         idx = enum.tuples[int(rng.integers(enum.size))]
-        gram = product_kernel_matrix(ks, idx).values
-        g_i = -GRAD_SCALE * max(float(alpha @ gram @ alpha), 0.0) / rho.rho_sq[len(idx)]
+        g_i = grad_component(alpha, product_kernel_matrix(ks, idx), rho.rho_sq[len(idx)])
         return GradSample(index=idx, value=enum.size * g_i, mass=total_mass_C(masses))
 
     return draw
@@ -109,25 +176,14 @@ def run_ucd(config, data: Dataset, ks: BaseKernelSet, rho: RhoSchedule) -> RunRe
     return run(config, data, ks, rho, draws=uniform_draws)
 
 
-@dataclass
-class FullGradResult:
-    theta_star: SparseTheta
-    # the dense inner solve at theta_star
-    final: DualState
-    records: list[RunRecord]
-    converged: bool
-
-    @property
-    def J_star(self) -> float:
-        return self.final.J_value
-
-
 def run_full_gradient(
     config, data: Dataset, ks: BaseKernelSet, rho: RhoSchedule, tol: float = 1e-8
-) -> FullGradResult:
+) -> RunResult:
     """Deterministic projected gradient descent with the exact full gradient and
     an Armijo backtracking line search, run until the relative objective change
-    drops below `tol` or config.T iterations elapse (partial result then).
+    drops below `tol` or config.T iterations elapse (partial result then). The
+    result's averaged and last iterates are both the final iterate, with its
+    dense inner solve; its step size reads "line-search".
 
     Per iteration this walks the whole enumerated set twice over n^2 entries
     (gradient components and the gradient's combined Gram), so the cost is
@@ -153,7 +209,7 @@ def run_full_gradient(
 
     records: list[RunRecord] = []
     started = time.perf_counter()
-    dual = solve_alpha(GramMatrix(K_theta), y)
+    dual = solve_dense(GramMatrix(K_theta), y)
     J = dual.J_value
     step = 1.0
     converged = False
@@ -194,7 +250,7 @@ def run_full_gradient(
             scale = 1.0 / norm if norm > 1.0 else 1.0
             cand *= scale
             K_cand = scale * (K_theta - t * K_grad)
-            dual_cand = solve_alpha(GramMatrix(K_cand), y)
+            dual_cand = solve_dense(GramMatrix(K_cand), y)
             if dual_cand.J_value <= J + armijo * float(grad @ (cand - theta)):
                 accepted = True
                 break
@@ -215,9 +271,13 @@ def run_full_gradient(
     theta_star = SparseTheta.from_dict(
         {idx: float(theta[p]) for idx, p in positions.items() if theta[p] != 0.0}
     )
-    return FullGradResult(
-        theta_star=theta_star,
-        final=solve_alpha(GramMatrix(exact_K(theta)), y),
+    final = solve_dense(GramMatrix(exact_K(theta)), y)
+    return RunResult(
+        theta_avg=theta_star,
+        final=final,
         records=records,
+        step_size="line-search",
+        theta_last=theta_star,
+        dual_last=final,
         converged=converged,
     )

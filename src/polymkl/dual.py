@@ -4,10 +4,7 @@ For the squared loss the inner minimization over predictors reduces to the
 symmetric positive-definite system (K_theta + n I) alpha = y, and the
 inner-minimized objective value is J = y . alpha / 2. Both identities are
 pinned by tests against a direct numerical minimization of the dual objective
-
-    G(alpha) = alpha' K alpha / 2 + (1/n) sum_t conj_loss_t(-n alpha_t),
-
-whose minimizer is alpha and whose negated minimum is J.
+(`baselines.dual_objective`).
 
 The learner hands the solver every combined Gram in the span of its
 support, K_theta = C diag(w) C' over s columns, one per distinct monomial:
@@ -17,10 +14,11 @@ Woodbury's identity turns the n x n system into the s x s capacitance system
 (n I + W^(1/2) C'C W^(1/2)) c = W^(1/2) C' y, whose eigenvalues are all >= n
 for any s as no weight is negative, and alpha = (y - C W^(1/2) c) / n:
 O(n s + s^3) with no n x n array. The dense Cholesky on a `GramMatrix`
-serves the enumerated baselines and the test oracles. Both call LAPACK
-potrf/potrs directly (`.lapack`), the routines behind scipy's
-cho_factor/cho_solve: at the small s of a descent loop the per-call checks
-and copies of those wrappers cost more than the arithmetic. Any nonzero `info` raises `DualSolveError`.
+(`baselines.solve_dense`) serves the enumerated baselines and the test
+oracles. Both call LAPACK potrf/potrs directly (`.lapack`), the routines
+behind scipy's cho_factor/cho_solve: at the small s of a descent loop the
+per-call checks and copies of those wrappers cost more than the arithmetic.
+Any nonzero `info` raises `DualSolveError`.
 """
 
 from __future__ import annotations
@@ -97,51 +95,14 @@ class DualState:
     n: int
 
 
-def dual_objective(alpha: np.ndarray, K: np.ndarray, y: np.ndarray) -> float:
-    """The minimized dual objective G(alpha); J = -min_alpha G."""
-    v = -len(y) * alpha
-    # the squared loss (tau - y_t)^2 / 2 has the conjugate v^2 / 2 + v y_t
-    return float(0.5 * alpha @ K @ alpha + np.mean(0.5 * v**2 + v * y))
-
-
-def solve_alpha(K_theta: GramMatrix | SupportGram | np.ndarray, y: np.ndarray) -> DualState:
-    """Solve (K_theta + n I) alpha = y by Cholesky; J = y . alpha / 2. A
-    SupportGram is solved through its capacitance system."""
-    if isinstance(K_theta, SupportGram):
-        return _solve_support(K_theta, y)
-    if isinstance(K_theta, GramMatrix):
-        K = K_theta.values
-        gram = K_theta
-    else:
-        K = np.asarray(K_theta, dtype=np.float64)
-        gram = GramMatrix(K)
-    y = np.asarray(y, dtype=np.float64)
-    n = len(y)
-    if K.shape != (n, n):
-        raise DualSolveError(f"K_theta shape {K.shape} does not match n={n}")
-    # a Fortran-ordered copy, so LAPACK factors it in place instead of making
-    # a second n x n copy of its own
-    system = np.array(K, order="F")
-    system[np.diag_indices_from(system)] += n
-    # finiteness was validated when the Gram was constructed
-    factor, info = dpotrf(system, lower=True, clean=False, overwrite_a=True)
-    if info:
-        raise DualSolveError(f"Cholesky failed on K_theta + nI: potrf info {info}")
-    alpha, info = dpotrs(factor, y, lower=True)
-    if info:
-        raise DualSolveError(f"solve failed on K_theta + nI: potrs info {info}")
-    if not np.all(np.isfinite(alpha)):
-        raise DualSolveError("non-finite dual solution; upstream state is corrupt")
-    return DualState(alpha=alpha, K_theta=gram, J_value=float(0.5 * y @ alpha), n=n)
-
-
-def _solve_support(K_theta: SupportGram, y: np.ndarray) -> DualState:
-    """Woodbury: with V = C W^(1/2), (V V' + n I)^-1 r = (r - V c) / n where
-    (n I + V'V) c = V' r, and V'V = W^(1/2) G W^(1/2) comes from the cached
-    Gram of the columns. Where K_theta outweighs n I along y, alpha is far
-    smaller than y and the subtraction cancels most of its digits, so one
-    step of refinement against the residual of (K_theta + n I) alpha = y
-    follows, through the same factor."""
+def solve_alpha(K_theta: SupportGram, y: np.ndarray) -> DualState:
+    """Solve (K_theta + n I) alpha = y; J = y . alpha / 2. Woodbury: with
+    V = C W^(1/2), (V V' + n I)^-1 r = (r - V c) / n where (n I + V'V) c = V' r,
+    and V'V = W^(1/2) G W^(1/2) comes from the cached Gram of the columns.
+    Where K_theta outweighs n I along y, alpha is far smaller than y and the
+    subtraction cancels most of its digits, so one step of refinement against
+    the residual of (K_theta + n I) alpha = y follows, through the same
+    factor."""
     y = np.asarray(y, dtype=np.float64)
     n = len(y)
     C = K_theta.columns

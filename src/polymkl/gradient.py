@@ -7,7 +7,10 @@ The component for product kernel i of degree d is
 
 always <= 0 because every K_i is PSD. GRAD_SCALE = 1/2 comes from
 differentiating the half-weighted penalty; it is pinned by the
-finite-difference tests and must not be changed independently of them.
+finite-difference tests and must not be changed independently of them. The
+learner never forms a single component: the degree masses sum them in
+closed form, and `baselines.grad_component` evaluates one from its dense
+product kernel, for the uniform draw and the oracles.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import MultiIndex
-from .kernels import BaseKernelSet, GramMatrix
+from .kernels import BaseKernelSet
 
 GRAD_SCALE = 0.5
 
@@ -79,11 +82,6 @@ class GradSample:
     index: MultiIndex
     value: float
     mass: float
-
-
-def grad_component(alpha: np.ndarray, K_i: GramMatrix | np.ndarray, rho_sq_d: float) -> float:
-    values = K_i.values if isinstance(K_i, GramMatrix) else np.asarray(K_i)
-    return float(-GRAD_SCALE * (alpha @ values @ alpha) / rho_sq_d)
 
 
 def degree_masses(alpha: np.ndarray, ks: BaseKernelSet, rho: RhoSchedule) -> DegreeMasses:

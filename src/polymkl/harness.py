@@ -50,6 +50,9 @@ from .kernels import BaseKernelSet, build_base_kernels, count_index_set
 
 ALGOS = ("stoch", "ucd", "fullgrad")
 
+# the scaling study skips the full-gradient solver on index sets larger than this
+_SCALING_ENUM_GUARD = 20000
+
 
 class ConfigError(ValueError):
     pass
@@ -76,7 +79,6 @@ class RunConfig:
     split_sizes: tuple[int, int, int] | None = None
     out: str = "run"
     checkpoint_every: int = 100
-    fullgrad_tol: float = 1e-8
     # flag (warn, never fail) if the gradient mass exceeds this multiple of its
     # starting value during a run
     mass_budget_factor: float = 10.0
@@ -169,19 +171,10 @@ def _dispatch(config: RunConfig, train: Dataset, ks: BaseKernelSet, rho: RhoSche
         return optimizer.run(config, train, ks, rho)
     if config.algo == "ucd":
         return baselines.run_ucd(config, train, ks, rho)
-    result = baselines.run_full_gradient(config, train, ks, rho, tol=config.fullgrad_tol)
-    return optimizer.RunResult(
-        theta_avg=result.theta_star,
-        final=result.final,
-        records=result.records,
-        step_size="line-search",
-        converged=result.converged,
-        theta_last=result.theta_star,
-        dual_last=result.final,
-    )
+    return baselines.run_full_gradient(config, train, ks, rho)
 
 
-def _test_mse(result, ks, rho, train: Dataset, queries: Dataset) -> float:
+def _test_mse(result, rho, train: Dataset, queries: Dataset) -> float:
     preds = predict(result.final, result.theta_avg, train.inputs, queries.inputs, rho)
     return float(np.mean((preds - queries.targets) ** 2))
 
@@ -202,7 +195,7 @@ def run_experiment(config: RunConfig) -> MetricsOutput:
             cand = replace(config, lam=lam, lambda_grid=None)
             rho = cand.rho_schedule()
             result = _dispatch(cand, train, ks, rho)
-            val_mse = _test_mse(result, ks, rho, train, val)
+            val_mse = _test_mse(result, rho, train, val)
             if best is None or val_mse < best[0]:
                 best = (val_mse, lam, result)
         # a fit is deterministic given its config, so the chosen fit is the
@@ -213,7 +206,7 @@ def run_experiment(config: RunConfig) -> MetricsOutput:
     else:
         rho = config.rho_schedule()
         result = _dispatch(config, train, ks, rho)
-    test_mse = _test_mse(result, ks, rho, train, test) if test is not None else float("nan")
+    test_mse = _test_mse(result, rho, train, test) if test is not None else float("nan")
     total_wall = time.perf_counter() - total_start
 
     summary = {
@@ -327,14 +320,13 @@ def run_scaling_study(
     base_spec: SyntheticSpec,
     T: int,
     seeds: list[int],
-    enum_guard: int = 20000,
     lam: float = 1e-5,
 ) -> list[dict]:
     """Median per-iteration wall time of the proportional sampler and the
     full-gradient solver across input dimensions, with the index-set sizes.
 
     The full-gradient column is skipped where the enumerated set would exceed
-    `enum_guard` tuples. Returns one row per r.
+    _SCALING_ENUM_GUARD tuples. Returns one row per r.
     """
     rows = []
     for r in r_values:
@@ -352,7 +344,7 @@ def run_scaling_study(
             rho = config.rho_schedule()
             result = optimizer.run(config, train, ks, rho)
             stoch_times.extend(_iteration_times(result.records))
-            if ordered <= enum_guard:
+            if ordered <= _SCALING_ENUM_GUARD:
                 full = baselines.run_full_gradient(config, train, ks, rho, tol=0.0)
                 full_times.extend(_iteration_times(full.records))
         row["stoch_s_per_iter"] = statistics.median(stoch_times)

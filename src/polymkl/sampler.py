@@ -19,8 +19,8 @@ nothing more. At the top feature degree K, where Phi_(K+1) is not held, they
 are colsum((Phi_K' U)^2) at n F_K m flops; at a dense degree one n x n by
 n x m product, n^2 m flops. Their sum over j telescopes to the previous
 position's chosen weight. The resulting joint law over ordered tuples is
-exactly the normalized |gradient| distribution, which `brute_force_q`
-enumerates densely for testing.
+exactly the normalized |gradient| distribution, which
+`baselines.brute_force_q` enumerates densely for testing.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ import numpy as np
 from .dataset import MultiIndex
 from .gradient import DegreeMasses, RhoSchedule, degree_masses
 from .kernels import BaseKernelSet
-
-ENUMERATION_GUARD = 10**6
 
 # round-off tolerance for masses that are nonnegative in exact arithmetic,
 # relative to the ambient mass scale
@@ -136,40 +134,3 @@ class SamplerWorkspace:
         squares = v * v
         return squares if remaining == 0 else self.ks.lifts[remaining] @ squares
 
-
-def sample_multi_index(
-    alpha: np.ndarray,
-    ks: BaseKernelSet,
-    rho: RhoSchedule,
-    rng: np.random.Generator,
-    masses: DegreeMasses | None = None,
-) -> MultiIndex:
-    """One-shot draw; long-running loops should hold a SamplerWorkspace instead."""
-    return SamplerWorkspace(ks, rho, rng).draw(alpha, masses)
-
-
-def brute_force_q(
-    alpha: np.ndarray, ks: BaseKernelSet, rho: RhoSchedule, D: int
-) -> dict[MultiIndex, float]:
-    """Exact normalized |gradient| over every ordered tuple of degree <= D.
-
-    Test oracle only: enumeration is exponential in D and guarded at
-    ENUMERATION_GUARD tuples.
-    """
-    size = sum(ks.num_kernels**d for d in range(D + 1))
-    if size > ENUMERATION_GUARD:
-        raise SamplerError(f"index set of size {size} exceeds enumeration guard")
-    masses: dict[MultiIndex, float] = {}
-    M0 = np.outer(alpha, alpha)
-
-    def visit(prefix: MultiIndex, M: np.ndarray):
-        masses[prefix] = float(M.sum()) / rho.rho_sq[len(prefix)]
-        if len(prefix) < D:
-            for j in ks.indices:
-                visit(prefix + (j,), M * ks.kernel(j))
-
-    visit((), M0)
-    total = sum(masses.values())
-    if total <= 0:
-        raise SamplerError("zero total gradient mass; nothing to normalize")
-    return {idx: mass / total for idx, mass in masses.items()}

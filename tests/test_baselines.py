@@ -16,10 +16,11 @@ from polymkl import (
     run_ucd,
     solve_alpha,
 )
-from polymkl.baselines import EnumerationError
+from polymkl import baselines
+from polymkl.baselines import EnumerationError, solve_dense
 from polymkl.dual import assemble_combined_gram
 from polymkl.gradient import GRAD_SCALE
-from polymkl.kernels import product_kernel_matrix
+from polymkl.kernels import GramMatrix, product_kernel_matrix
 
 
 def make_setup(n=5, r=2, D=1, seed=0):
@@ -55,9 +56,10 @@ class TestEnumerateIndexSet:
         assert enum.size == 13
         assert len(set(enum.tuples)) == 13
 
-    def test_guard(self):
+    def test_guard(self, monkeypatch):
+        monkeypatch.setattr(baselines, "ENUMERATION_GUARD", 1000)
         with pytest.raises(EnumerationError, match="guard"):
-            enumerate_index_set(10, 7, guard=1000)
+            enumerate_index_set(10, 7)
 
     def test_explicit_indices_with_constant(self):
         enum = enumerate_index_set([0, 1, 2], 1)
@@ -94,7 +96,7 @@ class TestRunUcd:
         for _ in range(T):
             values.append(theta)
             K = theta * np.ones((4, 4))
-            dual = solve_alpha(K, y)
+            dual = solve_dense(GramMatrix(K), y)
             g = -GRAD_SCALE * float(dual.alpha @ np.ones((4, 4)) @ dual.alpha)
             theta = min(max(theta - eta * g, 0.0), 1.0)
         assert result.theta_last.value(()) == pytest.approx(theta, rel=1e-12)
@@ -179,7 +181,7 @@ class TestRunFullGradient:
         flat = Dataset(inputs=data.inputs, targets=np.zeros(5))
         result = run_full_gradient(config_for(100), flat, ks, rho)
         assert result.converged
-        assert result.J_star == 0.0
+        assert result.final.J_value == 0.0
         assert len(result.records) == 1
 
     def test_single_coordinate_matches_scalar_minimization(self):
@@ -196,7 +198,7 @@ class TestRunFullGradient:
 
         scalar = scipy.optimize.minimize_scalar(J_of, bounds=(0.0, 1.0), method="bounded",
                                                 options={"xatol": 1e-12})
-        assert result.J_star == pytest.approx(scalar.fun, abs=1e-6)
+        assert result.final.J_value == pytest.approx(scalar.fun, abs=1e-6)
 
     def test_fixed_point_restart(self):
         data, ks, rho = make_setup(n=8, r=2, D=2, seed=10)
@@ -205,12 +207,13 @@ class TestRunFullGradient:
         assert first.converged
         # restarting from the optimum must not move the objective beyond tol
         y = data.targets
+        J_first = first.final.J_value
         J_restart = solve_alpha(
-            assemble_combined_gram(first.theta_star, ks, rho), y
+            assemble_combined_gram(first.theta_avg, ks, rho), y
         ).J_value
-        assert abs(J_restart - first.J_star) <= tol * max(abs(first.J_star), 1.0)
+        assert abs(J_restart - J_first) <= tol * max(abs(J_first), 1.0)
         again = run_full_gradient(config_for(50, D=2), data, ks, rho, tol=tol)
-        assert again.J_star <= first.J_star + tol * max(abs(first.J_star), 1.0) + 1e-15
+        assert again.final.J_value <= J_first + tol * max(abs(J_first), 1.0) + 1e-15
 
     def test_feasibility_and_iteration_cap(self):
         data, ks, rho = make_setup(n=6, r=2, D=2, seed=11)
@@ -226,4 +229,4 @@ class TestRunFullGradient:
         full = run_full_gradient(config_for(5000, D=2), data, ks, rho, tol=1e-12)
         for seed in range(3):
             stoch = run_stoch(config_for(300, seed=seed, D=2), data, ks, rho)
-            assert full.J_star <= stoch.final.J_value + 1e-6
+            assert full.final.J_value <= stoch.final.J_value + 1e-6

@@ -10,13 +10,13 @@ from polymkl import (
     SparseTheta,
     build_base_kernels,
     degree_masses,
-    grad_component,
     importance_estimate,
     objective_J,
     product_kernel_matrix,
     solve_alpha,
     total_mass_C,
 )
+from polymkl.baselines import grad_component
 from polymkl.dual import assemble_combined_gram
 
 
@@ -197,7 +197,7 @@ class TestUnbiasedness:
         # r=2, D=1, n=5: MC mean of the single-coordinate estimates agrees with
         # the exact gradient componentwise within 3 standard errors, and the
         # empirical draw frequencies match |g| / C
-        from polymkl import brute_force_q
+        from polymkl.baselines import brute_force_q
         from polymkl.sampler import SamplerWorkspace
 
         data, ks, rho = make_instance(n=5, r=2, D=1, seed=40)

@@ -18,6 +18,7 @@ from polymkl import (
     run_experiment,
     solve_alpha,
 )
+from polymkl.baselines import solve_dense
 from polymkl.dataset import gen_synthetic, standardize
 from polymkl.dual import assemble_combined_gram
 from polymkl.harness import ConfigError, main, read_theta_csv
@@ -464,7 +465,7 @@ class TestRhoPriorTiltsDegreeSampling:
             eta = None
             top = 0
             for _ in range(T):
-                dual = solve_alpha(state.combined_gram(), self.data.targets)
+                dual = solve_dense(state.combined_gram(), self.data.targets)
                 masses = degree_masses(dual.alpha, self.ks, rho)
                 if eta is None:
                     eta = default_step_size(total_mass_C(masses) ** 2, T)

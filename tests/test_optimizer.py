@@ -16,6 +16,7 @@ from polymkl import (
     run,
 )
 from polymkl import baselines, optimizer
+from polymkl.baselines import solve_dense
 from polymkl.dual import SupportGram, solve_alpha
 from polymkl.gradient import degree_masses, importance_estimate, total_mass_C
 from polymkl.sampler import SamplerWorkspace
@@ -599,7 +600,7 @@ class TestStepAverageAgainstManualLoop:
         thetas = []
         for _ in range(T):
             thetas.append(state.theta.as_dict())
-            dual = solve_alpha(state.combined_gram(), y)
+            dual = solve_dense(state.combined_gram(), y)
             masses = degree_masses(dual.alpha, ks, rho)
             if eta is None:
                 C0 = total_mass_C(masses)

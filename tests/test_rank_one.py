@@ -29,10 +29,11 @@ from polymkl import (
     degree_masses,
     run,
 )
+from polymkl.baselines import brute_force_q
 from polymkl.dual import assemble_combined_gram, predict, solve_alpha
 from polymkl.gradient import DegreeMasses, importance_estimate
 from polymkl.kernels import monomial_key, product_kernel_cross, product_kernel_matrix
-from polymkl.sampler import SamplerWorkspace, brute_force_q
+from polymkl.sampler import SamplerWorkspace
 
 RTOL = 1e-12
 

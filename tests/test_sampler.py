@@ -12,10 +12,10 @@ from polymkl import (
     Dataset,
     RhoSchedule,
     build_base_kernels,
-    brute_force_q,
     degree_masses,
-    sample_multi_index,
 )
+from polymkl import baselines
+from polymkl.baselines import EnumerationError, brute_force_q
 from polymkl.gradient import DegreeMasses
 from polymkl.sampler import _NEG_TOL, SamplerError, SamplerWorkspace, _draw_categorical
 
@@ -95,17 +95,11 @@ class TestBruteForceQ:
             degree_sum = sum(p for idx, p in q.items() if len(idx) == d)
             assert degree_sum == pytest.approx(masses.delta[d] / masses.total, abs=1e-12)
 
-    def test_enumeration_guard(self):
+    def test_enumeration_guard(self, monkeypatch):
         alpha, ks, rho = random_instance(n=4, r=3, D=2, seed=6)
-        with pytest.raises(SamplerError, match="guard"):
-            import polymkl.sampler as sampler_mod
-
-            old = sampler_mod.ENUMERATION_GUARD
-            sampler_mod.ENUMERATION_GUARD = 5
-            try:
-                brute_force_q(alpha, ks, rho, 2)
-            finally:
-                sampler_mod.ENUMERATION_GUARD = old
+        monkeypatch.setattr(baselines, "ENUMERATION_GUARD", 5)
+        with pytest.raises(EnumerationError, match="guard"):
+            brute_force_q(alpha, ks, rho, 2)
 
 
 def assert_law_matches(alpha, ks, rho, draws, seed, label):
@@ -170,8 +164,8 @@ class TestExactLaw:
 class TestDeterminismAndCost:
     def test_same_seed_same_sequence(self):
         alpha, ks, rho = random_instance(seed=30)
-        a = [sample_multi_index(alpha, ks, rho, np.random.default_rng(7)) for _ in range(20)]
-        b = [sample_multi_index(alpha, ks, rho, np.random.default_rng(7)) for _ in range(20)]
+        a = [SamplerWorkspace(ks, rho, np.random.default_rng(7)).draw(alpha) for _ in range(20)]
+        b = [SamplerWorkspace(ks, rho, np.random.default_rng(7)).draw(alpha) for _ in range(20)]
         assert a == b
 
     def test_cost_scales_linearly_in_r(self):
@@ -199,7 +193,7 @@ class TestDeterminismAndCost:
     def test_zero_mass_rejected(self):
         alpha, ks, rho = random_instance(seed=33)
         with pytest.raises(SamplerError):
-            sample_multi_index(np.zeros(ks.n), ks, rho, np.random.default_rng(0))
+            SamplerWorkspace(ks, rho, np.random.default_rng(0)).draw(np.zeros(ks.n))
 
     def test_inconsistent_degree_masses_raise(self):
         # all mass on degree 2, but twice what the position weights sum to:
@@ -208,7 +202,7 @@ class TestDeterminismAndCost:
         true = degree_masses(alpha, ks, rho).delta[2]
         bogus = DegreeMasses(delta=np.array([0.0, 0.0, 2.0 * true]), total=2.0 * true)
         with pytest.raises(SamplerError, match="telescoping"):
-            sample_multi_index(alpha, ks, rho, np.random.default_rng(0), bogus)
+            SamplerWorkspace(ks, rho, np.random.default_rng(0)).draw(alpha, bogus)
 
 
 class TestFirstPosition:

@@ -3,9 +3,9 @@
 The descent loop keeps the combined Gram as scale * C W C' over one cached
 column per distinct monomial and solves (K + n I) alpha = y through the
 s x s capacitance system. Here that path is checked on seeded instances
-against dense `solve_alpha` on the same Gram, against an extended-precision
-reference refined from the dense factor, and end to end against a run whose
-every inner solve is dense. The cache itself is checked against a re-sum of
+against the dense `baselines.solve_dense` on the same Gram, against an
+extended-precision reference refined from the dense factor, and end to end
+against a run whose every inner solve is dense. The cache itself is checked against a re-sum of
 its weights from theta and a fresh C'C.
 """
 
@@ -33,6 +33,8 @@ from polymkl import (
     standardize,
 )
 import polymkl.dual as dual_mod
+import polymkl.optimizer as optimizer_mod
+from polymkl.baselines import solve_dense
 from polymkl.dual import DualSolveError, SupportGram, solve_alpha
 from polymkl.kernels import GramMatrix
 from polymkl.optimizer import monomial_key
@@ -98,7 +100,7 @@ def assert_matches_dense(K: SupportGram, y: np.ndarray):
     J_reference = float(0.5 * (y.astype(np.longdouble) @ reference))
     assert relative(support.alpha.astype(np.longdouble), reference) <= 1e-12
     assert abs(support.J_value - J_reference) <= 1e-12 * abs(J_reference)
-    dense = solve_alpha(GramMatrix(K.dense()), y)
+    dense = solve_dense(GramMatrix(K.dense()), y)
     assert relative(support.alpha, dense.alpha) <= 1e-10
     # the dense Cholesky of K + n I loses digits with its condition number:
     # at lambda = 1e-6 its J is up to 2e-11 off the reference, so the bound
@@ -224,6 +226,10 @@ def test_run_matches_dense_inner_solves(monkeypatch):
     """The README grid config (r=5, 200 train rows, D=3, constant on,
     lambda in 1e-6, 1e-4, 1e-2, T=1000), once as is and once with every loop
     solve handed the dense combined Gram."""
+
+    def dense_solve(K, y):
+        return solve_dense(GramMatrix(K.dense()), y)
+
     spec = SyntheticSpec(r=5, n_train=300, n_test=100, seed=0)
     train_big, _, _ = gen_synthetic(spec)
     train, _ = standardize(Dataset(train_big.inputs[:200], train_big.targets[:200]))
@@ -233,7 +239,7 @@ def test_run_matches_dense_inner_solves(monkeypatch):
         rho = RhoSchedule.uniform(3).scaled(lam)
         support = run(config, train, ks, rho).records
         with monkeypatch.context() as patch:
-            patch.setattr(OptimizerState, "support_gram", OptimizerState.combined_gram)
+            patch.setattr(optimizer_mod, "solve_alpha", dense_solve)
             dense = run(config, train, ks, rho).records
         assert [r.support_size for r in support] == [r.support_size for r in dense]
         for a, b in zip(support, dense):
@@ -300,7 +306,7 @@ def test_lapack_solves_match_cho_factor_route_bitwise():
         assert np.array_equal(got.alpha, expected)
         assert got.J_value == float(0.5 * y @ expected)
         dense = K.dense()
-        got = solve_alpha(GramMatrix(dense), y)
+        got = solve_dense(GramMatrix(dense), y)
         assert np.array_equal(got.alpha, dense_solve_reference(dense, y))
         count += 1
     assert count == 3 * 3 * 2 * 4 + 3
@@ -339,7 +345,7 @@ def test_any_nonzero_lapack_info_raises(monkeypatch, routine, info):
 def test_indefinite_dense_system_raises():
     _, y = not_positive_definite()
     with pytest.raises(DualSolveError, match="potrf info"):
-        solve_alpha(GramMatrix(-100.0 * np.eye(len(y))), y)
+        solve_dense(GramMatrix(-100.0 * np.eye(len(y))), y)
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:
