@@ -9,7 +9,6 @@ enumerated kernel set and a CLI benchmark harness are included.
 """
 
 from .baselines import (
-    EnumeratedIndexSet,
     brute_force_q,
     dual_objective,
     enumerate_index_set,
@@ -51,7 +50,6 @@ from .gradient import (
 from .harness import MetricsOutput, RunConfig, parse_cli, run_experiment, run_scaling_study
 from .kernels import (
     BaseKernelSet,
-    GramMatrix,
     KernelError,
     build_base_kernels,
     count_index_set,

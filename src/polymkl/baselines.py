@@ -7,24 +7,25 @@ oracles the learner's fast paths are tested against: `solve_dense`,
 
 Both solvers pay the honest enumeration cost per iteration, which is what the
 scaling benchmarks contrast against the proportional sampler. The
-full-gradient solver doubles as the optimum oracle in tests. Every walk over
-the enumerated set is `_iter_tuple_grams`, and every enumeration stops at
-ENUMERATION_GUARD tuples (`enumerate_index_set`). This module imports the
-learner; no module of the learner imports it.
+full-gradient solver doubles as the optimum oracle in tests. Every dense Gram
+here is a plain n x n array, and every walk over the enumerated set is
+`_iter_tuple_grams`, which builds each base Gram afresh from the inputs.
+Every enumeration is a list of tuples from `enumerate_index_set` and stops
+at ENUMERATION_GUARD tuples. This module imports the learner; no module of
+the learner imports it.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import Dataset, MultiIndex
 from .dual import DualSolveError, DualState
 from .gradient import GRAD_SCALE, DegreeMasses, GradSample, RhoSchedule, total_mass_C
-from .kernels import BaseKernelSet, GramMatrix, product_kernel_matrix
+from .kernels import BaseKernelSet, product_kernel_matrix
 from .lapack import dpotrf, dpotrs
 from .optimizer import RunRecord, RunResult, SparseTheta, run
 from .sampler import SamplerError
@@ -36,21 +37,11 @@ class EnumerationError(ValueError):
     pass
 
 
-@dataclass
-class EnumeratedIndexSet:
-    """All ordered multi-indices of degree <= D, lexicographic within degree."""
-
-    tuples: list[MultiIndex]
-
-    @property
-    def size(self) -> int:
-        return len(self.tuples)
-
-
-def enumerate_index_set(r_indices, D: int) -> EnumeratedIndexSet:
-    """Enumerate every ordered tuple over the given base-kernel indices up to
-    degree D. `r_indices` may be an int r (meaning indices 1..r) or an explicit
-    index list. A set beyond ENUMERATION_GUARD tuples raises."""
+def enumerate_index_set(r_indices, D: int) -> list[MultiIndex]:
+    """Every ordered tuple over the given base-kernel indices up to degree D,
+    by degree and lexicographic within one. `r_indices` may be an int r
+    (meaning indices 1..r) or an explicit index list. A set beyond
+    ENUMERATION_GUARD tuples raises."""
     if isinstance(r_indices, int):
         if r_indices < 1:
             raise EnumerationError("need at least one base kernel")
@@ -65,36 +56,46 @@ def enumerate_index_set(r_indices, D: int) -> EnumeratedIndexSet:
     tuples: list[MultiIndex] = []
     for d in range(D + 1):
         tuples.extend(itertools.product(indices, repeat=d))
-    return EnumeratedIndexSet(tuples=tuples)
+    return tuples
 
 
 def _iter_tuple_grams(ks: BaseKernelSet, D: int):
     """Depth-first walk of all tuples with prefix Hadamard products shared, so
-    each tuple costs one elementwise multiply. Yields (tuple, Gram)."""
-    ones = np.ones((ks.n, ks.n))
+    each tuple costs one elementwise multiply by its last base Gram, which is
+    built afresh from the inputs: x_j x_j', or all ones for index 0. Yields
+    (tuple, Gram)."""
+
+    def base(j: int) -> np.ndarray:
+        if j == 0:
+            return np.ones((ks.n, ks.n))
+        x = ks.inputs[:, j - 1]
+        return np.outer(x, x)
 
     def walk(prefix: MultiIndex, mat: np.ndarray):
         yield prefix, mat
         if len(prefix) < D:
             for j in ks.indices:
-                yield from walk(prefix + (j,), mat * ks.kernel(j))
+                yield from walk(prefix + (j,), mat * base(j))
 
-    yield from walk((), ones)
+    yield from walk((), np.ones((ks.n, ks.n)))
 
 
-def solve_dense(K_theta: GramMatrix, y: np.ndarray) -> DualState:
+def solve_dense(K_theta: np.ndarray, y: np.ndarray) -> DualState:
     """Solve (K_theta + n I) alpha = y by a dense Cholesky, O(n^3); J = y . alpha / 2.
-    The enumerated baselines' solve, and the oracle for `dual.solve_alpha`."""
-    K = K_theta.values
+    The enumerated baselines' solve, and the oracle for `dual.solve_alpha`.
+    K_theta must be n x n and finite, or DualSolveError is raised before
+    anything is factored."""
+    K = np.asarray(K_theta, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = len(y)
     if K.shape != (n, n):
         raise DualSolveError(f"K_theta shape {K.shape} does not match n={n}")
+    if not np.all(np.isfinite(K)):
+        raise DualSolveError("non-finite entry in K_theta")
     # a Fortran-ordered copy, so LAPACK factors it in place instead of making
     # a second n x n copy of its own
     system = np.array(K, order="F")
     system[np.diag_indices_from(system)] += n
-    # finiteness was validated when the Gram was constructed
     factor, info = dpotrf(system, lower=True, clean=False, overwrite_a=True)
     if info:
         raise DualSolveError(f"Cholesky failed on K_theta + nI: potrf info {info}")
@@ -103,7 +104,7 @@ def solve_dense(K_theta: GramMatrix, y: np.ndarray) -> DualState:
         raise DualSolveError(f"solve failed on K_theta + nI: potrs info {info}")
     if not np.all(np.isfinite(alpha)):
         raise DualSolveError("non-finite dual solution; upstream state is corrupt")
-    return DualState(alpha=alpha, K_theta=K_theta, J_value=float(0.5 * y @ alpha), n=n)
+    return DualState(alpha=alpha, K_theta=K, J_value=float(0.5 * y @ alpha))
 
 
 def dual_objective(alpha: np.ndarray, K: np.ndarray, y: np.ndarray) -> float:
@@ -117,12 +118,11 @@ def dual_objective(alpha: np.ndarray, K: np.ndarray, y: np.ndarray) -> float:
     return float(0.5 * alpha @ K @ alpha + np.mean(0.5 * v**2 + v * y))
 
 
-def grad_component(alpha: np.ndarray, K_i: GramMatrix | np.ndarray, rho_sq_d: float) -> float:
+def grad_component(alpha: np.ndarray, K_i: np.ndarray, rho_sq_d: float) -> float:
     """The exact component g_i = -GRAD_SCALE * (alpha' K_i alpha) / rho_d^2 from
     the dense product kernel K_i. K_i is PSD, so g_i <= 0; a quadratic form
     that rounds below zero (where sum(alpha) is near 0, say) is read as 0."""
-    values = K_i.values if isinstance(K_i, GramMatrix) else np.asarray(K_i)
-    return -GRAD_SCALE * max(float(alpha @ values @ alpha), 0.0) / rho_sq_d
+    return -GRAD_SCALE * max(float(alpha @ K_i @ alpha), 0.0) / rho_sq_d
 
 
 def brute_force_q(
@@ -143,14 +143,14 @@ def brute_force_q(
 
 
 def full_gradient(
-    alpha: np.ndarray, ks: BaseKernelSet, rho: RhoSchedule, enum: EnumeratedIndexSet
+    alpha: np.ndarray, ks: BaseKernelSet, rho: RhoSchedule, tuples: list[MultiIndex]
 ) -> np.ndarray:
     """Every gradient component over the enumerated set, in its tuple order."""
     M = np.outer(alpha, alpha)
     by_tuple = {}
     for idx, gram in _iter_tuple_grams(ks, rho.D):
         by_tuple[idx] = -GRAD_SCALE * float(np.vdot(M, gram)) / rho.rho_sq[len(idx)]
-    return np.array([by_tuple[idx] for idx in enum.tuples])
+    return np.array([by_tuple[idx] for idx in tuples])
 
 
 def uniform_draws(ks: BaseKernelSet, rho: RhoSchedule, seed: int):
@@ -159,13 +159,14 @@ def uniform_draws(ks: BaseKernelSet, rho: RhoSchedule, seed: int):
     component from its dense product kernel (`grad_component`), carrying the
     inverse-probability estimate size * g_i. The set is enumerated once,
     here, so one beyond the guard fails before the loop starts."""
-    enum = enumerate_index_set(ks.indices, ks.D)
+    tuples = enumerate_index_set(ks.indices, ks.D)
+    size = len(tuples)
     rng = np.random.default_rng([int(seed), 2])
 
     def draw(alpha: np.ndarray, masses: DegreeMasses) -> GradSample:
-        idx = enum.tuples[int(rng.integers(enum.size))]
+        idx = tuples[int(rng.integers(size))]
         g_i = grad_component(alpha, product_kernel_matrix(ks, idx), rho.rho_sq[len(idx)])
-        return GradSample(index=idx, value=enum.size * g_i, mass=total_mass_C(masses))
+        return GradSample(index=idx, value=size * g_i, mass=total_mass_C(masses))
 
     return draw
 
@@ -190,14 +191,14 @@ def run_full_gradient(
     proportional to the index-set size by construction.
     """
     T = int(config.T)
-    enum = enumerate_index_set(ks.indices, ks.D)
+    tuples = enumerate_index_set(ks.indices, ks.D)
     y = data.targets
     n = ks.n
     rho_sq_by_len = rho.rho_sq
 
-    theta = np.zeros(enum.size)
+    theta = np.zeros(len(tuples))
     K_theta = np.zeros((n, n))
-    positions = {idx: p for p, idx in enumerate(enum.tuples)}
+    positions = {idx: p for p, idx in enumerate(tuples)}
 
     def exact_K(th: np.ndarray) -> np.ndarray:
         K = np.zeros((n, n))
@@ -209,14 +210,14 @@ def run_full_gradient(
 
     records: list[RunRecord] = []
     started = time.perf_counter()
-    dual = solve_dense(GramMatrix(K_theta), y)
+    dual = solve_dense(K_theta, y)
     J = dual.J_value
     step = 1.0
     converged = False
     armijo = 1e-4
     for k in range(1, T + 1):
         M = np.outer(dual.alpha, dual.alpha)
-        grad = np.empty(enum.size)
+        grad = np.empty(len(tuples))
         K_grad = np.zeros((n, n))
         for idx, gram in _iter_tuple_grams(ks, rho.D):
             rsq = rho_sq_by_len[len(idx)]
@@ -250,7 +251,7 @@ def run_full_gradient(
             scale = 1.0 / norm if norm > 1.0 else 1.0
             cand *= scale
             K_cand = scale * (K_theta - t * K_grad)
-            dual_cand = solve_dense(GramMatrix(K_cand), y)
+            dual_cand = solve_dense(K_cand, y)
             if dual_cand.J_value <= J + armijo * float(grad @ (cand - theta)):
                 accepted = True
                 break
@@ -271,7 +272,7 @@ def run_full_gradient(
     theta_star = SparseTheta.from_dict(
         {idx: float(theta[p]) for idx, p in positions.items() if theta[p] != 0.0}
     )
-    final = solve_dense(GramMatrix(exact_K(theta)), y)
+    final = solve_dense(exact_K(theta), y)
     return RunResult(
         theta_avg=theta_star,
         final=final,

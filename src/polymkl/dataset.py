@@ -26,7 +26,6 @@ class Dataset:
 
     inputs: np.ndarray
     targets: np.ndarray
-    feature_names: list[str] | None = None
 
     def __post_init__(self):
         inputs = np.asarray(self.inputs, dtype=np.float64)
@@ -39,8 +38,6 @@ class Dataset:
             )
         if not np.all(np.isfinite(inputs)) or not np.all(np.isfinite(targets)):
             raise DatasetError("non-finite entry in inputs or targets")
-        if self.feature_names is not None and len(self.feature_names) != inputs.shape[1]:
-            raise DatasetError("feature_names length does not match column count")
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "targets", targets)
 
@@ -58,7 +55,7 @@ class StandardizerParams:
     """Per-column affine transform fitted by :func:`standardize`.
 
     Scales use the population convention (divide by n). Constant columns get
-    mean = value, scale = 1, so they map to all zeros and invert exactly.
+    mean = value, scale = 1, so they map to all zeros.
     """
 
     mean: np.ndarray
@@ -74,14 +71,6 @@ class StandardizerParams:
         return Dataset(
             inputs=(data.inputs - self.mean) / self.scale,
             targets=(data.targets - self.target_mean) / self.target_scale,
-            feature_names=data.feature_names,
-        )
-
-    def invert(self, data: Dataset) -> Dataset:
-        return Dataset(
-            inputs=data.inputs * self.scale + self.mean,
-            targets=data.targets * self.target_scale + self.target_mean,
-            feature_names=data.feature_names,
         )
 
 
@@ -103,8 +92,9 @@ class SyntheticSpec:
             raise DatasetError("max_degree must be nonnegative")
 
 
-def load_csv(path, has_header: bool = False) -> Dataset:
-    """Read a comma-separated numeric file; the last column is the target.
+def load_csv(path) -> Dataset:
+    """Read a comma-separated numeric file without a header row; the last
+    column is the target.
 
     Every row must have the same column count (>= 2). Cell errors are reported
     with 1-based row/column positions.
@@ -116,12 +106,6 @@ def load_csv(path, has_header: bool = False) -> Dataset:
     with fh:
         reader = csv.reader(fh)
         rows = [row for row in reader if row]
-    names = None
-    if has_header:
-        if not rows:
-            raise DatasetError(f"{path}: no rows")
-        names = [cell.strip() for cell in rows[0][:-1]]
-        rows = rows[1:]
     if not rows:
         raise DatasetError(f"{path}: no rows")
     width = len(rows[0])
@@ -138,7 +122,7 @@ def load_csv(path, has_header: bool = False) -> Dataset:
                 raise DatasetError(
                     f"{path}: non-numeric cell {cell!r} at row {i + 1}, column {j + 1}"
                 ) from None
-    return Dataset(inputs=values[:, :-1], targets=values[:, -1], feature_names=names)
+    return Dataset(inputs=values[:, :-1], targets=values[:, -1])
 
 
 def standardize(data: Dataset) -> tuple[Dataset, StandardizerParams]:
@@ -179,13 +163,7 @@ def split(
         if size == 0:
             parts.append(None)
         else:
-            parts.append(
-                Dataset(
-                    inputs=data.inputs[idx],
-                    targets=data.targets[idx],
-                    feature_names=data.feature_names,
-                )
-            )
+            parts.append(Dataset(inputs=data.inputs[idx], targets=data.targets[idx]))
     return tuple(parts)
 
 
@@ -195,13 +173,6 @@ def count_monomials(r: int, max_degree: int) -> int:
     if max_degree == 0:
         return 1
     return sum(math.comb(r + d - 1, d) for d in range(1, max_degree + 1))
-
-
-def _monomial_values(inputs: np.ndarray, term: MultiIndex) -> np.ndarray:
-    out = np.ones(inputs.shape[0])
-    for var in term:
-        out = out * inputs[:, var - 1]
-    return out
 
 
 def gen_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset, list[MultiIndex]]:
@@ -234,18 +205,20 @@ def gen_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset, list[MultiInde
         seen.add(term)
         terms.append(term)
 
-    targets = np.zeros(n_total)
-    for term in terms:
-        targets += _monomial_values(inputs, term)
-
+    targets = synthetic_target(inputs, terms)
     train = Dataset(inputs=inputs[: spec.n_train], targets=targets[: spec.n_train])
     test = Dataset(inputs=inputs[spec.n_train :], targets=targets[spec.n_train :])
     return train, test, terms
 
 
 def synthetic_target(inputs: np.ndarray, truth: list[MultiIndex]) -> np.ndarray:
-    """Recompute the noise-free target for raw inputs from a truth term list."""
-    targets = np.zeros(np.asarray(inputs).shape[0])
+    """The noise-free target for raw inputs from a truth term list: the sum of
+    its monomials, each the product of its 1-based variables' columns."""
+    inputs = np.asarray(inputs)
+    targets = np.zeros(inputs.shape[0])
     for term in truth:
-        targets += _monomial_values(np.asarray(inputs), term)
+        values = np.ones(inputs.shape[0])
+        for var in term:
+            values = values * inputs[:, var - 1]
+        targets += values
     return targets

@@ -13,7 +13,7 @@ the descent loop from its cache, and the final solves from
 Woodbury's identity turns the n x n system into the s x s capacitance system
 (n I + W^(1/2) C'C W^(1/2)) c = W^(1/2) C' y, whose eigenvalues are all >= n
 for any s as no weight is negative, and alpha = (y - C W^(1/2) c) / n:
-O(n s + s^3) with no n x n array. The dense Cholesky on a `GramMatrix`
+O(n s + s^3) with no n x n array. The dense Cholesky on an n x n array
 (`baselines.solve_dense`) serves the enumerated baselines and the test
 oracles. Both call LAPACK potrf/potrs directly (`.lapack`), the routines
 behind scipy's cho_factor/cho_solve: at the small s of a descent loop the
@@ -32,7 +32,6 @@ import numpy as np
 # (bench/measure.py) wraps this module attribute by name, so it stays imported
 from .kernels import (  # noqa: F401
     BaseKernelSet,
-    GramMatrix,
     KernelError,
     monomial_key,
     product_columns,
@@ -86,13 +85,13 @@ class SupportGram:
 
 @dataclass(frozen=True)
 class DualState:
-    """The inner solve at one Gram: a `SupportGram` in the learner, a dense
-    `GramMatrix` in the enumerated baselines and the oracles."""
+    """The inner solve at one Gram, held as the solve took it: a
+    `SupportGram` in the learner, a dense n x n array in the enumerated
+    baselines and the oracles."""
 
     alpha: np.ndarray
-    K_theta: GramMatrix | SupportGram
+    K_theta: SupportGram | np.ndarray
     J_value: float
-    n: int
 
 
 def solve_alpha(K_theta: SupportGram, y: np.ndarray) -> DualState:
@@ -135,7 +134,7 @@ def solve_alpha(K_theta: SupportGram, y: np.ndarray) -> DualState:
         alpha += solve(y - n * alpha - C @ (weights * (C.T @ alpha)))
     if not np.all(np.isfinite(alpha)):
         raise DualSolveError("non-finite dual solution; upstream state is corrupt")
-    return DualState(alpha=alpha, K_theta=K_theta, J_value=float(0.5 * y @ alpha), n=n)
+    return DualState(alpha=alpha, K_theta=K_theta, J_value=float(0.5 * y @ alpha))
 
 
 def monomial_weights(theta, rho) -> tuple[list, np.ndarray]:

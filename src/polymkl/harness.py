@@ -79,9 +79,6 @@ class RunConfig:
     split_sizes: tuple[int, int, int] | None = None
     out: str = "run"
     checkpoint_every: int = 100
-    # flag (warn, never fail) if the gradient mass exceeds this multiple of its
-    # starting value during a run
-    mass_budget_factor: float = 10.0
 
     def __post_init__(self):
         if self.algo not in ALGOS:
@@ -145,7 +142,7 @@ def _prepare_data(config: RunConfig):
     Returns (train, val, test, params). `val` may be None.
     """
     if config.data_path is not None:
-        full = load_csv(config.data_path, has_header=False)
+        full = load_csv(config.data_path)
         n_train, n_val, n_test = config.split_sizes
         train, val, test = split(full, n_train, n_val, n_test, seed=config.seed)
     else:

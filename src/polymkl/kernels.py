@@ -16,17 +16,15 @@ the dense S^(.)k elsewhere (n^2). Beside each feature degree k+1 it holds
 the m x F_(k+1) lift L_k: for any u, the squared column norms of
 Phi_k'(u * Z) are L_k (Phi_(k+1)' u)^2, so the sampler reads a position's
 weights off one projection onto the next degree's features. The fast paths
-work on these columns;
-`product_kernel_matrix`, `product_kernel_cross` and `BaseKernelSet.kernel`
-build Grams straight from the inputs and serve as the independent oracles.
-The tests and baselines take them dense (n x n); the descent loop's Gram
-check takes one 1 x n row of `product_kernel_cross`.
+work on these columns; `product_kernel_matrix` and `product_kernel_cross`
+build Grams as plain arrays straight from the inputs and serve as the
+independent oracles. The tests and baselines take them dense (n x n); the
+descent loop's Gram check takes one 1 x n row of `product_kernel_cross`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,21 +33,6 @@ from .dataset import Dataset, MultiIndex
 
 class KernelError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class GramMatrix:
-    """A square n x n kernel matrix, checked finite on construction."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2 or values.shape[0] != values.shape[1]:
-            raise KernelError(f"Gram matrix must be square, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise KernelError("non-finite entry in Gram matrix")
-        object.__setattr__(self, "values", values)
 
 
 class BaseKernelSet:
@@ -72,9 +55,8 @@ class BaseKernelSet:
     v = Phi_(k+1)' u. Each column of L_k sums to 1, so the weights sum to
     |v|^2. L_0 is the identity and is not stored.
 
-    No n x n base Gram is stored; `kernel(j)` builds one on demand. Shared
-    read-only by the sampler, gradient, and optimizer code; never mutated
-    after construction.
+    No n x n base Gram is stored. Shared read-only by the sampler, gradient,
+    and optimizer code; never mutated after construction.
     """
 
     def __init__(self, inputs: np.ndarray, include_constant: bool, D: int):
@@ -159,16 +141,6 @@ class BaseKernelSet:
                     raise KernelError(f"no base kernel with index {j}")
         return product_columns(self.inputs, tuples)
 
-    def kernel(self, j: int) -> np.ndarray:
-        """Dense n x n Gram of base kernel j, built on demand straight from the
-        inputs, without the column code it serves as an oracle for."""
-        if j not in self._position:
-            raise KernelError(f"no base kernel with index {j}")
-        if j == 0:
-            return np.ones((self.n, self.n))
-        x = self.inputs[:, j - 1]
-        return np.outer(x, x)
-
 
 def monomial_key(idx: MultiIndex) -> MultiIndex:
     """The monomial a tuple's product kernel is: its sorted nonzero base
@@ -200,12 +172,22 @@ def build_base_kernels(data: Dataset, include_constant: bool, D: int) -> BaseKer
     return BaseKernelSet(data.inputs, include_constant, D)
 
 
-def product_kernel_matrix(ks: BaseKernelSet, idx: MultiIndex) -> GramMatrix:
-    """Elementwise product of the selected base Grams; empty idx is all-ones."""
+def product_kernel_matrix(ks: BaseKernelSet, idx: MultiIndex) -> np.ndarray:
+    """Dense n x n Gram of product kernel idx, the elementwise product of its
+    base Grams x_j x_j' built straight from the inputs, without the column
+    code it serves as an oracle for; index 0 is the all-ones factor and the
+    empty idx gives all ones. Raises KernelError on an index outside
+    `ks.indices` or a non-finite entry."""
     out = np.ones((ks.n, ks.n))
     for j in idx:
-        out *= ks.kernel(j)
-    return GramMatrix(out)
+        if j not in ks.indices:
+            raise KernelError(f"no base kernel with index {j}")
+        if j != 0:
+            x = ks.inputs[:, j - 1]
+            out *= np.outer(x, x)
+    if not np.all(np.isfinite(out)):
+        raise KernelError(f"non-finite entry in the Gram of {idx}")
+    return out
 
 
 def product_kernel_cross(

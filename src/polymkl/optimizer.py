@@ -46,7 +46,6 @@ from .gradient import (
 # (bench/measure.py) wraps this module attribute by name, so it stays imported
 from .kernels import (  # noqa: F401
     BaseKernelSet,
-    GramMatrix,
     monomial_key,
     product_kernel_cross,
     product_kernel_matrix,
@@ -71,6 +70,13 @@ _NORM_REFRESH = 256
 # the spacing of the subnormals: below the normal range a rounding errs by up
 # to half of it, however small its result
 _SUBNORMAL = math.ulp(0.0)
+
+# the relative tolerance of every comparison in `check_combined_gram`
+_GRAM_CHECK_RTOL = 1e-9
+
+# flag (warn, never fail) a run whose gradient mass exceeds this multiple of
+# its starting value
+MASS_BUDGET_FACTOR = 10.0
 
 
 class SparseTheta:
@@ -250,26 +256,17 @@ class OptimizerState:
         """The cached monomial keys, in column order."""
         return list(self._slot_of_key)
 
-    def _support_form(self, scale: float) -> SupportGram:
-        s = self.num_columns
-        return SupportGram(self._C[:, :s], self._G[:s, :s], scale * self._w[:s])
-
     def support_gram(self) -> SupportGram:
         """The current combined Gram in support form. The columns and G of
         the slots it covers are never rewritten, and the weights are a copy,
         so it stays valid after later steps."""
-        return self._support_form(self.theta.scale)
+        s = self.num_columns
+        return SupportGram(self._C[:, :s], self._G[:s, :s], self.theta.scale * self._w[:s])
 
-    @property
-    def combined_unscaled(self) -> np.ndarray:
-        """C W C', the combined Gram without the scale, built dense from the
-        cache on each read (n x n; for oracles and tests)."""
-        return self._support_form(1.0).dense()
-
-    def combined_gram(self) -> GramMatrix:
+    def combined_gram(self) -> np.ndarray:
         """The current combined Gram, built dense from the cache into a fresh
         array (n x n; for oracles and tests)."""
-        return GramMatrix(self._support_form(self.theta.scale).dense())
+        return self.support_gram().dense()
 
     def rebuild_combined_gram(self) -> SupportGram:
         """The combined Gram in support form, assembled afresh from theta's
@@ -393,7 +390,7 @@ class OptimizerState:
                 self._rebase()
         return self
 
-    def check_combined_gram(self, rel_tol: float = 1e-9):
+    def check_combined_gram(self):
         """Raise FloatingPointError if the cached weights have drifted from a
         re-sum over theta, if the cached G differs from a fresh C'C, if the
         cached Gram times a fixed probe vector differs from the same product
@@ -404,7 +401,8 @@ class OptimizerState:
         slot or a wrong column of any monomial; the kernel entries come
         straight from the inputs and share no code with the columns at all.
 
-        The weight drift may reach rel_tol times the largest weight, plus one
+        Each bound is _GRAM_CHECK_RTOL times the size of what it compares.
+        The weight drift may reach it times the largest weight, plus one
         smallest subnormal per rounding behind it (per step taken, and per
         re-summed term): below the normal range a rounding costs an absolute
         half ulp, which no relative bound covers."""
@@ -415,19 +413,19 @@ class OptimizerState:
         drift = float(np.max(np.abs(self._w[:s] - resummed), initial=0.0))
         roundings = self.iter + max(map(len, terms), default=0)
         # written so that a NaN fails it too
-        if not drift <= rel_tol * denom + roundings * _SUBNORMAL:
+        if not drift <= _GRAM_CHECK_RTOL * denom + roundings * _SUBNORMAL:
             raise FloatingPointError(f"cached support weights drifted: {drift:.3e} of {denom:.3e}")
         C = self._C[:, :s]
         fresh = C.T @ C
         error = np.linalg.norm(self._G[:s, :s] - fresh)
-        if not error <= rel_tol * np.linalg.norm(fresh):
+        if not error <= _GRAM_CHECK_RTOL * np.linalg.norm(fresh):
             raise FloatingPointError(f"cached column Gram disagrees with C'C: {error:.3e}")
         # a fixed probe, made once per state, so the check draws nothing from
         # the run's generator
         if self._probe is None:
             self._probe = np.random.default_rng(0).standard_normal(self.ks.n)
         probe = self._probe
-        K = self._support_form(self.theta.scale)
+        K = self.support_gram()
         cached = K.columns @ (K.weights * (K.columns.T @ probe))
         columns, weights = support_columns(self.theta, self.ks, self.rho)
         along = columns.T @ probe
@@ -435,16 +433,16 @@ class OptimizerState:
         # the size of the sum before any cancellation between its terms
         size = np.linalg.norm(np.abs(columns) @ (weights * np.abs(along)))
         error = np.linalg.norm(cached - expected)
-        if not error <= rel_tol * size:
+        if not error <= _GRAM_CHECK_RTOL * size:
             raise FloatingPointError(
                 f"cached Gram disagrees with the support tuples' own columns: "
                 f"{error:.3e} of {size:.3e}"
             )
         if self.last_index is not None:
             slot = self._slot_of_tuple[self.last_index]
-            self._check_column(self.last_index, self._C[:, slot], rel_tol)
+            self._check_column(self.last_index, self._C[:, slot])
 
-    def _check_column(self, idx: MultiIndex, z: np.ndarray, rel_tol: float):
+    def _check_column(self, idx: MultiIndex, z: np.ndarray):
         """Compare z z' with entries of the product kernel K of idx, taken
         straight from the inputs: its diagonal d and its row p = argmax d.
         For the rank-one K = w w' this is z z' = K: the diagonal fixes
@@ -456,7 +454,7 @@ class OptimizerState:
             if j != 0:
                 diagonal *= inputs[:, j - 1] * inputs[:, j - 1]
         p = int(np.argmax(diagonal))
-        bound = rel_tol * diagonal[p]
+        bound = _GRAM_CHECK_RTOL * diagonal[p]
         if diagonal[p] == 0.0:
             if np.any(z):
                 raise FloatingPointError(f"column of {idx} is nonzero where its kernel is zero")
@@ -520,8 +518,7 @@ def run(
     after it, is in support form.
 
     `config` is a `RunConfig`; the loop reads its fields T, step (None for
-    the default 1 / sqrt(C0^2 T)), seed, checkpoint_every (>= 1) and
-    mass_budget_factor. `draws(ks, rho, seed)` is called once, before the
+    the default 1 / sqrt(C0^2 T)), seed and checkpoint_every (>= 1). `draws(ks, rho, seed)` is called once, before the
     loop, and returns `draw(alpha, masses) -> GradSample`, the estimate
     applied at that iteration; it owns its generator. The default is
     `proportional_draws`; `baselines.uniform_draws` gives uniform coordinate
@@ -548,10 +545,10 @@ def run(
                     step_size = float(config.step)
                 else:
                     step_size = default_step_size(C0 * C0, T) if C0 > 0 else 1.0
-            if C > config.mass_budget_factor * max(C0, 1e-300) and not mass_exceeded:
+            if C > MASS_BUDGET_FACTOR * max(C0, 1e-300) and not mass_exceeded:
                 mass_exceeded = True
                 warnings.warn(
-                    f"gradient mass {C:.3e} exceeded {config.mass_budget_factor:.1f}x its "
+                    f"gradient mass {C:.3e} exceeded {MASS_BUDGET_FACTOR:.1f}x its "
                     f"starting value {C0:.3e}; step size may be too optimistic",
                     RuntimeWarning,
                     stacklevel=2,

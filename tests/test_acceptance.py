@@ -45,7 +45,7 @@ from polymkl import (
 )
 from polymkl.baselines import brute_force_q, grad_component, solve_dense
 from polymkl.dual import assemble_combined_gram
-from polymkl.kernels import GramMatrix, product_kernel_cross
+from polymkl.kernels import product_kernel_cross
 from polymkl.sampler import SamplerWorkspace
 
 
@@ -145,7 +145,7 @@ def test_criterion_3_duality():
         A = rng.normal(size=(n, n))
         K = (A @ A.T) * float(rng.uniform(0.05, 20))
         y = rng.normal(size=n)
-        state = solve_dense(GramMatrix(K), y)
+        state = solve_dense(K, y)
         stat = np.linalg.norm(K @ state.alpha + n * state.alpha - y) / (1 + np.linalg.norm(y))
         preds = K @ state.alpha
         primal = np.mean(0.5 * (preds - y) ** 2) + 0.5 * state.alpha @ preds
@@ -163,33 +163,33 @@ def test_criterion_4_unbiasedness():
     data, ks, rho = random_instance(n=5, r=2, D=1, seed=300)
     theta = SparseTheta.from_dict(interior_theta(ks, 1, seed=301))
     dual = solve_alpha(assemble_combined_gram(theta, ks, rho), data.targets)
-    enum = enumerate_index_set(ks.indices, 1)
-    grad = full_gradient(dual.alpha, ks, rho, enum)
+    tuples = enumerate_index_set(ks.indices, 1)
+    grad = full_gradient(dual.alpha, ks, rho, tuples)
     masses = degree_masses(dual.alpha, ks, rho)
     C = total_mass_C(masses)
     draws = 10**5
 
     ws = SamplerWorkspace(ks, rho, np.random.default_rng(302))
-    counts = {idx: 0 for idx in enum.tuples}
+    counts = {idx: 0 for idx in tuples}
     for _ in range(draws):
         counts[ws.draw(dual.alpha, masses)] += 1
     q = brute_force_q(dual.alpha, ks, rho, 1)
-    for pos, idx in enumerate(enum.tuples):
+    for pos, idx in enumerate(tuples):
         p = q[idx]
         mc_mean = -C * counts[idx] / draws
         se = C * np.sqrt(p * (1 - p) / draws)
         assert abs(mc_mean - grad[pos]) <= 3 * se + 1e-12, f"importance estimate at {idx}"
 
     rng = np.random.default_rng(303)
-    picks = rng.integers(enum.size, size=draws)
-    for pos, idx in enumerate(enum.tuples):
+    picks = rng.integers(len(tuples), size=draws)
+    for pos, idx in enumerate(tuples):
         hits = int(np.sum(picks == pos))
-        value = enum.size * grad[pos]
+        value = len(tuples) * grad[pos]
         mc_mean = value * hits / draws
-        p = 1.0 / enum.size
+        p = 1.0 / len(tuples)
         se = abs(value) * np.sqrt(p * (1 - p) / draws)
         assert abs(mc_mean - grad[pos]) <= 3 * se + 1e-12, f"uniform estimate at {idx}"
-    report(4, True, f"both estimators unbiased over {enum.size} coordinates, {draws} draws")
+    report(4, True, f"both estimators unbiased over {len(tuples)} coordinates, {draws} draws")
 
 
 def test_criterion_5_convergence_bound():
@@ -248,9 +248,9 @@ def equal_weight_model(ks, rho, train, query_inputs):
     predictions at the query inputs."""
     D = ks.D
     weight = 1.0 / np.sqrt(sum(ks.num_kernels**d for d in range(D + 1)))
-    S = sum(ks.kernel(j) for j in ks.indices)
+    S = sum(product_kernel_matrix(ks, (j,)) for j in ks.indices)
     K_eq = weight * sum(S**d / rho.rho_sq[d] for d in range(D + 1))
-    state = solve_dense(GramMatrix(K_eq), train.targets)
+    state = solve_dense(K_eq, train.targets)
     S_cross = sum(product_kernel_cross(train.inputs, query_inputs, (j,)) for j in ks.indices)
     cross = weight * sum(S_cross**d / rho.rho_sq[d] for d in range(D + 1))
     return state, cross @ state.alpha
@@ -272,7 +272,7 @@ def check_equal_weight_model():
     state, preds = equal_weight_model(ks, rho, train, query)
     K_ref = assemble_combined_gram(theta, ks, rho).dense()
     preds_ref = predict(state, theta, train.inputs, query, rho)
-    gram_err = np.linalg.norm(state.K_theta.values - K_ref) / np.linalg.norm(K_ref)
+    gram_err = np.linalg.norm(state.K_theta - K_ref) / np.linalg.norm(K_ref)
     pred_err = np.linalg.norm(preds - preds_ref) / np.linalg.norm(preds_ref)
     assert gram_err <= 1e-12, f"equal-weight Gram off by {gram_err:.2e}"
     assert pred_err <= 1e-12, f"equal-weight predictions off by {pred_err:.2e}"
@@ -364,7 +364,7 @@ def test_criterion_8_structural_invariants():
         value = -float(pick_rng.uniform(0.0, 6.0))
         state.step(GradSample(index=idx, value=value, mass=-value), eta=0.25)
         rebuilt = state.rebuild_combined_gram().dense()
-        current = state.theta.scale * state.combined_unscaled
+        current = state.combined_gram()
         denom = max(np.linalg.norm(rebuilt), 1e-300)
         assert np.linalg.norm(current - rebuilt) / denom <= 1e-9
         assert state.theta.norm() <= 1 + 1e-12

@@ -20,13 +20,13 @@ from polymkl import baselines
 from polymkl.baselines import EnumerationError, solve_dense
 from polymkl.dual import assemble_combined_gram
 from polymkl.gradient import GRAD_SCALE
-from polymkl.kernels import GramMatrix, product_kernel_matrix
+from polymkl.kernels import product_kernel_matrix
 
 
-def make_setup(n=5, r=2, D=1, seed=0):
+def make_setup(n=5, r=2, D=1, seed=0, include_constant=False):
     rng = np.random.default_rng(seed)
     data = Dataset(inputs=rng.normal(size=(n, r)), targets=rng.normal(size=n))
-    ks = build_base_kernels(data, include_constant=False, D=D)
+    ks = build_base_kernels(data, include_constant=include_constant, D=D)
     return data, ks, RhoSchedule.uniform(D)
 
 
@@ -44,17 +44,17 @@ def config_for(T, seed=0, D=1, **kw):
 
 class TestEnumerateIndexSet:
     def test_single_kernel_degree_two(self):
-        enum = enumerate_index_set(1, 2)
-        assert enum.tuples == [(), (1,), (1, 1)]
-        assert enum.size == 3
+        tuples = enumerate_index_set(1, 2)
+        assert tuples == [(), (1,), (1, 1)]
+        assert len(tuples) == 3
 
     def test_geometric_size(self):
-        assert enumerate_index_set(5, 3).size == 156
+        assert len(enumerate_index_set(5, 3)) == 156
 
     def test_all_distinct(self):
-        enum = enumerate_index_set(3, 2)
-        assert enum.size == 13
-        assert len(set(enum.tuples)) == 13
+        tuples = enumerate_index_set(3, 2)
+        assert len(tuples) == 13
+        assert len(set(tuples)) == 13
 
     def test_guard(self, monkeypatch):
         monkeypatch.setattr(baselines, "ENUMERATION_GUARD", 1000)
@@ -62,21 +62,24 @@ class TestEnumerateIndexSet:
             enumerate_index_set(10, 7)
 
     def test_explicit_indices_with_constant(self):
-        enum = enumerate_index_set([0, 1, 2], 1)
-        assert enum.tuples == [(), (0,), (1,), (2,)]
+        tuples = enumerate_index_set([0, 1, 2], 1)
+        assert tuples == [(), (0,), (1,), (2,)]
 
 
 class TestFullGradientVector:
     def test_matches_per_tuple_components(self):
-        data, ks, rho = make_setup(n=6, r=3, D=2, seed=1)
-        enum = enumerate_index_set(ks.indices, 2)
-        alpha = np.random.default_rng(2).normal(size=6)
-        grad = full_gradient(alpha, ks, rho, enum)
-        for pos, idx in enumerate(enum.tuples):
-            K = product_kernel_matrix(ks, idx).values
-            expected = -GRAD_SCALE * (alpha @ K @ alpha) / rho.rho_sq[len(idx)]
-            assert grad[pos] == pytest.approx(expected, rel=1e-12)
-        assert np.all(grad <= 0)
+        # with the constant kernel too, so the walk's all-ones base factor
+        # meets product_kernel_matrix's
+        for include_constant, D in ((False, 2), (True, 3)):
+            data, ks, rho = make_setup(n=6, r=3, D=D, seed=1, include_constant=include_constant)
+            tuples = enumerate_index_set(ks.indices, D)
+            alpha = np.random.default_rng(2).normal(size=6)
+            grad = full_gradient(alpha, ks, rho, tuples)
+            for pos, idx in enumerate(tuples):
+                K = product_kernel_matrix(ks, idx)
+                expected = -GRAD_SCALE * (alpha @ K @ alpha) / rho.rho_sq[len(idx)]
+                assert grad[pos] == pytest.approx(expected, rel=1e-12)
+            assert np.all(grad <= 0)
 
 
 class TestRunUcd:
@@ -96,7 +99,7 @@ class TestRunUcd:
         for _ in range(T):
             values.append(theta)
             K = theta * np.ones((4, 4))
-            dual = solve_dense(GramMatrix(K), y)
+            dual = solve_dense(K, y)
             g = -GRAD_SCALE * float(dual.alpha @ np.ones((4, 4)) @ dual.alpha)
             theta = min(max(theta - eta * g, 0.0), 1.0)
         assert result.theta_last.value(()) == pytest.approx(theta, rel=1e-12)
@@ -106,22 +109,22 @@ class TestRunUcd:
         # MC mean of size * g_I * e_I over a uniform draw matches the full
         # gradient componentwise within 3 standard errors
         data, ks, rho = make_setup(n=5, r=2, D=1, seed=4)
-        enum = enumerate_index_set(ks.indices, 1)
+        tuples = enumerate_index_set(ks.indices, 1)
         theta = SparseTheta.from_dict({(): 0.2, (1,): 0.3, (2,): 0.25})
         dual = solve_alpha(assemble_combined_gram(theta, ks, rho), data.targets)
-        grad = full_gradient(dual.alpha, ks, rho, enum)
+        grad = full_gradient(dual.alpha, ks, rho, tuples)
 
         draws = 10**5
         rng = np.random.default_rng(5)
-        picks = rng.integers(enum.size, size=draws)
-        estimates = np.zeros((enum.size,))
-        sq_sums = np.zeros(enum.size)
-        for pos in range(enum.size):
+        picks = rng.integers(len(tuples), size=draws)
+        estimates = np.zeros((len(tuples),))
+        sq_sums = np.zeros(len(tuples))
+        for pos in range(len(tuples)):
             hits = int(np.sum(picks == pos))
-            value = enum.size * grad[pos]
+            value = len(tuples) * grad[pos]
             estimates[pos] = value * hits / draws
             sq_sums[pos] = value**2 * hits / draws
-        for pos in range(enum.size):
+        for pos in range(len(tuples)):
             se = np.sqrt(max(sq_sums[pos] - estimates[pos] ** 2, 0.0) / draws)
             assert abs(estimates[pos] - grad[pos]) <= 3 * se + 1e-12
 
@@ -161,14 +164,14 @@ class TestRunUcd:
         data, ks, rho = make_setup(n=5, r=2, D=1, seed=7)
         theta = SparseTheta.from_dict({(1,): 0.5})
         dual = solve_alpha(assemble_combined_gram(theta, ks, rho), data.targets)
-        enum = enumerate_index_set(ks.indices, 1)
-        grad = full_gradient(dual.alpha, ks, rho, enum)
+        tuples = enumerate_index_set(ks.indices, 1)
+        grad = full_gradient(dual.alpha, ks, rho, tuples)
         C = float(np.sum(np.abs(grad)))
         assert not np.allclose(np.abs(grad), np.abs(grad)[0])  # non-uniform magnitudes
 
         # exact moments over the enumerated distributions
         is_second_moment = C**2
-        ucd_sq_norms = (enum.size * grad) ** 2
+        ucd_sq_norms = (len(tuples) * grad) ** 2
         ucd_second_moment = float(np.mean(ucd_sq_norms))
         ucd_variance = float(np.mean((ucd_sq_norms - ucd_second_moment) ** 2))
         assert ucd_second_moment > is_second_moment * (1 + 1e-9)

@@ -5,7 +5,6 @@ import scipy.optimize
 from polymkl import (
     Dataset,
     DualSolveError,
-    GramMatrix,
     KernelError,
     RhoSchedule,
     SparseTheta,
@@ -14,6 +13,7 @@ from polymkl import (
     predict,
     solve_alpha,
 )
+from polymkl import baselines
 from polymkl.baselines import dual_objective, solve_dense
 
 
@@ -38,13 +38,13 @@ def minimize_dual_objective(K, y):
 class TestSolveAlpha:
     def test_zero_kernel(self):
         y = np.array([1.0, -2.0, 3.0])
-        state = solve_dense(GramMatrix(np.zeros((3, 3))), y)
+        state = solve_dense(np.zeros((3, 3)), y)
         np.testing.assert_allclose(state.alpha, y / 3, rtol=1e-14)
         assert state.J_value == pytest.approx(np.dot(y, y) / 6, rel=1e-14)
 
     def test_one_dimensional_closed_form(self):
         k, y1 = 2.5, 3.0
-        state = solve_dense(GramMatrix(np.array([[k]])), np.array([y1]))
+        state = solve_dense(np.array([[k]]), np.array([y1]))
         assert state.alpha[0] == pytest.approx(y1 / (k + 1), rel=1e-14)
         assert state.J_value == pytest.approx(0.5 * y1**2 / (k + 1), rel=1e-14)
         # cross-check against the numerical minimizer of the dual objective
@@ -58,7 +58,7 @@ class TestSolveAlpha:
             n = 10
             K = random_psd(n, seed)
             y = np.random.default_rng(100 + seed).normal(size=n)
-            state = solve_dense(GramMatrix(K), y)
+            state = solve_dense(K, y)
             alpha_num, J_num = minimize_dual_objective(K, y)
             np.testing.assert_allclose(state.alpha, alpha_num, atol=1e-6)
             assert state.J_value == pytest.approx(J_num, rel=1e-9)
@@ -71,7 +71,7 @@ class TestSolveAlpha:
             n = int(rng.integers(2, 51))
             K = random_psd(n, seed=1000 + trial, scale=float(rng.uniform(0.1, 10)))
             y = rng.normal(size=n)
-            state = solve_dense(GramMatrix(K), y)
+            state = solve_dense(K, y)
             grad = K @ state.alpha + n * state.alpha - y
             assert np.linalg.norm(grad) <= 1e-8 * (1 + np.linalg.norm(y))
             preds = K @ state.alpha
@@ -81,8 +81,8 @@ class TestSolveAlpha:
     def test_deterministic_resolve(self):
         K = random_psd(20, seed=5)
         y = np.random.default_rng(6).normal(size=20)
-        a = solve_dense(GramMatrix(K), y)
-        b = solve_dense(GramMatrix(K), y)
+        a = solve_dense(K, y)
+        b = solve_dense(K, y)
         np.testing.assert_array_equal(a.alpha, b.alpha)
         assert a.J_value == b.J_value
 
@@ -93,13 +93,47 @@ class TestSolveAlpha:
             K = random_psd(n, seed=200 + trial)
             y = rng.normal(size=n)
             bump = random_psd(n, seed=300 + trial, scale=float(rng.uniform(0.01, 5)))
-            bumped = solve_dense(GramMatrix(K + bump), y).J_value
-            assert bumped <= solve_dense(GramMatrix(K), y).J_value + 1e-12
+            bumped = solve_dense(K + bump, y).J_value
+            assert bumped <= solve_dense(K, y).J_value + 1e-12
 
     def test_nan_kernel_rejected(self):
         K = np.full((3, 3), np.nan)
         with pytest.raises((DualSolveError, Exception)):
-            solve_dense(GramMatrix(K), np.ones(3))
+            solve_dense(K, np.ones(3))
+
+
+class TestSolveDenseChecks:
+    """solve_dense rejects a Gram it cannot factor before calling LAPACK."""
+
+    @pytest.fixture
+    def factored(self, monkeypatch):
+        calls = []
+        real = baselines.dpotrf
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(baselines, "dpotrf", counting)
+        return calls
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry(self, factored, bad):
+        K = random_psd(4, seed=11)
+        K[1, 2] = bad
+        with pytest.raises(DualSolveError, match="non-finite entry"):
+            solve_dense(K, np.ones(4))
+        assert not factored
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 3), (3,)])
+    def test_non_square(self, factored, shape):
+        with pytest.raises(DualSolveError, match="shape"):
+            solve_dense(np.ones(shape), np.ones(3))
+        assert not factored
+
+    def test_valid_gram_is_factored(self, factored):
+        solve_dense(random_psd(4, seed=11), np.ones(4))
+        assert len(factored) == 1
 
 
 class TestObjectiveJ:
@@ -163,7 +197,7 @@ class TestPredict:
         np.testing.assert_allclose(preds, K.dense() @ state.alpha, rtol=1e-10, atol=1e-12)
 
     def test_zero_theta_zero_predictions(self):
-        state = solve_dense(GramMatrix(np.zeros((10, 10))), self.data.targets)
+        state = solve_dense(np.zeros((10, 10)), self.data.targets)
         preds = predict(state, SparseTheta(), self.data.inputs, np.zeros((4, 3)), self.rho)
         np.testing.assert_array_equal(preds, np.zeros(4))
 
@@ -173,7 +207,7 @@ class TestPredict:
         theta = SparseTheta.from_dict({(2,): 1.0})
         rng = np.random.default_rng(14)
         queries = rng.normal(size=(5, 3))
-        K = GramMatrix(np.outer(self.data.inputs[:, 1], self.data.inputs[:, 1]))
+        K = np.outer(self.data.inputs[:, 1], self.data.inputs[:, 1])
         state = solve_dense(K, self.data.targets)
         preds = predict(state, theta, self.data.inputs, queries, self.rho)
         expected = product_kernel_cross(self.data.inputs, queries, (2,)) @ state.alpha

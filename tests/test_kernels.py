@@ -30,19 +30,19 @@ def held_power(ks, d):
 
 def oracle_power(ks, d):
     """S^(.)d from the dense base Grams, independent of the held forms."""
-    return sum(ks.kernel(j) for j in ks.indices) ** d
+    return sum(product_kernel_matrix(ks, (j,)) for j in ks.indices) ** d
 
 
 class TestBuildBaseKernels:
     def test_outer_product_column(self):
         data = Dataset(inputs=np.array([[1.0], [-1.0]]), targets=np.zeros(2))
         ks = build_base_kernels(data, include_constant=False, D=1)
-        np.testing.assert_array_equal(ks.kernel(1), [[1, -1], [-1, 1]])
+        np.testing.assert_array_equal(product_kernel_matrix(ks, (1,)), [[1, -1], [-1, 1]])
 
     def test_constant_kernel_is_ones(self):
         data = Dataset(inputs=np.array([[2.0], [3.0]]), targets=np.zeros(2))
         ks = build_base_kernels(data, include_constant=True, D=1)
-        np.testing.assert_array_equal(ks.kernel(0), np.ones((2, 2)))
+        np.testing.assert_array_equal(product_kernel_matrix(ks, (0,)), np.ones((2, 2)))
         assert ks.num_kernels == 2 and ks.has_constant
 
     def test_sum_matches_independent_summation(self):
@@ -82,7 +82,7 @@ class TestBuildBaseKernels:
     def test_base_kernels_are_psd(self):
         data = random_dataset(n=8, r=4, seed=3)
         ks = build_base_kernels(data, include_constant=True, D=1)
-        for K in (ks.kernel(j) for j in ks.indices):
+        for K in (product_kernel_matrix(ks, (j,)) for j in ks.indices):
             smallest = np.linalg.eigvalsh(K).min()
             assert smallest >= -1e-8 * np.linalg.norm(K)
 
@@ -90,23 +90,35 @@ class TestBuildBaseKernels:
 class TestProductKernelMatrix:
     def test_single_factor(self):
         ks = build_base_kernels(random_dataset(), include_constant=False, D=2)
-        np.testing.assert_array_equal(product_kernel_matrix(ks, (2,)).values, ks.kernel(2))
+        x = ks.inputs[:, 1]
+        np.testing.assert_array_equal(product_kernel_matrix(ks, (2,)), np.outer(x, x))
 
     def test_empty_index_is_ones(self):
         ks = build_base_kernels(random_dataset(), include_constant=False, D=2)
-        np.testing.assert_array_equal(product_kernel_matrix(ks, ()).values, np.ones((10, 10)))
+        np.testing.assert_array_equal(product_kernel_matrix(ks, ()), np.ones((10, 10)))
 
     def test_pair_matches_raw_inputs(self):
         data = random_dataset(n=7, r=3, seed=5)
         ks = build_base_kernels(data, include_constant=False, D=2)
         x = data.inputs
         expected = np.outer(x[:, 0], x[:, 0]) * np.outer(x[:, 1], x[:, 1])
-        np.testing.assert_allclose(product_kernel_matrix(ks, (1, 2)).values, expected, rtol=1e-12)
+        np.testing.assert_allclose(product_kernel_matrix(ks, (1, 2)), expected, rtol=1e-12)
 
     def test_out_of_range_index(self):
         ks = build_base_kernels(random_dataset(r=2), include_constant=False, D=1)
         with pytest.raises(KernelError):
             product_kernel_matrix(ks, (3,))
+
+    def test_constant_index_without_constant_kernel(self):
+        ks = build_base_kernels(random_dataset(r=2), include_constant=False, D=1)
+        with pytest.raises(KernelError, match="index 0"):
+            product_kernel_matrix(ks, (0, 1))
+
+    def test_overflowing_product_rejected(self):
+        data = Dataset(inputs=np.array([[1e200], [1.0]]), targets=np.zeros(2))
+        ks = build_base_kernels(data, include_constant=False, D=1)
+        with np.errstate(over="ignore"), pytest.raises(KernelError, match="non-finite"):
+            product_kernel_matrix(ks, (1,))
 
     def test_products_are_psd(self):
         data = random_dataset(n=8, r=3, seed=6)
@@ -115,7 +127,7 @@ class TestProductKernelMatrix:
         for _ in range(10):
             d = int(rng.integers(0, 4))
             idx = tuple(int(j) for j in rng.choice(ks.indices, size=d))
-            K = product_kernel_matrix(ks, idx).values
+            K = product_kernel_matrix(ks, idx)
             assert np.linalg.eigvalsh(K).min() >= -1e-8 * max(np.linalg.norm(K), 1.0)
 
     def test_sum_over_tuples_equals_power(self):
@@ -126,7 +138,7 @@ class TestProductKernelMatrix:
             for d in range(4):
                 total = np.zeros((6, 6))
                 for idx in itertools.product(ks.indices, repeat=d):
-                    total += product_kernel_matrix(ks, idx).values
+                    total += product_kernel_matrix(ks, idx)
                 power = held_power(ks, d)
                 np.testing.assert_allclose(
                     total, power, rtol=1e-9, atol=1e-9 * np.abs(power).max()
@@ -139,7 +151,7 @@ class TestProductKernelCross:
         ks = build_base_kernels(data, include_constant=False, D=2)
         idx = (1, 3)
         cross = product_kernel_cross(data.inputs, data.inputs, idx)
-        np.testing.assert_allclose(cross, product_kernel_matrix(ks, idx).values, rtol=1e-12)
+        np.testing.assert_allclose(cross, product_kernel_matrix(ks, idx), rtol=1e-12)
 
     def test_empty_index_all_ones(self):
         cross = product_kernel_cross(np.zeros((4, 2)), np.zeros((3, 2)), ())

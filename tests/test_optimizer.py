@@ -239,7 +239,7 @@ class TestStep:
             value = -float(rng.uniform(0.1, 5.0))
             state.step(GradSample(index=idx, value=value, mass=-value), eta=0.2)
             rebuilt = state.rebuild_combined_gram().dense()
-            current = state.theta.scale * state.combined_unscaled
+            current = state.combined_gram()
             denom = max(np.linalg.norm(rebuilt), 1e-300)
             assert np.linalg.norm(current - rebuilt) / denom <= 1e-9
         state.check_combined_gram()
@@ -546,9 +546,10 @@ class TestRun:
         assert all(b >= a for a, b in zip(times, times[1:]))
 
     @pytest.mark.parametrize("algo", [run, baselines.run_ucd])
-    def test_mass_budget_flag_warns_without_failing(self, algo):
+    def test_mass_budget_flag_warns_without_failing(self, algo, monkeypatch):
         data, ks, rho = make_run_setup(seed=19)
-        config = self.config(T=10, seed=8, mass_budget_factor=1e-9)
+        monkeypatch.setattr(optimizer, "MASS_BUDGET_FACTOR", 1e-9)
+        config = self.config(T=10, seed=8)
         with pytest.warns(RuntimeWarning, match="gradient mass"):
             result = algo(config, data, ks, rho)
         assert result.mass_exceeded_budget

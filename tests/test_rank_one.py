@@ -4,11 +4,11 @@ Every product kernel is z z' with z the elementwise product of its columns of
 [1, X]. The degree masses, the sampler's position weights, the optimizer's
 incremental Gram, the Gram rebuilds and predict all work on those columns or
 on the per-degree features Phi_k with S^(.)k = Phi_k Phi_k'; here each is
-checked on seeded random instances against Grams built from
-`BaseKernelSet.kernel`, `product_kernel_matrix` and `product_kernel_cross`,
-and against `brute_force_q`. The allocation tests pin that building the
-kernel set where every degree takes features, a steady-state mass, draw and
-step, and a whole run between checkpoints, create no n x n temporary.
+checked on seeded random instances against dense Grams built straight from
+the inputs by `product_kernel_matrix` and `product_kernel_cross`, and against
+`brute_force_q`. The allocation tests pin that building the kernel set
+where every degree takes features, a steady-state mass, draw and step, and a
+whole run between checkpoints, create no n x n temporary.
 """
 
 import itertools
@@ -77,7 +77,7 @@ def random_theta(ks, rng, size=6):
 
 def oracle_power(ks, d):
     """S^(.)d from the dense base Grams, independent of the kernel set's forms."""
-    return sum(ks.kernel(j) for j in ks.indices) ** d
+    return sum(product_kernel_matrix(ks, (j,)) for j in ks.indices) ** d
 
 
 def check_position_weights(ks, rho, alpha, rng):
@@ -89,11 +89,11 @@ def check_position_weights(ks, rho, alpha, rng):
         M = np.outer(alpha, alpha)
         u = alpha.copy()
         for j in prefix:
-            M = M * ks.kernel(j)
+            M = M * product_kernel_matrix(ks, (j,))
             u = u * ks.product_columns([(j,)])[:, 0]
         for remaining in range(ks.D - len(prefix)):
             P = oracle_power(ks, remaining)
-            dense = [np.sum(M * P * ks.kernel(j)) for j in ks.indices]
+            dense = [np.sum(M * P * product_kernel_matrix(ks, (j,))) for j in ks.indices]
             assert_close(ws.position_weights(u, remaining), dense)
 
 
@@ -108,7 +108,7 @@ def top_degree_masses(alpha, ks, rho):
 def dense_gram(theta, ks, rho):
     K = np.zeros((ks.n, ks.n))
     for idx, value in theta.items():
-        K += value / rho.rho_sq[len(idx)] * product_kernel_matrix(ks, idx).values
+        K += value / rho.rho_sq[len(idx)] * product_kernel_matrix(ks, idx)
     return K
 
 
@@ -122,13 +122,14 @@ class TestAgainstDense:
         data, ks, rho, rng = make_instance(include_constant, D, seed)
         state = OptimizerState(ks, rho)
         for idx in random_theta(ks, rng, size=10).raw:
-            before_gram = state.combined_unscaled.copy()
+            before_gram = state.combined_gram()
             before_raw = state.theta.raw.get(idx, 0.0)
             state.step(GradSample(index=idx, value=-0.5, mass=0.5), eta=0.1)
             coef = (state.theta.raw.get(idx, 0.0) - before_raw) / rho.rho_sq[len(idx)]
-            expected = coef * product_kernel_matrix(ks, idx).values
-            assert_close(state.combined_unscaled - before_gram, expected)
-            np.testing.assert_array_equal(state.combined_unscaled, state.combined_unscaled.T)
+            expected = coef * product_kernel_matrix(ks, idx)
+            after_gram = state.combined_gram()
+            assert_close(after_gram - before_gram, expected)
+            np.testing.assert_array_equal(after_gram, after_gram.T)
 
     def test_rebuild_and_assemble(self, include_constant, D, seed):
         data, ks, rho, rng = make_instance(include_constant, D, seed)

@@ -13,6 +13,7 @@ from polymkl import (
     RhoSchedule,
     build_base_kernels,
     degree_masses,
+    product_kernel_matrix,
 )
 from polymkl import baselines
 from polymkl.baselines import EnumerationError, brute_force_q
@@ -289,7 +290,7 @@ class TestWorkspaceInvariant:
             M = np.outer(alpha, alpha)
             for j in idx:
                 u = u * ks.inputs[:, j - 1]
-                M = M * ks.kernel(j)
+                M = M * product_kernel_matrix(ks, (j,))
             np.testing.assert_array_equal(ws.u, u)
             np.testing.assert_allclose(np.outer(ws.u, ws.u), M, rtol=1e-12, atol=0)
 

@@ -36,7 +36,6 @@ import polymkl.dual as dual_mod
 import polymkl.optimizer as optimizer_mod
 from polymkl.baselines import solve_dense
 from polymkl.dual import DualSolveError, SupportGram, solve_alpha
-from polymkl.kernels import GramMatrix
 from polymkl.optimizer import monomial_key
 
 LAMBDAS = (1e-6, 1e-2, 10.0)
@@ -100,7 +99,7 @@ def assert_matches_dense(K: SupportGram, y: np.ndarray):
     J_reference = float(0.5 * (y.astype(np.longdouble) @ reference))
     assert relative(support.alpha.astype(np.longdouble), reference) <= 1e-12
     assert abs(support.J_value - J_reference) <= 1e-12 * abs(J_reference)
-    dense = solve_dense(GramMatrix(K.dense()), y)
+    dense = solve_dense(K.dense(), y)
     assert relative(support.alpha, dense.alpha) <= 1e-10
     # the dense Cholesky of K + n I loses digits with its condition number:
     # at lambda = 1e-6 its J is up to 2e-11 off the reference, so the bound
@@ -228,7 +227,7 @@ def test_run_matches_dense_inner_solves(monkeypatch):
     solve handed the dense combined Gram."""
 
     def dense_solve(K, y):
-        return solve_dense(GramMatrix(K.dense()), y)
+        return solve_dense(K.dense(), y)
 
     spec = SyntheticSpec(r=5, n_train=300, n_test=100, seed=0)
     train_big, _, _ = gen_synthetic(spec)
@@ -306,7 +305,7 @@ def test_lapack_solves_match_cho_factor_route_bitwise():
         assert np.array_equal(got.alpha, expected)
         assert got.J_value == float(0.5 * y @ expected)
         dense = K.dense()
-        got = solve_dense(GramMatrix(dense), y)
+        got = solve_dense(dense, y)
         assert np.array_equal(got.alpha, dense_solve_reference(dense, y))
         count += 1
     assert count == 3 * 3 * 2 * 4 + 3
@@ -345,7 +344,7 @@ def test_any_nonzero_lapack_info_raises(monkeypatch, routine, info):
 def test_indefinite_dense_system_raises():
     _, y = not_positive_definite()
     with pytest.raises(DualSolveError, match="potrf info"):
-        solve_dense(GramMatrix(-100.0 * np.eye(len(y))), y)
+        solve_dense(-100.0 * np.eye(len(y)), y)
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:
