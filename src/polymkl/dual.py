@@ -138,9 +138,9 @@ def solve_alpha(K_theta: SupportGram, y: np.ndarray) -> DualState:
 
 
 def monomial_weights(theta, rho) -> tuple[list, np.ndarray]:
-    """theta's support grouped by monomial: the distinct `monomial_key`s, in
-    order of first appearance, and for each the Gram weight
-    sum theta_i / rho_|i|^2 over its tuples, as one exactly rounded sum."""
+    """theta's support (or a dict's, such as theta.raw) grouped by monomial:
+    the distinct `monomial_key`s, in order of first appearance, and for each
+    the Gram weight sum theta_i / rho_|i|^2 over its tuples, exactly rounded."""
     terms: dict = {}
     for idx, value in theta.items():
         terms.setdefault(monomial_key(idx), []).append(value / rho.rho_sq[len(idx)])

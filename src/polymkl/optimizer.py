@@ -4,16 +4,18 @@ its support, and lazy iterate averaging. One loop serves the proportional
 sampler and uniform coordinate descent; only the draw differs
 (`proportional_draws` here, `baselines.uniform_draws`).
 
-The combined Gram is scale * C diag(w) C', with one cached column of C per
-distinct monomial of the support (permutations of a tuple, and tuples that
-differ only by the constant kernel, share one), their Gram G = C'C, and
-per-monomial weights w. A step adds to one weight in O(1); a monomial's
-first step adds its column and a row of G in O(n s). The inner solve works
-on these through Woodbury's identity. The two final solves, at the averaged
-and at the last iterate, take the same form, assembled afresh from theta by
-`assemble_combined_gram`. So the loop allocates no n x n array: the
-checkpoint checks the last updated column against its kernel's diagonal and
-one row, computed from the inputs in O(n k).
+The combined Gram is scale * C diag(w) C', held by a `SupportCache`: one
+column of C per distinct monomial of the support (permutations of a tuple,
+and tuples that differ only by the constant kernel, share one), their Gram
+G = C'C, and per-monomial weights w. A step raises one weight in O(1); a
+monomial's first step adds its column and a row of G in O(n s); a rebase
+re-sums the weights. The inner solve works on these through Woodbury's
+identity. The two final solves, at the averaged and at the last iterate,
+take the same form, assembled afresh from theta by `assemble_combined_gram`.
+So the loop allocates no n x n array. The checkpoint checks the cache
+against itself and against theta: a probe through columns built afresh, and
+the last updated column against its kernel's diagonal and one row, computed
+from the inputs in O(n k).
 
 The iterate theta lives on exponentially many coordinates but only touched
 ones are stored: theta_i = scale * raw_i. Every gradient component is <= 0,
@@ -28,12 +30,14 @@ from __future__ import annotations
 import math
 import time
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import Dataset, MultiIndex
-from .dual import DualState, SupportGram, assemble_combined_gram, solve_alpha, support_columns
+from .dual import DualState, SupportGram, assemble_combined_gram, monomial_weights
+from .dual import solve_alpha, support_columns
 from .gradient import (
     DegreeMasses,
     GradSample,
@@ -46,6 +50,7 @@ from .gradient import (
 # (bench/measure.py) wraps this module attribute by name, so it stays imported
 from .kernels import (  # noqa: F401
     BaseKernelSet,
+    KernelError,
     monomial_key,
     product_kernel_cross,
     product_kernel_matrix,
@@ -82,9 +87,9 @@ MASS_BUDGET_FACTOR = 10.0
 class SparseTheta:
     """Nonnegative sparse weights with a global scale: theta_i = scale * raw_i.
 
-    Raw entries are strictly positive and finite; zeros are evicted. Mutating
-    methods keep the cached sum of squared raws consistent (with periodic
-    exact refresh).
+    Raw entries are strictly positive and finite; a fold evicts those that
+    underflow. Mutating methods keep the cached sum of squared raws
+    consistent (with periodic exact refresh).
     """
 
     __slots__ = ("scale", "raw", "raw_sq_sum", "_touches")
@@ -130,31 +135,26 @@ class SparseTheta:
         self.raw_sq_sum = math.fsum(v * v for v in self.raw.values())
 
     def set_raw(self, idx: MultiIndex, new_raw: float):
-        """Overwrite one raw entry (evicting nonpositive values), keeping the
-        cached squared sum in step."""
+        """Overwrite one raw entry, keeping the cached squared sum in step. A
+        raw is never lowered to 0 or below, so that raises ValueError."""
         if not math.isfinite(new_raw):
             raise ValueError(f"non-finite raw weight for {idx}")
-        old = self.raw.get(idx, 0.0)
         if new_raw <= 0.0:
-            self.raw.pop(idx, None)
-            new_raw = 0.0
-        else:
-            self.raw[idx] = new_raw
+            raise ValueError(f"nonpositive raw weight {new_raw} for {idx}")
+        old = self.raw.get(idx, 0.0)
+        self.raw[idx] = new_raw
         self.raw_sq_sum += new_raw * new_raw - old * old
         self._touches += 1
         if self._touches % _NORM_REFRESH == 0:
             self._refresh_norm()
 
-    def fold_scale(self) -> float:
-        """Push the global scale into the raw entries, returning the old scale
-        (callers tracking scale-linear caches must multiply them by it).
-        Entries whose product underflows to zero are evicted."""
-        s = self.scale
-        folded = ((idx, s * v) for idx, v in self.raw.items())
+    def fold_scale(self):
+        """Push the global scale into the raw entries, evicting those whose
+        product underflows to zero."""
+        folded = ((idx, self.scale * v) for idx, v in self.raw.items())
         self.raw = {idx: v for idx, v in folded if v > 0.0}
         self.scale = 1.0
         self._refresh_norm()
-        return s
 
 
 def project_pos_l2ball(theta: SparseTheta) -> SparseTheta:
@@ -208,44 +208,22 @@ class RunResult:
     mass_exceeded_budget: bool = False
 
 
-class OptimizerState:
-    """Single-owner mutable state for one descent run.
+class SupportCache:
+    """The combined Gram of theta's support in raw units, C diag(w) C': one
+    column of C per distinct monomial, in the slot its `monomial_key` maps
+    to, their Gram G = C'C, and weights w_k = sum of raw_i / rho_|i|^2 over
+    the tuples i of theta with key k. Three events change it: a monomial's
+    first column with its row of G, in O(n s); a raised weight, in O(1); and
+    the re-sum of the weights after a fold. No column is dropped: a monomial
+    with no tuple left keeps its column at weight 0."""
 
-    Keeps the combined Gram in the span of its support as scale * C W C':
-    one cached column of C per distinct monomial (see `monomial_key`), their
-    Gram G = C'C, and weights w_k = sum of raw_i / rho_|i|^2 over the tuples
-    i of theta with key k. A step only raises one weight, in O(1); a new
-    monomial adds its column and a row of G in O(n s). No column is dropped:
-    a tuple whose value underflows at a rebase leaves theta, and its
-    monomial keeps the column, at weight 0 if no tuple of it is left. Also
-    holds the lazy-average bookkeeping (per-coordinate accumulators against
-    a prefix sum of scales). `last_index` is the tuple the latest nonzero
-    update touched, None before the first.
-    """
-
-    def __init__(self, ks: BaseKernelSet, rho: RhoSchedule):
+    def __init__(self, ks: BaseKernelSet):
         self.ks = ks
-        self.rho = rho
-        self.theta = SparseTheta()
-        self.iter = 0
-        self.last_index: MultiIndex | None = None
-        self.records: list[RunRecord] = []
-        # the column cache: slot of each monomial key and of each tuple seen,
-        # the columns (n x capacity, Fortran order so a column is contiguous),
-        # their Gram and the weights
+        # n x capacity columns, in Fortran order so a column is contiguous
         self._slot_of_key: dict[MultiIndex, int] = {}
-        self._slot_of_tuple: dict[MultiIndex, int] = {}
         self._C = np.empty((ks.n, 0), order="F")
         self._G = np.empty((0, 0))
         self._w = np.empty(0)
-        # the Gram check's fixed probe, made at its first call
-        self._probe: np.ndarray | None = None
-        # averaging: prefix sum of scales of iterates counted so far, the
-        # number counted, and per-coordinate (accumulator, prefix-sum mark)
-        self._ps = 0.0
-        self._avg_count = 0
-        self._avg_acc: dict[MultiIndex, float] = {}
-        self._avg_mark: dict[MultiIndex, float] = {}
 
     @property
     def num_columns(self) -> int:
@@ -256,39 +234,36 @@ class OptimizerState:
         """The cached monomial keys, in column order."""
         return list(self._slot_of_key)
 
-    def support_gram(self) -> SupportGram:
-        """The current combined Gram in support form. The columns and G of
-        the slots it covers are never rewritten, and the weights are a copy,
-        so it stays valid after later steps."""
+    def gram(self, scale: float) -> SupportGram:
+        """The combined Gram at `scale`, in support form. The slots it covers
+        are never rewritten and the weights are a copy, so it stays valid."""
         s = self.num_columns
-        return SupportGram(self._C[:, :s], self._G[:s, :s], self.theta.scale * self._w[:s])
+        return SupportGram(self._C[:, :s], self._G[:s, :s], scale * self._w[:s])
 
-    def combined_gram(self) -> np.ndarray:
-        """The current combined Gram, built dense from the cache into a fresh
-        array (n x n; for oracles and tests)."""
-        return self.support_gram().dense()
+    def column(self, idx: MultiIndex) -> np.ndarray:
+        """The cached column of the monomial of tuple idx."""
+        return self._C[:, self._slot_of_key[monomial_key(idx)]]
 
-    def rebuild_combined_gram(self) -> SupportGram:
-        """The combined Gram in support form, assembled afresh from theta's
-        tuples, independently of the cache's slots, columns and weights."""
-        return assemble_combined_gram(self.theta, self.ks, self.rho)
+    def raise_weight(self, idx: MultiIndex, delta: float):
+        """Add delta to the weight of the monomial of tuple idx."""
+        # the slot first: a new column may replace the arrays
+        slot = self._slot(monomial_key(idx))
+        self._w[slot] += delta
 
-    def _slot(self, idx: MultiIndex) -> int:
-        """The cache slot of tuple idx, adding its monomial's column (and a
-        row of G) when the monomial is new."""
-        slot = self._slot_of_tuple.get(idx)
-        if slot is None:
-            # built once per new tuple, so an unknown base index raises; the
-            # sorted order gives every tuple of one monomial the same bits
-            z = self.ks.product_columns([tuple(sorted(idx))])[:, 0]
-            key = monomial_key(idx)
-            slot = self._slot_of_key.get(key)
-            if slot is None:
-                slot = self._add_column(key, z)
-            self._slot_of_tuple[idx] = slot
-        return slot
+    def resum(self, raw: dict[MultiIndex, float], rho: RhoSchedule):
+        """Set every weight to its re-sum over `raw` (`monomial_weights`), 0
+        for a monomial with no tuple left."""
+        keys, weights = monomial_weights(raw, rho)
+        slots = [self._slot(key) for key in keys]
+        self._w[: self.num_columns] = 0.0
+        self._w[slots] = weights
 
-    def _add_column(self, key: MultiIndex, z: np.ndarray) -> int:
+    def _slot(self, key: MultiIndex) -> int:
+        slot = self._slot_of_key.get(key)
+        return self._add_column(key) if slot is None else slot
+
+    def _add_column(self, key: MultiIndex) -> int:
+        z = self.ks.product_columns([key])[:, 0]
         if not np.all(np.isfinite(z)):
             raise FloatingPointError(f"non-finite column for monomial {key}")
         s = self.num_columns
@@ -322,23 +297,67 @@ class OptimizerState:
         w[:s] = self._w[keep]
         self._C, self._G, self._w = C, G, w
 
-    def _resummed_terms(self) -> list[list[float]]:
-        """Per slot, the terms raw_i / rho_|i|^2 of its tuples in theta."""
-        slots = [self._slot(idx) for idx in self.theta.raw]
-        terms: list[list[float]] = [[] for _ in range(self.num_columns)]
-        for slot, (idx, raw) in zip(slots, self.theta.raw.items()):
-            terms[slot].append(raw / self.rho.rho_sq[len(idx)])
-        return terms
+    def check(self, raw: dict[MultiIndex, float], rho: RhoSchedule, steps: int):
+        """Raise FloatingPointError if the weights have drifted from their
+        re-sum over `raw`, or G from a fresh C'C. The weight drift may reach
+        _GRAM_CHECK_RTOL times the largest weight, plus one smallest subnormal
+        per rounding behind it (per one of the `steps` taken, and per re-summed
+        term): below the normal range a rounding costs an absolute half ulp,
+        which no relative bound covers."""
+        keys, weights = monomial_weights(raw, rho)
+        s = self.num_columns
+        resummed = np.zeros(s)
+        resummed[[self._slot_of_key[key] for key in keys]] = weights
+        denom = float(np.max(np.abs(resummed), initial=0.0))
+        drift = float(np.max(np.abs(self._w[:s] - resummed), initial=0.0))
+        roundings = steps + max(Counter(map(monomial_key, raw)).values(), default=0)
+        # written so that a NaN fails it too
+        if not drift <= _GRAM_CHECK_RTOL * denom + roundings * _SUBNORMAL:
+            raise FloatingPointError(f"cached support weights drifted: {drift:.3e} of {denom:.3e}")
+        C = self._C[:, :s]
+        fresh = C.T @ C
+        error = np.linalg.norm(self._G[:s, :s] - fresh)
+        if not error <= _GRAM_CHECK_RTOL * np.linalg.norm(fresh):
+            raise FloatingPointError(f"cached column Gram disagrees with C'C: {error:.3e}")
 
-    def resync_weights(self):
-        """Re-sum the cached weights from theta, each as one exactly rounded
-        sum; call after editing theta directly, outside `step`."""
-        terms = self._resummed_terms()
-        self._w[: len(terms)] = [math.fsum(t) for t in terms]
 
-    def _mark_entering_iterate(self):
-        self._ps += self.theta.scale
-        self._avg_count += 1
+class OptimizerState:
+    """Single-owner mutable state for one descent run: the iterate theta, its
+    `SupportCache`, and the lazy average (per-coordinate accumulators against
+    a prefix sum of scales). A step raises one weight of the cache; a rebase
+    folds theta's scale into its raws and has the cache re-sum them.
+    `last_index` is the tuple of the latest nonzero update, None before one."""
+
+    def __init__(self, ks: BaseKernelSet, rho: RhoSchedule):
+        self.ks = ks
+        self.rho = rho
+        self.theta = SparseTheta()
+        self.iter = 0
+        self.last_index: MultiIndex | None = None
+        self.records: list[RunRecord] = []
+        self.cache = SupportCache(ks)
+        # the Gram check's fixed probe, made at its first call
+        self._probe: np.ndarray | None = None
+        # averaging: prefix sum of scales of iterates counted so far, the
+        # number counted, and per-coordinate (accumulator, prefix-sum mark)
+        self._ps = 0.0
+        self._avg_count = 0
+        self._avg_acc: dict[MultiIndex, float] = {}
+        self._avg_mark: dict[MultiIndex, float] = {}
+
+    def support_gram(self) -> SupportGram:
+        """The current combined Gram in support form (`SupportCache.gram`)."""
+        return self.cache.gram(self.theta.scale)
+
+    def combined_gram(self) -> np.ndarray:
+        """The current combined Gram, built dense from the cache into a fresh
+        array (n x n; for oracles and tests)."""
+        return self.support_gram().dense()
+
+    def rebuild_combined_gram(self) -> SupportGram:
+        """The combined Gram in support form, assembled afresh from theta's
+        tuples, independently of the cache's slots, columns and weights."""
+        return assemble_combined_gram(self.theta, self.ks, self.rho)
 
     def _flush_average(self, idx: MultiIndex):
         # mark defaults to 0: a never-flushed raw entry has held its value
@@ -350,13 +369,12 @@ class OptimizerState:
         self._avg_mark[idx] = self._ps
 
     def _rebase(self):
-        """Flush every coordinate of theta, fold the scale into the raws
-        (evicting those that underflow), re-sum the cached weights from them,
-        and restart the prefix sum at zero."""
+        """Flush every coordinate of theta, fold the scale into the raws, have
+        the cache re-sum its weights from them, and restart the prefix sum."""
         for idx in self.theta.raw:
             self._flush_average(idx)
         self.theta.fold_scale()
-        self.resync_weights()
+        self.cache.resum(self.theta.raw, self.rho)
         self._ps = 0.0
         self._avg_mark = {idx: 0.0 for idx in self.theta.raw}
 
@@ -373,17 +391,20 @@ class OptimizerState:
             raise FloatingPointError("non-finite gradient sample")
         if sample.value > 0.0:
             raise ValueError(f"positive gradient sample {sample.value} on {sample.index}")
-        self._mark_entering_iterate()
+        self._ps += self.theta.scale
+        self._avg_count += 1
         self.iter += 1
         idx = sample.index
         delta_theta = -eta * sample.value
         if delta_theta != 0.0:
-            slot = self._slot(idx)
-            self._flush_average(idx)
             old_raw = self.theta.raw.get(idx, 0.0)
+            # the cache's keys drop index 0, so an entering tuple is checked here
+            if not old_raw and 0 in idx and not self.ks.has_constant:
+                raise KernelError("no base kernel with index 0")
             new_raw = old_raw + delta_theta / self.theta.scale
+            self.cache.raise_weight(idx, (new_raw - old_raw) / self.rho.rho_sq[len(idx)])
+            self._flush_average(idx)
             self.theta.set_raw(idx, new_raw)
-            self._w[slot] += (new_raw - old_raw) / self.rho.rho_sq[len(idx)]
             self.last_index = idx
             project_pos_l2ball(self.theta)
             if self.theta.scale < _REBASE_THRESHOLD:
@@ -391,35 +412,15 @@ class OptimizerState:
         return self
 
     def check_combined_gram(self):
-        """Raise FloatingPointError if the cached weights have drifted from a
-        re-sum over theta, if the cached G differs from a fresh C'C, if the
-        cached Gram times a fixed probe vector differs from the same product
-        over `support_columns` of theta, or if the cached column of
+        """Raise FloatingPointError if the cache fails `SupportCache.check`,
+        if the cached Gram times a fixed probe vector differs from the same
+        product over `support_columns` of theta, or if the cached column of
         `last_index` disagrees with entries of its product kernel
-        (`_check_column`). The first two share the cache's tuple mapping and
-        columns; the probe shares neither, so it catches a tuple in the wrong
-        slot or a wrong column of any monomial; the kernel entries come
-        straight from the inputs and share no code with the columns at all.
-
-        Each bound is _GRAM_CHECK_RTOL times the size of what it compares.
-        The weight drift may reach it times the largest weight, plus one
-        smallest subnormal per rounding behind it (per step taken, and per
-        re-summed term): below the normal range a rounding costs an absolute
-        half ulp, which no relative bound covers."""
-        terms = self._resummed_terms()
-        resummed = np.array([math.fsum(t) for t in terms])
-        s = len(resummed)
-        denom = float(np.max(np.abs(resummed), initial=0.0))
-        drift = float(np.max(np.abs(self._w[:s] - resummed), initial=0.0))
-        roundings = self.iter + max(map(len, terms), default=0)
-        # written so that a NaN fails it too
-        if not drift <= _GRAM_CHECK_RTOL * denom + roundings * _SUBNORMAL:
-            raise FloatingPointError(f"cached support weights drifted: {drift:.3e} of {denom:.3e}")
-        C = self._C[:, :s]
-        fresh = C.T @ C
-        error = np.linalg.norm(self._G[:s, :s] - fresh)
-        if not error <= _GRAM_CHECK_RTOL * np.linalg.norm(fresh):
-            raise FloatingPointError(f"cached column Gram disagrees with C'C: {error:.3e}")
+        (`_check_column`). The cache's own check shares its key map and
+        columns; the probe shares neither, so it catches a key in the wrong
+        slot or a wrong column; the kernel entries come straight from the
+        inputs. Each bound is _GRAM_CHECK_RTOL times what it compares."""
+        self.cache.check(self.theta.raw, self.rho, self.iter)
         # a fixed probe, made once per state, so the check draws nothing from
         # the run's generator
         if self._probe is None:
@@ -439,8 +440,7 @@ class OptimizerState:
                 f"{error:.3e} of {size:.3e}"
             )
         if self.last_index is not None:
-            slot = self._slot_of_tuple[self.last_index]
-            self._check_column(self.last_index, self._C[:, slot])
+            self._check_column(self.last_index, self.cache.column(self.last_index))
 
     def _check_column(self, idx: MultiIndex, z: np.ndarray):
         """Compare z z' with entries of the product kernel K of idx, taken

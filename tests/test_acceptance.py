@@ -336,9 +336,8 @@ def test_criterion_8_structural_invariants():
     rng = np.random.default_rng(400)
     for _ in range(25):
         point = rng.normal(scale=1.5, size=4)
-        theta = SparseTheta()
-        for i, v in enumerate(point):
-            theta.set_raw((i + 1,), float(v))
+        # theta holds the positive part, the projection rescales it
+        theta = SparseTheta.from_dict({(i + 1,): float(v) for i, v in enumerate(point) if v > 0})
         project_pos_l2ball(theta)
         projected = np.array([theta.value((i + 1,)) for i in range(4)])
         once = (theta.scale, dict(theta.raw))

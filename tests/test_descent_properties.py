@@ -90,10 +90,10 @@ def check_against_dense_reference(steps, seen):
         assert theta.norm() <= 1.0 + 1e-12
 
         # the cached weights against a re-sum over theta
-        terms = {key: [] for key in state.monomials}
+        terms = {key: [] for key in state.cache.monomials}
         for t, raw in theta.raw.items():
             terms[monomial_key(t)].append(raw / state.rho.rho_sq[len(t)])
-        resummed = theta.scale * np.array([math.fsum(terms[key]) for key in state.monomials])
+        resummed = theta.scale * np.array([math.fsum(terms[key]) for key in state.cache.monomials])
         weights = state.support_gram().weights
         drift = np.max(np.abs(weights - resummed), initial=0.0)
         assert drift <= 1e-12 * np.max(resummed, initial=0.0)

@@ -5,6 +5,7 @@ import scipy.optimize
 from polymkl import (
     Dataset,
     GradSample,
+    KernelError,
     OptimizerState,
     RhoSchedule,
     RunConfig,
@@ -60,10 +61,8 @@ class TestProjection:
         rng = np.random.default_rng(1)
         for _ in range(10):
             point = rng.normal(scale=2.0, size=4)
-            # set_raw evicts the negative coordinates, the projection rescales
-            theta = theta_from_vector(np.abs(point))
-            for i, v in enumerate(point):
-                theta.set_raw((i + 1,), float(v))
+            # theta holds the positive part, the projection rescales it
+            theta = theta_from_vector(np.clip(point, 0.0, None))
             project_pos_l2ball(theta)
             ours = vector_from_theta(theta, 4)
             projection_oracle_check(point, ours)
@@ -100,11 +99,14 @@ class TestSparseTheta:
         direct = theta.scale**2 * sum(v * v for v in theta.raw.values())
         assert theta.norm_sq == pytest.approx(direct, rel=1e-10)
 
-    def test_zero_evicted(self):
+    def test_nonpositive_rejected(self):
+        # a step only raises a raw, so a raw set to 0 or below is a fault
         theta = SparseTheta.from_dict({(1,): 0.5})
-        theta.set_raw((1,), 0.0)
-        assert theta.support_size == 0
-        assert theta.value((1,)) == 0.0
+        for bad in (0.0, -0.5):
+            with pytest.raises(ValueError, match="nonpositive"):
+                theta.set_raw((1,), bad)
+        assert theta.raw == {(1,): 0.5}
+        assert theta.norm_sq == 0.25
 
     def test_fold_scale_preserves_values(self):
         theta = SparseTheta(0.25, {(1,): 2.0, (2, 2): 4.0})
@@ -146,7 +148,7 @@ class TestStep:
         data, ks, rho = make_run_setup()
         state = OptimizerState(ks, rho)
         state.theta.set_raw((1,), 0.5)
-        state.resync_weights()
+        state.cache.resum(state.theta.raw, state.rho)
         before = state.theta.as_dict()
         cached = state.support_gram()
         state.step(GradSample(index=(2,), value=0.0, mass=0.0), eta=0.1)
@@ -180,6 +182,17 @@ class TestStep:
         state = OptimizerState(ks, rho)
         with pytest.raises(FloatingPointError, match="non-finite gradient sample"):
             state.step(GradSample(index=(1,), value=float("nan"), mass=1.0), eta=0.1)
+
+    def test_unknown_base_index_raises(self):
+        # without the constant kernel, (0, 2) names an unknown base kernel,
+        # though its monomial (2,) is known once (2,) has been stepped on
+        data, ks, rho = make_run_setup()
+        fresh, cached = OptimizerState(ks, rho), OptimizerState(ks, rho)
+        cached.step(GradSample(index=(2,), value=-1.0, mass=1.0), eta=0.1)
+        for state, raw in [(fresh, {}), (cached, {(2,): pytest.approx(0.1)})]:
+            with pytest.raises(KernelError, match="index 0"):
+                state.step(GradSample(index=(0, 2), value=-1.0, mass=1.0), eta=0.1)
+            assert state.theta.raw == raw
 
     def test_fresh_state_single_coordinate(self):
         data, ks, rho = make_run_setup()
@@ -225,7 +238,7 @@ class TestStep:
 
     def test_check_catches_a_corrupt_subnormal_weight(self):
         state = self.subnormal_state()
-        state._w[0] *= 2.0
+        state.cache._w[0] *= 2.0
         with pytest.raises(FloatingPointError, match="weights drifted"):
             state.check_combined_gram()
 
@@ -339,7 +352,7 @@ class TestStep:
         state = OptimizerState(ks, rho)
         state.step(GradSample(index=(2,), value=-2.0, mass=2.0), eta=0.1)
         state.step(GradSample(index=(0, 2), value=-2.0, mass=2.0), eta=0.1)
-        assert state.last_index == (0, 2) and state.monomials == [(2,)]
+        assert state.last_index == (0, 2) and state.cache.monomials == [(2,)]
         state.check_combined_gram()
 
     def test_check_catches_a_zero_column_of_a_nonzero_kernel(self):
@@ -373,16 +386,16 @@ class TestStep:
 
     def test_check_catches_a_corrupt_weight(self):
         state = self.cached_state()
-        state._w[1] *= 1.5
+        state.cache._w[1] *= 1.5
         with pytest.raises(FloatingPointError, match="weights drifted"):
             state.check_combined_gram()
 
     def test_check_catches_a_tuple_in_the_wrong_slot(self):
         # weights re-summed through the wrong mapping agree with the cache
         state = self.cached_state()
-        assert state.monomials == [(1,), (1, 2), (2,)]
-        state._slot_of_tuple[(1,)] = 2
-        state.resync_weights()
+        assert state.cache.monomials == [(1,), (1, 2), (2,)]
+        state.cache._slot_of_key[(1,)] = 2
+        state.cache.resum(state.theta.raw, state.rho)
         with pytest.raises(FloatingPointError, match="own columns"):
             state.check_combined_gram()
 
@@ -390,15 +403,15 @@ class TestStep:
         # G is rebuilt from the wrong column, so only the probe can tell
         state = self.cached_state()
         assert state.last_index == (2,)
-        state._C[:, 0] *= 1.01
-        s = state.num_columns
-        state._G[:s, :s] = state._C[:, :s].T @ state._C[:, :s]
+        state.cache._C[:, 0] *= 1.01
+        s = state.cache.num_columns
+        state.cache._G[:s, :s] = state.cache._C[:, :s].T @ state.cache._C[:, :s]
         with pytest.raises(FloatingPointError, match="own columns"):
             state.check_combined_gram()
 
     def test_check_catches_a_corrupt_column_gram_entry(self):
         state = self.cached_state()
-        state._G[0, 1] += 1e-3 * abs(state._G[0, 1]) + 1e-3
+        state.cache._G[0, 1] += 1e-3 * abs(state.cache._G[0, 1]) + 1e-3
         with pytest.raises(FloatingPointError, match="column Gram"):
             state.check_combined_gram()
 

@@ -247,7 +247,7 @@ class TestNoSquareTemporaries:
 
         for _ in range(100):
             iteration()
-        assert 0 < state.num_columns < ks.n
+        assert 0 < state.cache.num_columns < ks.n
         assert self.peak_bytes(iteration) < self.budget
 
     def test_build_masses_and_draw_where_all_features(self):

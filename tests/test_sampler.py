@@ -15,8 +15,8 @@ from polymkl import (
     degree_masses,
     product_kernel_matrix,
 )
-from polymkl import baselines
-from polymkl.baselines import EnumerationError, brute_force_q
+from polymkl import baselines, sampler
+from polymkl.baselines import EnumerationError, brute_force_q, enumerate_index_set
 from polymkl.gradient import DegreeMasses
 from polymkl.sampler import _NEG_TOL, SamplerError, SamplerWorkspace, _draw_categorical
 
@@ -160,6 +160,61 @@ class TestExactLaw:
         deg2_flat = sum(p for idx, p in flat.items() if len(idx) == 2)
         deg2_tilted = sum(p for idx, p in tilted.items() if len(idx) == 2)
         assert deg2_tilted < deg2_flat
+
+
+def scripted_law(alpha, ks, rho, monkeypatch):
+    """The probability that `draw` gives each ordered tuple, read off its own
+    code: a scripted `_draw_categorical` steers the draw to the tuple, the
+    degree first and then one base position at a time, and multiplies the
+    chances w[pos] / sum(w) that the real one gives those outcomes."""
+    script, chance = [], [1.0]
+
+    def scripted(rng, weights, scale):
+        # the real draw clamps negative round-off to zero
+        weights = np.maximum(weights, 0.0)
+        pos = script.pop(0)
+        chance[0] *= weights[pos] / float(weights.sum())
+        return pos
+
+    monkeypatch.setattr(sampler, "_draw_categorical", scripted)
+    workspace = SamplerWorkspace(ks, rho, np.random.default_rng(0))
+    masses = degree_masses(alpha, ks, rho)
+    law = {}
+    for idx in enumerate_index_set(ks.indices, ks.D):
+        script[:] = [len(idx)] + [ks.indices.index(j) for j in idx]
+        chance[0] = 1.0
+        assert workspace.draw(alpha, masses) == idx and not script
+        law[idx] = chance[0]
+    return law
+
+
+class TestScriptedExactLaw:
+    def test_matches_the_enumerated_law(self, monkeypatch):
+        # n 5-13, r 1-4, D 1-4, the constant kernel on and off, random rho:
+        # the draw's every branch (the first position off the degree masses,
+        # lifted positions, the top feature degree, dense degrees) is taken.
+        # A tuple's mass (z'alpha)^2 cancels in the draw and in the oracle
+        # alike, so each error is taken relative to its mass before
+        # cancellation, (|z|'|alpha|)^2: the worst seen was 3e-15
+        rng = np.random.default_rng(60)
+        forms = set()
+        worst = 0.0
+        for _ in range(200):
+            n, r, D = int(rng.integers(5, 14)), int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            data = Dataset(inputs=rng.normal(size=(n, r)), targets=np.zeros(n))
+            ks = build_base_kernels(data, include_constant=bool(rng.integers(2)), D=D)
+            rho = RhoSchedule(rng.uniform(0.2, 5.0, size=D + 1))
+            alpha = rng.normal(size=n)
+            forms.add((bool(ks.features), bool(ks.dense_powers)))
+            law = scripted_law(alpha, ks, rho, monkeypatch)
+            q = brute_force_q(alpha, ks, rho, D)
+            assert law.keys() == q.keys()
+            Z = ks.product_columns(list(q))
+            cancelled = ((Z.T @ alpha) / (np.abs(Z).T @ np.abs(alpha))) ** 2
+            errors = [abs(law[idx] - p) / p * c for (idx, p), c in zip(q.items(), cancelled)]
+            worst = max(worst, max(errors))
+        assert forms == {(True, False), (True, True), (False, True)}
+        assert worst <= 1e-12, worst
 
 
 class TestDeterminismAndCost:
@@ -357,6 +412,20 @@ class TestCategoricalDrawBitIdentity:
         rng = FixedVariate(1.0 - 2.0**-53)
         assert _draw_categorical(rng, weights, 1.0) == len(weights) - 1
         assert draw_categorical_reference(rng, weights, 1.0) == len(weights) - 1
+
+    def test_bin_edges(self):
+        # cumulative sums 0, 1, 1, 3, 4, 4 over a total of 4: a variate on an
+        # edge lands in the bin that starts there, and no zero bin is drawn
+        weights = np.array([0.0, 1.0, 0.0, 2.0, 1.0, 0.0])
+        for variate, expected in [
+            (0.0, 1),
+            (0.25 - 2.0**-54, 1),
+            (0.25, 3),
+            (0.75 - 2.0**-53, 3),
+            (0.75, 4),
+            (1.0 - 2.0**-53, 4),
+        ]:
+            assert _draw_categorical(FixedVariate(variate), weights, 1.0) == expected, variate
 
     @pytest.mark.parametrize(
         "weights",

@@ -147,7 +147,7 @@ def test_evicted_monomials_keep_zero_weight_columns():
     state.step(GradSample(index=(3,), value=-1e150, mass=1e150), eta=1.0)
     assert set(state.theta.raw) == {(3,)} and state.theta.scale == 1.0
     K = state.support_gram()
-    assert state.monomials == [(1, 2), (3,)]
+    assert state.cache.monomials == [(1, 2), (3,)]
     assert K.weights[0] == 0.0 and K.weights[1] > 0.0
     # a support form handed out before the rebase is left as it was
     for a, b in zip((before.columns, before.gram, before.weights), saved):
@@ -156,7 +156,7 @@ def test_evicted_monomials_keep_zero_weight_columns():
     assert_matches_dense(K, data.targets)
     # the monomial returns to the column it kept
     state.step(GradSample(index=(2, 1), value=-1.0, mass=1.0), eta=0.1)
-    assert state.monomials == [(1, 2), (3,)]
+    assert state.cache.monomials == [(1, 2), (3,)]
     K = state.support_gram()
     assert relative(K.weights, scale_resummed(state)) <= 1e-12
     state.check_combined_gram()
@@ -197,10 +197,10 @@ def test_any_negative_or_non_finite_weight_raises(bad):
 
 def scale_resummed(state):
     """Each cached monomial's weight summed afresh from theta, times scale."""
-    terms = {key: [] for key in state.monomials}
+    terms = {key: [] for key in state.cache.monomials}
     for idx, raw in state.theta.raw.items():
         terms[monomial_key(idx)].append(raw / state.rho.rho_sq[len(idx)])
-    return state.theta.scale * np.array([math.fsum(terms[key]) for key in state.monomials])
+    return state.theta.scale * np.array([math.fsum(terms[key]) for key in state.cache.monomials])
 
 
 @pytest.mark.parametrize("include_constant", [False, True])
@@ -210,10 +210,10 @@ def test_cache_matches_resum_and_fresh_gram(include_constant):
         random_steps(state, rng, 1)
         K = state.support_gram()
         keys = {monomial_key(idx) for idx in state.theta.raw}
-        assert len(set(state.monomials)) == len(state.monomials)
+        assert len(set(state.cache.monomials)) == len(state.cache.monomials)
         # no rebase underflows here, so every cached monomial is in theta
-        assert keys == set(state.monomials)
-        np.testing.assert_array_equal(K.columns, state.ks.product_columns(state.monomials))
+        assert keys == set(state.cache.monomials)
+        np.testing.assert_array_equal(K.columns, state.ks.product_columns(state.cache.monomials))
         expected = scale_resummed(state)
         assert relative(K.weights, expected) <= 1e-12
         fresh = K.columns.T @ K.columns
