@@ -27,7 +27,7 @@ from .dual import DualSolveError, DualState
 from .gradient import GRAD_SCALE, DegreeMasses, GradSample, RhoSchedule, total_mass_C
 from .kernels import BaseKernelSet, product_kernel_matrix
 from .lapack import dpotrf, dpotrs
-from .optimizer import RunRecord, RunResult, SparseTheta, run
+from .optimizer import RunRecord, RunResult, SparseTheta, project_pos_l2ball, run
 from .sampler import SamplerError
 
 ENUMERATION_GUARD = 10**6
@@ -247,9 +247,7 @@ def run_full_gradient(
         t = step
         for _ in range(60):
             cand = theta - t * grad
-            norm = float(np.linalg.norm(cand))
-            scale = 1.0 / norm if norm > 1.0 else 1.0
-            cand *= scale
+            scale = project_pos_l2ball(cand)
             K_cand = scale * (K_theta - t * K_grad)
             dual_cand = solve_dense(K_cand, y)
             if dual_cand.J_value <= J + armijo * float(grad @ (cand - theta)):

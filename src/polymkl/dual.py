@@ -50,12 +50,11 @@ class SupportGram:
     """K_theta = C diag(weights) C' in the span of its support: `columns` is
     n x s, one column per distinct monomial (`monomial_key`), `gram` is C'C
     (s x s), and `weights` (length s) are the summed theta_i / rho_|i|^2 of
-    each monomial's tuples, with the iterate's scale applied. Each weight is
-    a sum of positive terms, or 0.0 for a monomial with no tuple left, so a
-    negative or non-finite one means corrupt state: construction raises
-    FloatingPointError on it, and the solve and `dense` read the weights as
-    they are. The learner's only Gram form; `dense` builds the n x n array
-    for oracles and tests."""
+    each monomial's tuples. Each weight is a sum of nonnegative terms, 0.0
+    for a monomial with no tuple left, so a negative or non-finite one means
+    corrupt state: construction raises FloatingPointError on it, and the
+    solve and `dense` read the weights as they are. The learner's only Gram
+    form; `dense` builds the n x n array for oracles and tests."""
 
     columns: np.ndarray
     gram: np.ndarray
@@ -138,9 +137,9 @@ def solve_alpha(K_theta: SupportGram, y: np.ndarray) -> DualState:
 
 
 def monomial_weights(theta, rho) -> tuple[list, np.ndarray]:
-    """theta's support (or a dict's, such as theta.raw) grouped by monomial:
-    the distinct `monomial_key`s, in order of first appearance, and for each
-    the Gram weight sum theta_i / rho_|i|^2 over its tuples, exactly rounded."""
+    """theta's support grouped by monomial: the distinct `monomial_key`s, in
+    order of first appearance, and for each the Gram weight sum
+    theta_i / rho_|i|^2 over its tuples, exactly rounded."""
     terms: dict = {}
     for idx, value in theta.items():
         terms.setdefault(monomial_key(idx), []).append(value / rho.rho_sq[len(idx)])

@@ -114,6 +114,9 @@ class RunConfig:
             raise ConfigError(f"split sizes must be >= 0, got {self.split_sizes}")
         if self.synthetic_val < 0:
             raise ConfigError(f"synthetic val must be >= 0, got {self.synthetic_val}")
+        n_val = self.split_sizes[1] if self.data_path is not None else self.synthetic_val
+        if self.lambda_grid and n_val == 0:
+            raise ConfigError("--lambda-grid needs a validation split (or val= for synthetic)")
         # standardization fits a mean and a spread on the train split
         n_train = self.split_sizes[0] if self.data_path is not None else self.synthetic.n_train
         if n_train < 2:
@@ -185,8 +188,6 @@ def run_experiment(config: RunConfig) -> MetricsOutput:
 
     chosen_lam = config.lam
     if config.lambda_grid:
-        if val is None:
-            raise ConfigError("--lambda-grid needs a validation split (or val= for synthetic)")
         best = None
         for lam in config.lambda_grid:
             cand = replace(config, lam=lam, lambda_grid=None)

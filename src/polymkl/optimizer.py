@@ -1,28 +1,30 @@
 """Projected stochastic descent over the nonnegative part of the l2 unit ball,
-with a sparse weight representation, the combined Gram kept in the span of
-its support, and lazy iterate averaging. One loop serves the proportional
-sampler and uniform coordinate descent; only the draw differs
+with the iterate held as a plain vector over the tuples it has touched and
+the combined Gram kept in the span of its support. One loop serves the
+proportional sampler and uniform coordinate descent; only the draw differs
 (`proportional_draws` here, `baselines.uniform_draws`).
 
-The combined Gram is scale * C diag(w) C', held by a `SupportCache`: one
-column of C per distinct monomial of the support (permutations of a tuple,
-and tuples that differ only by the constant kernel, share one), their Gram
-G = C'C, and per-monomial weights w. A step raises one weight in O(1); a
-monomial's first step adds its column and a row of G in O(n s); a rebase
-re-sums the weights. The inner solve works on these through Woodbury's
-identity. The two final solves, at the averaged and at the last iterate,
-take the same form, assembled afresh from theta by `assemble_combined_gram`.
-So the loop allocates no n x n array. The checkpoint checks the cache
-against itself and against theta: a probe through columns built afresh, and
-the last updated column against its kernel's diagonal and one row, computed
-from the inputs in O(n k).
+The iterate theta lives on exponentially many coordinates, but only touched
+ones are stored, in order of first touch: each tuple's weight, its running
+sum over the counted iterates, the `SupportCache` slot of its monomial, and
+1/rho_|i|^2. Every gradient component is <= 0, as each K_i is PSD, so a step
+raises one weight, and the projection onto the ball rescales the whole
+vector by 1/||theta|| when ||theta|| > 1. The averaged iterate is the
+running sum over the count. A weight that underflows to 0 under a rescale
+leaves the support and keeps its place and its column.
 
-The iterate theta lives on exponentially many coordinates but only touched
-ones are stored: theta_i = scale * raw_i. Every gradient component is <= 0,
-as each K_i is PSD, so a step only raises one coordinate and the projection
-is a single multiplication of `scale`. Between touches of a coordinate its
-value changes only through `scale`, which is what makes exact O(1)
-averaging bookkeeping possible (prefix sums of the per-iteration scales).
+The combined Gram is C diag(w) C'. The `SupportCache` holds one column of C
+per distinct monomial of the support (permutations of a tuple, and tuples
+that differ only by the constant kernel, share one) and their Gram G = C'C;
+a monomial's first step adds its column and a row of G in O(n s). The
+per-monomial weights w are summed afresh from the vector at each solve, so
+no cached weight can drift. The inner solve works on these through
+Woodbury's identity. The two final solves, at the averaged and at the last
+iterate, take the same form, assembled afresh from theta by
+`assemble_combined_gram`. So the loop allocates no n x n array. The
+checkpoint checks the cache against itself and against theta: a probe
+through columns built afresh, and the last updated column against its
+kernel's diagonal and one row, computed from the inputs in O(n k).
 """
 
 from __future__ import annotations
@@ -30,13 +32,12 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import Dataset, MultiIndex
-from .dual import DualState, SupportGram, assemble_combined_gram, monomial_weights
+from .dual import DualState, SupportGram, assemble_combined_gram
 from .dual import solve_alpha, support_columns
 from .gradient import (
     DegreeMasses,
@@ -62,20 +63,6 @@ from .sampler import SamplerWorkspace
 # feasibility budget
 _PROJECT_SLACK = 1e-13
 
-# fold the scale into the raws, flush the averaging accumulators, and restart
-# the prefix sum whenever the scale drops below this; the scale decays
-# geometrically under repeated projections, and letting it run away destroys
-# the prefix-sum differences (raw grows like 1/scale while the per-iterate
-# prefix increments shrink like scale)
-_REBASE_THRESHOLD = 1e-2
-
-# refresh the incrementally tracked sum of squared raws this often
-_NORM_REFRESH = 256
-
-# the spacing of the subnormals: below the normal range a rounding errs by up
-# to half of it, however small its result
-_SUBNORMAL = math.ulp(0.0)
-
 # the relative tolerance of every comparison in `check_combined_gram`
 _GRAM_CHECK_RTOL = 1e-9
 
@@ -85,94 +72,56 @@ MASS_BUDGET_FACTOR = 10.0
 
 
 class SparseTheta:
-    """Nonnegative sparse weights with a global scale: theta_i = scale * raw_i.
+    """A read-only nonnegative sparse weight vector, such as the iterate a run
+    returns: its tuples with their weights, each strictly positive and
+    finite."""
 
-    Raw entries are strictly positive and finite; a fold evicts those that
-    underflow. Mutating methods keep the cached sum of squared raws
-    consistent (with periodic exact refresh).
-    """
+    __slots__ = ("_values",)
 
-    __slots__ = ("scale", "raw", "raw_sq_sum", "_touches")
-
-    def __init__(self, scale: float = 1.0, raw: dict[MultiIndex, float] | None = None):
-        self.scale = float(scale)
-        self.raw = dict(raw) if raw else {}
+    def __init__(self, values: dict[MultiIndex, float] | None = None):
+        self._values = dict(values) if values else {}
         # written so that a NaN fails it too
-        if not all(0.0 < v < math.inf for v in self.raw.values()):
-            raise ValueError("raw weights must be strictly positive and finite")
-        self.raw_sq_sum = math.fsum(v * v for v in self.raw.values())
-        self._touches = 0
+        if not all(0.0 < v < math.inf for v in self._values.values()):
+            raise ValueError("weights must be strictly positive and finite")
 
     @classmethod
     def from_dict(cls, values: dict[MultiIndex, float]) -> "SparseTheta":
-        return cls(1.0, {idx: v for idx, v in values.items() if v != 0.0})
+        return cls({idx: v for idx, v in values.items() if v != 0.0})
 
     def value(self, idx: MultiIndex) -> float:
-        return self.scale * self.raw.get(idx, 0.0)
+        return self._values.get(idx, 0.0)
 
     def items(self):
-        for idx, raw in self.raw.items():
-            yield idx, self.scale * raw
+        return iter(self._values.items())
 
     def as_dict(self) -> dict[MultiIndex, float]:
-        return dict(self.items())
+        return dict(self._values)
 
     @property
     def support_size(self) -> int:
-        return len(self.raw)
-
-    @property
-    def norm_sq(self) -> float:
-        return self.scale * self.scale * self.raw_sq_sum
+        return len(self._values)
 
     def norm(self) -> float:
-        return math.sqrt(max(self.norm_sq, 0.0))
-
-    def copy(self) -> "SparseTheta":
-        return SparseTheta(self.scale, self.raw)
-
-    def _refresh_norm(self):
-        self.raw_sq_sum = math.fsum(v * v for v in self.raw.values())
-
-    def set_raw(self, idx: MultiIndex, new_raw: float):
-        """Overwrite one raw entry, keeping the cached squared sum in step. A
-        raw is never lowered to 0 or below, so that raises ValueError."""
-        if not math.isfinite(new_raw):
-            raise ValueError(f"non-finite raw weight for {idx}")
-        if new_raw <= 0.0:
-            raise ValueError(f"nonpositive raw weight {new_raw} for {idx}")
-        old = self.raw.get(idx, 0.0)
-        self.raw[idx] = new_raw
-        self.raw_sq_sum += new_raw * new_raw - old * old
-        self._touches += 1
-        if self._touches % _NORM_REFRESH == 0:
-            self._refresh_norm()
-
-    def fold_scale(self):
-        """Push the global scale into the raw entries, evicting those whose
-        product underflows to zero."""
-        folded = ((idx, self.scale * v) for idx, v in self.raw.items())
-        self.raw = {idx: v for idx, v in folded if v > 0.0}
-        self.scale = 1.0
-        self._refresh_norm()
+        return math.sqrt(math.fsum(v * v for v in self._values.values()))
 
 
-def project_pos_l2ball(theta: SparseTheta) -> SparseTheta:
-    """Euclidean projection onto {theta >= 0, ||theta||_2 <= 1}, in place. A
-    SparseTheta holds no negative entry, so this is the rescale by 1/norm
-    when the norm exceeds one. Idempotent. A raw above about 1.3e154 squares
-    to infinity, so a squared norm that is not finite is taken again as the
-    norm of the raws scaled by the largest (`math.hypot`)."""
-    nsq = theta.norm_sq
-    if nsq > 1.0 + _PROJECT_SLACK:
-        if nsq < math.inf:
-            theta.scale /= math.sqrt(nsq)
-        else:
-            norm = math.hypot(*theta.raw.values())
-            if norm == math.inf:
-                raise FloatingPointError("norm of the raw weights overflows")
-            theta.scale = 1.0 / norm
-    return theta
+def project_pos_l2ball(theta: np.ndarray, norm_sq: float | None = None) -> float:
+    """Euclidean projection of a nonnegative vector onto {theta >= 0,
+    ||theta||_2 <= 1}, in place: the rescale by 1/norm when the norm exceeds
+    one. Returns the factor applied, 1.0 when none. `norm_sq` is theta . theta
+    when the caller has it already. Idempotent. An entry above about 1.3e154
+    squares to infinity, so a squared norm that is not finite is taken again
+    as the norm of the entries scaled by the largest (`math.hypot`)."""
+    if norm_sq is None:
+        norm_sq = float(np.vdot(theta, theta))
+    factor = 1.0
+    if norm_sq > 1.0 + _PROJECT_SLACK:
+        norm = math.sqrt(norm_sq) if norm_sq < math.inf else math.hypot(*theta)
+        if norm == math.inf:
+            raise FloatingPointError("norm of the weights overflows")
+        factor = 1.0 / norm
+        theta *= factor
+    return factor
 
 
 def default_step_size(B_estimate: float, T: int) -> float:
@@ -209,13 +158,11 @@ class RunResult:
 
 
 class SupportCache:
-    """The combined Gram of theta's support in raw units, C diag(w) C': one
+    """The columns of the combined Gram C diag(w) C' of theta's support: one
     column of C per distinct monomial, in the slot its `monomial_key` maps
-    to, their Gram G = C'C, and weights w_k = sum of raw_i / rho_|i|^2 over
-    the tuples i of theta with key k. Three events change it: a monomial's
-    first column with its row of G, in O(n s); a raised weight, in O(1); and
-    the re-sum of the weights after a fold. No column is dropped: a monomial
-    with no tuple left keeps its column at weight 0."""
+    to, and their Gram G = C'C. Its one event is a monomial's first column
+    with its row of G, in O(n s). It holds no weight; `gram` takes them. No
+    column is dropped: a monomial with no tuple left keeps its column."""
 
     def __init__(self, ks: BaseKernelSet):
         self.ks = ks
@@ -223,7 +170,6 @@ class SupportCache:
         self._slot_of_key: dict[MultiIndex, int] = {}
         self._C = np.empty((ks.n, 0), order="F")
         self._G = np.empty((0, 0))
-        self._w = np.empty(0)
 
     @property
     def num_columns(self) -> int:
@@ -234,31 +180,18 @@ class SupportCache:
         """The cached monomial keys, in column order."""
         return list(self._slot_of_key)
 
-    def gram(self, scale: float) -> SupportGram:
-        """The combined Gram at `scale`, in support form. The slots it covers
-        are never rewritten and the weights are a copy, so it stays valid."""
+    def gram(self, weights: np.ndarray) -> SupportGram:
+        """The combined Gram with one weight per slot, in support form. The
+        slots it covers are never rewritten, so it stays valid."""
         s = self.num_columns
-        return SupportGram(self._C[:, :s], self._G[:s, :s], scale * self._w[:s])
+        return SupportGram(self._C[:, :s], self._G[:s, :s], weights)
 
     def column(self, idx: MultiIndex) -> np.ndarray:
         """The cached column of the monomial of tuple idx."""
         return self._C[:, self._slot_of_key[monomial_key(idx)]]
 
-    def raise_weight(self, idx: MultiIndex, delta: float):
-        """Add delta to the weight of the monomial of tuple idx."""
-        # the slot first: a new column may replace the arrays
-        slot = self._slot(monomial_key(idx))
-        self._w[slot] += delta
-
-    def resum(self, raw: dict[MultiIndex, float], rho: RhoSchedule):
-        """Set every weight to its re-sum over `raw` (`monomial_weights`), 0
-        for a monomial with no tuple left."""
-        keys, weights = monomial_weights(raw, rho)
-        slots = [self._slot(key) for key in keys]
-        self._w[: self.num_columns] = 0.0
-        self._w[slots] = weights
-
-    def _slot(self, key: MultiIndex) -> int:
+    def slot(self, key: MultiIndex) -> int:
+        """The slot of monomial `key`, its column added on first sight."""
         slot = self._slot_of_key.get(key)
         return self._add_column(key) if slot is None else slot
 
@@ -275,7 +208,6 @@ class SupportCache:
             raise FloatingPointError(f"non-finite Gram row for monomial {key}")
         self._G[s, : s + 1] = row
         self._G[: s + 1, s] = row
-        self._w[s] = 0.0
         self._slot_of_key[key] = s
         return s
 
@@ -293,27 +225,12 @@ class SupportCache:
         C[:, :s] = self._C[:, keep]
         G = np.empty((capacity, capacity))
         G[:s, :s] = self._G[np.ix_(keep, keep)]
-        w = np.empty(capacity)
-        w[:s] = self._w[keep]
-        self._C, self._G, self._w = C, G, w
+        self._C, self._G = C, G
 
-    def check(self, raw: dict[MultiIndex, float], rho: RhoSchedule, steps: int):
-        """Raise FloatingPointError if the weights have drifted from their
-        re-sum over `raw`, or G from a fresh C'C. The weight drift may reach
-        _GRAM_CHECK_RTOL times the largest weight, plus one smallest subnormal
-        per rounding behind it (per one of the `steps` taken, and per re-summed
-        term): below the normal range a rounding costs an absolute half ulp,
-        which no relative bound covers."""
-        keys, weights = monomial_weights(raw, rho)
+    def check(self):
+        """Raise FloatingPointError if G has drifted from a fresh C'C, by more
+        than _GRAM_CHECK_RTOL of its norm."""
         s = self.num_columns
-        resummed = np.zeros(s)
-        resummed[[self._slot_of_key[key] for key in keys]] = weights
-        denom = float(np.max(np.abs(resummed), initial=0.0))
-        drift = float(np.max(np.abs(self._w[:s] - resummed), initial=0.0))
-        roundings = steps + max(Counter(map(monomial_key, raw)).values(), default=0)
-        # written so that a NaN fails it too
-        if not drift <= _GRAM_CHECK_RTOL * denom + roundings * _SUBNORMAL:
-            raise FloatingPointError(f"cached support weights drifted: {drift:.3e} of {denom:.3e}")
         C = self._C[:, :s]
         fresh = C.T @ C
         error = np.linalg.norm(self._G[:s, :s] - fresh)
@@ -322,32 +239,57 @@ class SupportCache:
 
 
 class OptimizerState:
-    """Single-owner mutable state for one descent run: the iterate theta, its
-    `SupportCache`, and the lazy average (per-coordinate accumulators against
-    a prefix sum of scales). A step raises one weight of the cache; a rebase
-    folds theta's scale into its raws and has the cache re-sum them.
+    """Single-owner mutable state for one descent run: the iterate as a plain
+    vector over the tuples touched so far, in order of first touch (per tuple
+    its weight, its running sum over the counted iterates, the cache slot of
+    its monomial and 1/rho_|i|^2), and the `SupportCache` of their columns. A
+    step raises one weight and rescales the vector back into the ball.
     `last_index` is the tuple of the latest nonzero update, None before one."""
 
     def __init__(self, ks: BaseKernelSet, rho: RhoSchedule):
         self.ks = ks
         self.rho = rho
-        self.theta = SparseTheta()
         self.iter = 0
         self.last_index: MultiIndex | None = None
         self.records: list[RunRecord] = []
         self.cache = SupportCache(ks)
         # the Gram check's fixed probe, made at its first call
         self._probe: np.ndarray | None = None
-        # averaging: prefix sum of scales of iterates counted so far, the
-        # number counted, and per-coordinate (accumulator, prefix-sum mark)
-        self._ps = 0.0
-        self._avg_count = 0
-        self._avg_acc: dict[MultiIndex, float] = {}
-        self._avg_mark: dict[MultiIndex, float] = {}
+        # the touched tuples, in order of first touch, with their positions
+        # in the arrays below (which hold room for more); the iterates
+        # counted toward the average; and the current squared norm
+        self._position: dict[MultiIndex, int] = {}
+        self._theta = np.zeros(0)
+        self._sum = np.zeros(0)
+        self._slot = np.zeros(0, dtype=np.intp)
+        self._inv_rho_sq = np.zeros(0)
+        self._count = 0
+        self._norm_sq = 0.0
+
+    @property
+    def theta(self) -> SparseTheta:
+        """The current iterate: the touched tuples whose weight is nonzero."""
+        m = len(self._position)
+        return SparseTheta.from_dict(dict(zip(self._position, self._theta[:m].tolist())))
+
+    @property
+    def support_size(self) -> int:
+        return int(np.count_nonzero(self._theta[: len(self._position)]))
+
+    def norm(self) -> float:
+        """The current iterate's norm, from the squared norm of the last step."""
+        return math.sqrt(self._norm_sq)
 
     def support_gram(self) -> SupportGram:
-        """The current combined Gram in support form (`SupportCache.gram`)."""
-        return self.cache.gram(self.theta.scale)
+        """The current combined Gram in support form: the cache's columns and
+        their Gram, with each monomial's weight summed afresh over its
+        tuples."""
+        m = len(self._position)
+        weights = np.bincount(
+            self._slot[:m], self._theta[:m] * self._inv_rho_sq[:m], self.cache.num_columns
+        )
+        # an empty bincount is an integer array
+        return self.cache.gram(weights.astype(float, copy=False))
 
     def combined_gram(self) -> np.ndarray:
         """The current combined Gram, built dense from the cache into a fresh
@@ -356,34 +298,30 @@ class OptimizerState:
 
     def rebuild_combined_gram(self) -> SupportGram:
         """The combined Gram in support form, assembled afresh from theta's
-        tuples, independently of the cache's slots, columns and weights."""
+        tuples, independently of the cache's slots and columns."""
         return assemble_combined_gram(self.theta, self.ks, self.rho)
 
-    def _flush_average(self, idx: MultiIndex):
-        # mark defaults to 0: a never-flushed raw entry has held its value
-        # since the start of the current prefix-sum epoch
-        mark = self._avg_mark.get(idx, 0.0)
-        self._avg_acc[idx] = self._avg_acc.get(idx, 0.0) + self.theta.raw.get(idx, 0.0) * (
-            self._ps - mark
-        )
-        self._avg_mark[idx] = self._ps
-
-    def _rebase(self):
-        """Flush every coordinate of theta, fold the scale into the raws, have
-        the cache re-sum its weights from them, and restart the prefix sum."""
-        for idx in self.theta.raw:
-            self._flush_average(idx)
-        self.theta.fold_scale()
-        self.cache.resum(self.theta.raw, self.rho)
-        self._ps = 0.0
-        self._avg_mark = {idx: 0.0 for idx in self.theta.raw}
+    def _enter(self, idx: MultiIndex) -> int:
+        """Give a first-touched tuple the next position, at weight 0, and its
+        monomial a slot in the cache."""
+        slot = self.cache.slot(monomial_key(idx))
+        m = len(self._position)
+        if m == len(self._theta):
+            self._theta, self._sum, self._slot, self._inv_rho_sq = (
+                np.concatenate((a, np.zeros(max(16, m), a.dtype)))
+                for a in (self._theta, self._sum, self._slot, self._inv_rho_sq)
+            )
+        self._slot[m] = slot
+        self._inv_rho_sq[m] = 1.0 / self.rho.rho_sq[len(idx)]
+        self._position[idx] = m
+        return m
 
     def step(self, sample: GradSample, eta: float) -> "OptimizerState":
         """One full update: count the entering iterate toward the average, add
-        -eta * sample.value >= 0 to the sampled coordinate (and to its
-        monomial's weight), and rescale back into the unit ball. A gradient
-        component is never positive, so a positive sample raises ValueError,
-        as does a step size that is not positive and finite."""
+        -eta * sample.value >= 0 to the sampled coordinate, and rescale back
+        into the unit ball. A gradient component is never positive, so a
+        positive sample raises ValueError, as does a step size that is not
+        positive and finite."""
         # written so that a NaN fails them too
         if not 0.0 < eta < math.inf:
             raise ValueError(f"step size must be positive and finite, got {eta}")
@@ -391,24 +329,32 @@ class OptimizerState:
             raise FloatingPointError("non-finite gradient sample")
         if sample.value > 0.0:
             raise ValueError(f"positive gradient sample {sample.value} on {sample.index}")
-        self._ps += self.theta.scale
-        self._avg_count += 1
+        m = len(self._position)
+        self._sum[:m] += self._theta[:m]
+        self._count += 1
         self.iter += 1
         idx = sample.index
         delta_theta = -eta * sample.value
-        if delta_theta != 0.0:
-            old_raw = self.theta.raw.get(idx, 0.0)
+        if delta_theta == 0.0:
+            return self
+        position = self._position.get(idx)
+        weight = delta_theta if position is None else self._theta[position] + delta_theta
+        if weight == math.inf:
+            raise FloatingPointError(f"weight of {idx} overflows")
+        if position is None:
             # the cache's keys drop index 0, so an entering tuple is checked here
-            if not old_raw and 0 in idx and not self.ks.has_constant:
+            if 0 in idx and not self.ks.has_constant:
                 raise KernelError("no base kernel with index 0")
-            new_raw = old_raw + delta_theta / self.theta.scale
-            self.cache.raise_weight(idx, (new_raw - old_raw) / self.rho.rho_sq[len(idx)])
-            self._flush_average(idx)
-            self.theta.set_raw(idx, new_raw)
-            self.last_index = idx
-            project_pos_l2ball(self.theta)
-            if self.theta.scale < _REBASE_THRESHOLD:
-                self._rebase()
+            position = self._enter(idx)
+        self._theta[position] = weight
+        self.last_index = idx
+        theta = self._theta[: len(self._position)]
+        # np.vdot, unlike @, does not warn when a square overflows, and the
+        # projection takes an infinite squared norm by its other route
+        norm_sq = float(np.vdot(theta, theta))
+        if project_pos_l2ball(theta, norm_sq) != 1.0:
+            norm_sq = float(np.vdot(theta, theta))
+        self._norm_sq = norm_sq
         return self
 
     def check_combined_gram(self):
@@ -417,10 +363,11 @@ class OptimizerState:
         product over `support_columns` of theta, or if the cached column of
         `last_index` disagrees with entries of its product kernel
         (`_check_column`). The cache's own check shares its key map and
-        columns; the probe shares neither, so it catches a key in the wrong
-        slot or a wrong column; the kernel entries come straight from the
-        inputs. Each bound is _GRAM_CHECK_RTOL times what it compares."""
-        self.cache.check(self.theta.raw, self.rho, self.iter)
+        columns; the probe shares neither, nor the state's slots, so it
+        catches a tuple in the wrong slot or a wrong column; the kernel
+        entries come straight from the inputs. Each bound is _GRAM_CHECK_RTOL
+        times what it compares."""
+        self.cache.check()
         # a fixed probe, made once per state, so the check draws nothing from
         # the run's generator
         if self._probe is None:
@@ -475,25 +422,20 @@ class OptimizerState:
             )
 
     def average_theta(self) -> SparseTheta:
-        """The average of the iterates counted so far, reconstructed exactly from
-        the prefix sums; does not disturb the running bookkeeping."""
-        if self._avg_count < 1:
+        """The average of the iterates counted so far, the running sums over
+        their count; does not disturb the running bookkeeping."""
+        if self._count < 1:
             raise ValueError("no iterates have been counted yet")
-        out: dict[MultiIndex, float] = {}
-        for idx in set(self._avg_acc) | set(self.theta.raw):
-            acc = self._avg_acc.get(idx, 0.0)
-            mark = self._avg_mark.get(idx, 0.0)
-            acc += self.theta.raw.get(idx, 0.0) * (self._ps - mark)
-            if acc != 0.0:
-                out[idx] = acc / self._avg_count
-        return SparseTheta.from_dict(out)
+        average = self._sum[: len(self._position)] / self._count
+        return SparseTheta.from_dict(dict(zip(self._position, average.tolist())))
 
     def mark_tail_iterates(self, count: int):
         """Count `count` further iterates equal to the current one (used when a
         run stops early with a zero gradient)."""
         if count > 0:
-            self._ps += count * self.theta.scale
-            self._avg_count += count
+            m = len(self._position)
+            self._sum[:m] += count * self._theta[:m]
+            self._count += count
 
 
 def proportional_draws(ks: BaseKernelSet, rho: RhoSchedule, seed: int):
@@ -559,8 +501,8 @@ def run(
                     wall_time_s=time.perf_counter() - started,
                     J_value=dual.J_value,
                     C_value=C,
-                    support_size=state.theta.support_size,
-                    theta_norm=state.theta.norm(),
+                    support_size=state.support_size,
+                    theta_norm=state.norm(),
                 )
             )
             if C <= 0:
@@ -577,7 +519,7 @@ def run(
 
     theta_avg = state.average_theta()
     final = solve_alpha(assemble_combined_gram(theta_avg, ks, rho), y)
-    theta_last = state.theta.copy()
+    theta_last = state.theta
     dual_last = solve_alpha(state.rebuild_combined_gram(), y)
     return RunResult(
         theta_avg=theta_avg,

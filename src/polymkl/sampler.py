@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import MultiIndex
-from .gradient import DegreeMasses, RhoSchedule, degree_masses
+from .gradient import DegreeMasses, RhoSchedule
 from .kernels import BaseKernelSet
 
 # round-off tolerance for masses that are nonnegative in exact arithmetic,
@@ -79,10 +79,8 @@ class SamplerWorkspace:
                 top = ks.features[len(ks.features)]
                 self._PhiU = np.empty((top.shape[1], ks.Z.shape[1]))
 
-    def draw(self, alpha: np.ndarray, masses: DegreeMasses | None = None) -> MultiIndex:
+    def draw(self, alpha: np.ndarray, masses: DegreeMasses) -> MultiIndex:
         ks = self.ks
-        if masses is None:
-            masses = degree_masses(alpha, ks, self.rho)
         if masses.total <= 0:
             raise SamplerError("zero total gradient mass; nothing to sample")
         d = _draw_categorical(self.rng, masses.delta, masses.total)

@@ -3,10 +3,10 @@
 Hypothesis draws sequences of nonpositive gradient samples. Each lands on a
 monomial written as one of its tuples: any order of its indices, with any
 number of constant-kernel 0s mixed in, so that tuples share columns. The
-magnitudes run from round-off size to sizes whose projection forces a
-rebase and underflows older coordinates to zero. After every step the state
-must agree with a dense reference that applies the same update and
-projection to a plain dict of values.
+magnitudes run from round-off size to sizes whose projection underflows
+older coordinates to zero. After every step the state must agree with a
+dense reference that applies the same update and projection to a plain dict
+of values.
 """
 
 import itertools
@@ -57,58 +57,53 @@ def close(actual: float, expected: float) -> bool:
 
 def check_against_dense_reference(steps, seen):
     """Run `steps` on a fresh state and a dense reference side by side,
-    counting into `seen` the rebases, underflow evictions and shared
-    columns they exercised."""
+    counting into `seen` the projections, the weights underflowing to 0 and
+    the shared columns they exercised."""
     state = make_state()
-    rebase = state._rebase
-
-    def counting_rebase():
-        before = set(state.theta.raw)
-        rebase()
-        seen["rebases"] += 1
-        seen["underflows"] += len(before - set(state.theta.raw))
-
-    state._rebase = counting_rebase
     reference: dict = {}
     running_sum: dict = {}
     for k, (idx, magnitude, eta) in enumerate(steps, start=1):
         for key, value in reference.items():
             running_sum[key] = running_sum.get(key, 0.0) + value
+        before = set(state.theta.as_dict())
         state.step(GradSample(index=idx, value=-magnitude, mass=magnitude), eta)
         if eta * magnitude != 0.0:
             reference[idx] = reference.get(idx, 0.0) + eta * magnitude
             norm = math.sqrt(math.fsum(v * v for v in reference.values()))
             if norm > 1.0:
                 reference = {key: v / norm for key, v in reference.items()}
+                seen["projections"] += 1
 
-        # the iterate, and feasibility
-        theta = state.theta
-        for key in set(reference) | set(theta.raw):
-            assert close(theta.value(key), reference.get(key, 0.0)), key
-        assert all(0.0 < raw < math.inf for raw in theta.raw.values())
-        assert 0.0 < theta.scale <= 1.0
-        assert theta.norm() <= 1.0 + 1e-12
+        # the iterate, its norm, and feasibility
+        theta = state.theta.as_dict()
+        seen["underflows"] += len(before - set(theta))
+        for key in set(reference) | set(theta):
+            assert close(theta.get(key, 0.0), reference.get(key, 0.0)), key
+        assert all(0.0 < value < math.inf for value in theta.values())
+        norm = math.sqrt(math.fsum(v * v for v in reference.values()))
+        assert close(state.norm(), norm)
+        assert state.norm() <= 1.0 + 1e-12
 
-        # the cached weights against a re-sum over theta
+        # the summed weights against a re-sum over theta
         terms = {key: [] for key in state.cache.monomials}
-        for t, raw in theta.raw.items():
-            terms[monomial_key(t)].append(raw / state.rho.rho_sq[len(t)])
-        resummed = theta.scale * np.array([math.fsum(terms[key]) for key in state.cache.monomials])
+        for t, value in theta.items():
+            terms[monomial_key(t)].append(value / state.rho.rho_sq[len(t)])
+        resummed = np.array([math.fsum(terms[key]) for key in state.cache.monomials])
         weights = state.support_gram().weights
         drift = np.max(np.abs(weights - resummed), initial=0.0)
         assert drift <= 1e-12 * np.max(resummed, initial=0.0)
         seen["shared"] += sum(len(t) > 1 for t in terms.values())
 
-        # the lazy average against the dense running mean
-        average = state.average_theta()
-        for key in set(running_sum) | set(average.raw):
-            assert close(average.value(key), running_sum.get(key, 0.0) / k), key
+        # the average against the dense running mean
+        average = state.average_theta().as_dict()
+        for key in set(running_sum) | set(average):
+            assert close(average.get(key, 0.0), running_sum.get(key, 0.0) / k), key
 
         state.check_combined_gram()
 
 
 def test_state_matches_dense_reference_over_random_nonpositive_steps():
-    seen = {"rebases": 0, "underflows": 0, "shared": 0}
+    seen = {"projections": 0, "underflows": 0, "shared": 0}
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(STEPS)
@@ -117,4 +112,4 @@ def test_state_matches_dense_reference_over_random_nonpositive_steps():
 
     check()
     # the draws reached the paths they are meant to cover
-    assert seen["rebases"] > 0 and seen["underflows"] > 0 and seen["shared"] > 0
+    assert seen["projections"] > 0 and seen["underflows"] > 0 and seen["shared"] > 0, seen

@@ -169,6 +169,22 @@ class TestParseCli:
         assert flags[0].lstrip("-") in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize(
+        "source",
+        [["--synthetic", "r=2,train=10,test=5"], ["--data", "DATA", "--split", "12,0,8"]],
+    )
+    def test_lambda_grid_without_validation_rows_usage_error_before_any_fit(
+        self, source, capsys, tmp_path
+    ):
+        data = tmp_path / "data.csv"
+        np.savetxt(data, np.random.default_rng(0).normal(size=(20, 4)), delimiter=",")
+        argv = [str(data) if f == "DATA" else f for f in source]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--lambda-grid", "1e-3,1", "--out", str(tmp_path / "run")])
+        assert exc.value.code == 2
+        assert "lambda-grid needs a validation split" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["data.csv"]
+
     def test_synthetic_degree_above_run_degree(self, capsys):
         with pytest.raises(SystemExit):
             parse_cli(["--synthetic", "r=4,train=10,test=5,maxdeg=3", "--degree", "2"])

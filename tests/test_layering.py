@@ -118,11 +118,11 @@ def package_trees() -> dict[str, ast.Module]:
 
 def test_support_cache_state_is_touched_only_by_its_own_methods():
     trees = package_trees()
-    assert {"_slot_of_key", "_C", "_G", "_w"} <= private_names(cache_class(trees))
+    assert {"_slot_of_key", "_C", "_G"} <= private_names(cache_class(trees))
     assert foreign_uses(trees) == []
 
 
 def test_a_foreign_write_to_the_cache_is_seen():
     trees = package_trees()
-    trees["elsewhere"] = ast.parse("def step(state):\n    state.cache._w[0] += 1.0\n")
-    assert "elsewhere:2 _w" in foreign_uses(trees)
+    trees["elsewhere"] = ast.parse("def step(state):\n    state.cache._G[0, 0] += 1.0\n")
+    assert "elsewhere:2 _G" in foreign_uses(trees)

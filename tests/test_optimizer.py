@@ -23,14 +23,6 @@ from polymkl.gradient import degree_masses, importance_estimate, total_mass_C
 from polymkl.sampler import SamplerWorkspace
 
 
-def theta_from_vector(values):
-    return SparseTheta.from_dict({(i + 1,): float(v) for i, v in enumerate(values)})
-
-
-def vector_from_theta(theta, size):
-    return np.array([theta.value((i + 1,)) for i in range(size)])
-
-
 def projection_oracle_check(point, projected, tol=1e-9):
     """The defining variational inequality of a Euclidean projection onto a
     convex set: <point - p, x - p> <= 0 for every feasible x."""
@@ -48,23 +40,22 @@ def projection_oracle_check(point, projected, tol=1e-9):
 
 class TestProjection:
     def test_interior_point_unchanged(self):
-        theta = theta_from_vector([0.3, 0.4])
-        project_pos_l2ball(theta)
-        np.testing.assert_array_equal(vector_from_theta(theta, 2), [0.3, 0.4])
+        theta = np.array([0.3, 0.4])
+        assert project_pos_l2ball(theta) == 1.0
+        np.testing.assert_array_equal(theta, [0.3, 0.4])
 
     def test_pure_scaling(self):
-        theta = theta_from_vector([3.0, 4.0])
-        project_pos_l2ball(theta)
-        np.testing.assert_allclose(vector_from_theta(theta, 2), [0.6, 0.8], rtol=1e-15)
+        theta = np.array([3.0, 4.0])
+        assert project_pos_l2ball(theta) == pytest.approx(0.2, rel=1e-15)
+        np.testing.assert_allclose(theta, [0.6, 0.8], rtol=1e-15)
 
     def test_matches_constrained_solver(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
             point = rng.normal(scale=2.0, size=4)
             # theta holds the positive part, the projection rescales it
-            theta = theta_from_vector(np.clip(point, 0.0, None))
-            project_pos_l2ball(theta)
-            ours = vector_from_theta(theta, 4)
+            ours = np.clip(point, 0.0, None)
+            project_pos_l2ball(ours)
             projection_oracle_check(point, ours)
             res = scipy.optimize.minimize(
                 lambda x: 0.5 * np.sum((x - point) ** 2),
@@ -80,59 +71,18 @@ class TestProjection:
     def test_idempotent_exactly(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
-            theta = theta_from_vector(rng.uniform(0, 2, size=3))
+            theta = rng.uniform(0, 2, size=3)
             project_pos_l2ball(theta)
-            once = (theta.scale, dict(theta.raw))
-            project_pos_l2ball(theta)
-            assert (theta.scale, dict(theta.raw)) == once
+            once = theta.copy()
+            assert project_pos_l2ball(theta) == 1.0
+            np.testing.assert_array_equal(theta, once)
 
 
 class TestSparseTheta:
-    def test_norm_tracks_mutations(self):
-        theta = SparseTheta()
-        rng = np.random.default_rng(3)
-        for _ in range(500):
-            idx = (int(rng.integers(1, 6)),)
-            theta.set_raw(idx, float(rng.uniform(0.0, 1.0)))
-            if rng.random() < 0.3:
-                theta.scale *= 0.9
-        direct = theta.scale**2 * sum(v * v for v in theta.raw.values())
-        assert theta.norm_sq == pytest.approx(direct, rel=1e-10)
-
-    def test_nonpositive_rejected(self):
-        # a step only raises a raw, so a raw set to 0 or below is a fault
-        theta = SparseTheta.from_dict({(1,): 0.5})
-        for bad in (0.0, -0.5):
-            with pytest.raises(ValueError, match="nonpositive"):
-                theta.set_raw((1,), bad)
-        assert theta.raw == {(1,): 0.5}
-        assert theta.norm_sq == 0.25
-
-    def test_fold_scale_preserves_values(self):
-        theta = SparseTheta(0.25, {(1,): 2.0, (2, 2): 4.0})
-        before = theta.as_dict()
-        theta.fold_scale()
-        assert theta.scale == 1.0
-        assert theta.as_dict() == before
-
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
     def test_rejects_a_raw_that_is_not_positive_and_finite(self, bad):
         with pytest.raises(ValueError, match="positive and finite"):
-            SparseTheta(1.0, {(1,): bad})
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_set_raw_rejects_a_non_finite_raw(self, bad):
-        theta = SparseTheta.from_dict({(1,): 0.5})
-        with pytest.raises(ValueError, match="non-finite"):
-            theta.set_raw((1,), bad)
-        assert theta.raw == {(1,): 0.5}
-
-    def test_fold_scale_evicts_underflow(self):
-        theta = SparseTheta(1e-30, {(1,): 1e-300, (2,): 1.0})
-        theta.fold_scale()
-        assert theta.raw == {(2,): 1e-30}
-        assert theta.norm_sq == pytest.approx(1e-60)
-        theta.copy()  # the strictly-positive rule holds again
+            SparseTheta({(1,): bad})
 
 
 def make_run_setup(n=5, r=2, D=2, seed=0, include_constant=False):
@@ -147,13 +97,12 @@ class TestStep:
     def test_zero_value_only_counters_move(self):
         data, ks, rho = make_run_setup()
         state = OptimizerState(ks, rho)
-        state.theta.set_raw((1,), 0.5)
-        state.cache.resum(state.theta.raw, state.rho)
+        state.step(GradSample(index=(1,), value=-5.0, mass=5.0), eta=0.1)
         before = state.theta.as_dict()
         cached = state.support_gram()
         state.step(GradSample(index=(2,), value=0.0, mass=0.0), eta=0.1)
         assert state.theta.as_dict() == before
-        assert state.iter == 1
+        assert state.iter == 2
         after = state.support_gram()
         np.testing.assert_array_equal(after.columns, cached.columns)
         np.testing.assert_array_equal(after.weights, cached.weights)
@@ -164,7 +113,7 @@ class TestStep:
         state = OptimizerState(ks, rho)
         with pytest.raises(ValueError, match="step size"):
             state.step(GradSample(index=(1,), value=-1.0, mass=1.0), eta=eta)
-        assert state.theta.raw == {} and state.iter == 0
+        assert state.theta.as_dict() == {} and state.iter == 0
 
     @pytest.mark.parametrize("value", [1e-300, 3.4e-29, 1.0])
     def test_positive_sample_raises(self, value):
@@ -192,7 +141,7 @@ class TestStep:
         for state, raw in [(fresh, {}), (cached, {(2,): pytest.approx(0.1)})]:
             with pytest.raises(KernelError, match="index 0"):
                 state.step(GradSample(index=(0, 2), value=-1.0, mass=1.0), eta=0.1)
-            assert state.theta.raw == raw
+            assert state.theta.as_dict() == raw
 
     def test_fresh_state_single_coordinate(self):
         data, ks, rho = make_run_setup()
@@ -210,18 +159,62 @@ class TestStep:
         assert state.theta.norm() == pytest.approx(1.0, abs=1e-12)
 
     def test_step_whose_square_overflows_keeps_the_other_coordinates(self):
-        # 1e200 squares to inf: the projection must take the norm of the raws
-        # scaled by the largest instead of dividing by sqrt(inf) = inf, which
-        # would fold every raw to 0 at the rebase
+        # 1e200 squares to inf: the projection must take the norm of the
+        # weights scaled by the largest instead of dividing by sqrt(inf) = inf,
+        # which would send every weight to 0
         data, ks, rho = make_run_setup()
         state = OptimizerState(ks, rho)
         state.step(GradSample(index=(1,), value=-0.5, mass=0.5), eta=1.0)
         state.step(GradSample(index=(2,), value=-1e200, mass=1e200), eta=1.0)
-        assert set(state.theta.raw) == {(1,), (2,)}
+        assert set(state.theta.as_dict()) == {(1,), (2,)}
         assert state.theta.value((2,)) == pytest.approx(1.0, rel=1e-15)
         assert state.theta.value((1,)) == pytest.approx(5e-201, rel=1e-15)
         assert state.theta.norm() == pytest.approx(1.0, rel=1e-15)
+        assert state.norm() == pytest.approx(1.0, rel=1e-15)
         state.check_combined_gram()
+
+    def test_step_whose_weight_overflows_raises(self):
+        data, ks, rho = make_run_setup()
+        state = OptimizerState(ks, rho)
+        state.step(GradSample(index=(1,), value=-0.5, mass=0.5), eta=1.0)
+        with pytest.raises(FloatingPointError, match="overflows"):
+            state.step(GradSample(index=(2,), value=-1e300, mass=1e300), eta=1e10)
+        assert state.theta.as_dict() == {(1,): 0.5}
+
+    def test_underflowed_weight_leaves_theta_and_keeps_its_column(self):
+        # the projection after the 1e300 step multiplies by 1e-300, so the
+        # weight 1e-30 of (1,) underflows to 0; its column stays at weight 0,
+        # and a later step raises the same entry again
+        data, ks, rho = make_run_setup()
+        state = OptimizerState(ks, rho)
+        state.step(GradSample(index=(1,), value=-1e-30, mass=1e-30), eta=1.0)
+        state.step(GradSample(index=(2,), value=-1e300, mass=1e300), eta=1.0)
+        assert state.theta.as_dict() == {(2,): 1.0}
+        assert state.support_size == 1
+        assert state.cache.monomials == [(1,), (2,)]
+        np.testing.assert_array_equal(state.support_gram().weights, [0.0, 1.0])
+        state.check_combined_gram()
+        average = state.average_theta()
+        assert average.value((1,)) == 1e-30 / 2 and average.value((2,)) == 0.0
+        state.step(GradSample(index=(1,), value=-0.5, mass=0.5), eta=1.0)
+        assert set(state.theta.as_dict()) == {(1,), (2,)}
+        assert state.cache.monomials == [(1,), (2,)]
+        state.check_combined_gram()
+
+    def test_norm_tracks_steps(self):
+        # the squared norm each step computes for the projection is the one
+        # the records read; it must agree with the weights as they stand
+        data, ks, rho = make_run_setup(D=2)
+        state = OptimizerState(ks, rho)
+        rng = np.random.default_rng(3)
+        tuples = [(), (1,), (2,), (1, 2), (2, 2)]
+        for _ in range(500):
+            idx = tuples[int(rng.integers(len(tuples)))]
+            value = -float(rng.uniform(0.0, 1.0))
+            state.step(GradSample(index=idx, value=value, mass=-value), eta=0.3)
+            direct = np.sqrt(np.sum(np.square(list(state.theta.as_dict().values()))))
+            assert state.norm() == pytest.approx(direct, rel=1e-14)
+            assert state.theta.norm() == pytest.approx(direct, rel=1e-14)
 
     def subnormal_state(self):
         # every weight is subnormal, where 1e-9 of the largest underflows to
@@ -235,12 +228,6 @@ class TestStep:
 
     def test_subnormal_weights_pass_the_check(self):
         self.subnormal_state().check_combined_gram()
-
-    def test_check_catches_a_corrupt_subnormal_weight(self):
-        state = self.subnormal_state()
-        state.cache._w[0] *= 2.0
-        with pytest.raises(FloatingPointError, match="weights drifted"):
-            state.check_combined_gram()
 
     def test_incremental_gram_matches_rebuild_over_random_steps(self):
         data, ks, rho = make_run_setup(n=5, r=2, D=2, seed=4)
@@ -385,17 +372,21 @@ class TestStep:
         return state
 
     def test_check_catches_a_corrupt_weight(self):
+        # a wrong 1/rho^2 of one tuple enters every weight summed from it,
+        # while the probe's columns and weights come from theta and rho afresh
         state = self.cached_state()
-        state.cache._w[1] *= 1.5
-        with pytest.raises(FloatingPointError, match="weights drifted"):
+        state._inv_rho_sq[1] *= 1.5
+        with pytest.raises(FloatingPointError, match="own columns"):
             state.check_combined_gram()
 
     def test_check_catches_a_tuple_in_the_wrong_slot(self):
-        # weights re-summed through the wrong mapping agree with the cache
+        # the weights summed through the state's slots land on the wrong
+        # columns, which the cache's own check cannot see
         state = self.cached_state()
         assert state.cache.monomials == [(1,), (1, 2), (2,)]
-        state.cache._slot_of_key[(1,)] = 2
-        state.cache.resum(state.theta.raw, state.rho)
+        np.testing.assert_array_equal(state._slot[:4], [0, 1, 1, 2])
+        state._slot[0] = 2
+        state.cache.check()
         with pytest.raises(FloatingPointError, match="own columns"):
             state.check_combined_gram()
 
@@ -420,11 +411,14 @@ class TestLazyAverage:
     def test_constant_iterates(self):
         data, ks, rho = make_run_setup()
         state = OptimizerState(ks, rho)
-        state.theta.set_raw((1,), 0.3)
+        state.step(GradSample(index=(1,), value=-3.0, mass=3.0), eta=0.1)  # theta -> 0.3
         for _ in range(10):
             state.step(GradSample(index=(2,), value=0.0, mass=0.0), eta=0.1)
+        # the zero iterate, then ten at 0.3
         avg = state.average_theta()
-        assert avg.value((1,)) == pytest.approx(0.3, rel=1e-12)
+        assert avg.value((1,)) == pytest.approx(3.0 / 11, rel=1e-12)
+        state.mark_tail_iterates(89)
+        assert state.average_theta().value((1,)) == pytest.approx(0.297, rel=1e-12)
 
     def test_two_iterations(self):
         data, ks, rho = make_run_setup()

@@ -121,11 +121,11 @@ class TestAgainstDense:
     def test_step_gram_delta(self, include_constant, D, seed):
         data, ks, rho, rng = make_instance(include_constant, D, seed)
         state = OptimizerState(ks, rho)
-        for idx in random_theta(ks, rng, size=10).raw:
+        for idx in random_theta(ks, rng, size=10).as_dict():
             before_gram = state.combined_gram()
-            before_raw = state.theta.raw.get(idx, 0.0)
+            before = state.theta.value(idx)
             state.step(GradSample(index=idx, value=-0.5, mass=0.5), eta=0.1)
-            coef = (state.theta.raw.get(idx, 0.0) - before_raw) / rho.rho_sq[len(idx)]
+            coef = (state.theta.value(idx) - before) / rho.rho_sq[len(idx)]
             expected = coef * product_kernel_matrix(ks, idx)
             after_gram = state.combined_gram()
             assert_close(after_gram - before_gram, expected)
@@ -141,13 +141,18 @@ class TestAgainstDense:
         if include_constant:
             shared += [(0,), (2,), (0, 2), (2, 0)][: 2 * D]
         theta.update({idx: float(rng.uniform(0.1, 1.0)) for idx in shared})
-        state.theta = SparseTheta.from_dict(theta)
-        state.theta.scale = 0.7
-        keys = {monomial_key(idx) for idx in state.theta.raw}
+        # stepped in, so the projections rescale the earlier weights
+        for idx, value in theta.items():
+            state.step(GradSample(index=idx, value=-value, mass=value), eta=0.7)
+        keys = {monomial_key(idx) for idx in theta}
         if D > 1 or include_constant:
             assert len(keys) < state.theta.support_size
         expected = dense_gram(state.theta, ks, rho)
-        for K in (state.rebuild_combined_gram(), assemble_combined_gram(state.theta, ks, rho)):
+        for K in (
+            state.support_gram(),
+            state.rebuild_combined_gram(),
+            assemble_combined_gram(state.theta, ks, rho),
+        ):
             assert K.columns.shape[1] == len(keys)
             assert_close(K.dense(), expected)
 

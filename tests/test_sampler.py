@@ -220,8 +220,15 @@ class TestScriptedExactLaw:
 class TestDeterminismAndCost:
     def test_same_seed_same_sequence(self):
         alpha, ks, rho = random_instance(seed=30)
-        a = [SamplerWorkspace(ks, rho, np.random.default_rng(7)).draw(alpha) for _ in range(20)]
-        b = [SamplerWorkspace(ks, rho, np.random.default_rng(7)).draw(alpha) for _ in range(20)]
+        masses = degree_masses(alpha, ks, rho)
+
+        def draws():
+            return [
+                SamplerWorkspace(ks, rho, np.random.default_rng(7)).draw(alpha, masses)
+                for _ in range(20)
+            ]
+
+        a, b = draws(), draws()
         assert a == b
 
     def test_cost_scales_linearly_in_r(self):
@@ -248,8 +255,10 @@ class TestDeterminismAndCost:
 
     def test_zero_mass_rejected(self):
         alpha, ks, rho = random_instance(seed=33)
+        zero = np.zeros(ks.n)
+        masses = degree_masses(zero, ks, rho)
         with pytest.raises(SamplerError):
-            SamplerWorkspace(ks, rho, np.random.default_rng(0)).draw(np.zeros(ks.n))
+            SamplerWorkspace(ks, rho, np.random.default_rng(0)).draw(zero, masses)
 
     def test_inconsistent_degree_masses_raise(self):
         # all mass on degree 2, but twice what the position weights sum to:
@@ -337,8 +346,9 @@ class TestWorkspaceInvariant:
         alpha, ks, rho = random_instance(n=6, r=3, D=2, seed=40)
         rng = np.random.default_rng(41)
         ws = SamplerWorkspace(ks, rho, rng)
+        masses = degree_masses(alpha, ks, rho)
         for _ in range(50):
-            idx = ws.draw(alpha)
+            idx = ws.draw(alpha, masses)
             if not idx:
                 continue
             u = alpha.copy()

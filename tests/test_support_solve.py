@@ -137,19 +137,19 @@ def test_more_columns_than_rows(lam):
 
 
 def test_evicted_monomials_keep_zero_weight_columns():
-    # a tuple leaves theta only when its value underflows at a rebase: a step
-    # of 1e-200 on (1, 2), then one on (3,) so large that the projection's
-    # scale 1e-150 takes (1, 2) below the smallest double
+    # a tuple leaves theta only when its value underflows at a projection: a
+    # step of 1e-200 on (1, 2), then one on (3,) so large that the
+    # projection's factor 1e-150 takes (1, 2) below the smallest double
     data, state, _ = make_state(False, 2, 1e-2, seed=4)
     state.step(GradSample(index=(1, 2), value=-1e-200, mass=1e-200), eta=1.0)
     before = state.support_gram()
     saved = [a.copy() for a in (before.columns, before.gram, before.weights)]
     state.step(GradSample(index=(3,), value=-1e150, mass=1e150), eta=1.0)
-    assert set(state.theta.raw) == {(3,)} and state.theta.scale == 1.0
+    assert set(state.theta.as_dict()) == {(3,)}
     K = state.support_gram()
     assert state.cache.monomials == [(1, 2), (3,)]
     assert K.weights[0] == 0.0 and K.weights[1] > 0.0
-    # a support form handed out before the rebase is left as it was
+    # a support form handed out before the projection is left as it was
     for a, b in zip((before.columns, before.gram, before.weights), saved):
         np.testing.assert_array_equal(a, b)
     state.check_combined_gram()
@@ -158,26 +158,22 @@ def test_evicted_monomials_keep_zero_weight_columns():
     state.step(GradSample(index=(2, 1), value=-1.0, mass=1.0), eta=0.1)
     assert state.cache.monomials == [(1, 2), (3,)]
     K = state.support_gram()
-    assert relative(K.weights, scale_resummed(state)) <= 1e-12
+    assert relative(K.weights, resummed(state)) <= 1e-12
     state.check_combined_gram()
     assert_matches_dense(K, data.targets)
 
 
-def test_solve_after_a_rebase():
+def test_solve_after_a_projection():
+    # the first steps that leave the ball rescale every weight at once
     data, state, rng = make_state(True, 3, 1e-6, seed=5)
-    rebased = []
-    rebase = state._rebase
-
-    def recording_rebase():
-        rebase()
-        rebased.append((state.support_gram().weights, scale_resummed(state)))
-
-    state._rebase = recording_rebase
-    while not rebased:
+    projections = 0
+    while projections < 3:
         random_steps(state, rng, 1)
-    cached, resummed = rebased[0]
-    np.testing.assert_array_equal(cached, resummed)
-    assert_matches_dense(state.support_gram(), data.targets)
+        projections += state.norm() > 1.0 - 1e-12
+    K = state.support_gram()
+    assert relative(K.weights, resummed(state)) <= 1e-12
+    state.check_combined_gram()
+    assert_matches_dense(K, data.targets)
 
 
 @pytest.mark.parametrize("bad", [-1e-300, -1e-14, -1.0, float("nan"), float("inf")])
@@ -195,12 +191,12 @@ def test_any_negative_or_non_finite_weight_raises(bad):
     SupportGram(K.columns, K.gram, weights)
 
 
-def scale_resummed(state):
-    """Each cached monomial's weight summed afresh from theta, times scale."""
+def resummed(state):
+    """Each cached monomial's weight summed afresh from theta."""
     terms = {key: [] for key in state.cache.monomials}
-    for idx, raw in state.theta.raw.items():
-        terms[monomial_key(idx)].append(raw / state.rho.rho_sq[len(idx)])
-    return state.theta.scale * np.array([math.fsum(terms[key]) for key in state.cache.monomials])
+    for idx, value in state.theta.items():
+        terms[monomial_key(idx)].append(value / state.rho.rho_sq[len(idx)])
+    return np.array([math.fsum(terms[key]) for key in state.cache.monomials])
 
 
 @pytest.mark.parametrize("include_constant", [False, True])
@@ -209,12 +205,12 @@ def test_cache_matches_resum_and_fresh_gram(include_constant):
     for _ in range(40):
         random_steps(state, rng, 1)
         K = state.support_gram()
-        keys = {monomial_key(idx) for idx in state.theta.raw}
+        keys = {monomial_key(idx) for idx in state.theta.as_dict()}
         assert len(set(state.cache.monomials)) == len(state.cache.monomials)
-        # no rebase underflows here, so every cached monomial is in theta
+        # no projection underflows here, so every cached monomial is in theta
         assert keys == set(state.cache.monomials)
         np.testing.assert_array_equal(K.columns, state.ks.product_columns(state.cache.monomials))
-        expected = scale_resummed(state)
+        expected = resummed(state)
         assert relative(K.weights, expected) <= 1e-12
         fresh = K.columns.T @ K.columns
         assert relative(K.gram, fresh) <= 1e-12
