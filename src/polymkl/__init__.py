@@ -15,7 +15,6 @@ from .baselines import (
     full_gradient,
     grad_component,
     run_full_gradient,
-    run_ucd,
     solve_dense,
 )
 from .dataset import (
@@ -41,10 +40,8 @@ from .dual import (
 from .gradient import (
     GRAD_SCALE,
     DegreeMasses,
-    GradSample,
     RhoSchedule,
     degree_masses,
-    importance_estimate,
     total_mass_C,
 )
 from .harness import MetricsOutput, RunConfig, parse_cli, run_experiment, run_scaling_study

@@ -1,6 +1,6 @@
 """Everything that pays for the enumerated index set or a dense n x n Gram:
-the reference solvers over the explicitly enumerated set, uniform coordinate
-descent (one uniformly random coordinate per iteration) and deterministic
+the draw of uniform coordinate descent (one uniformly random coordinate of
+the enumerated set per iteration of `optimizer.run`), deterministic
 full-gradient projected descent with backtracking line search, and the dense
 oracles the learner's fast paths are tested against: `solve_dense`,
 `dual_objective`, `grad_component` and `brute_force_q`.
@@ -24,10 +24,10 @@ import numpy as np
 
 from .dataset import Dataset, MultiIndex
 from .dual import DualSolveError, DualState
-from .gradient import GRAD_SCALE, DegreeMasses, GradSample, RhoSchedule, total_mass_C
+from .gradient import GRAD_SCALE, DegreeMasses, RhoSchedule
 from .kernels import BaseKernelSet, product_kernel_matrix
 from .lapack import dpotrf, dpotrs
-from .optimizer import RunRecord, RunResult, SparseTheta, project_pos_l2ball, run
+from .optimizer import RunRecord, RunResult, SparseTheta, project_pos_l2ball
 from .sampler import SamplerError
 
 ENUMERATION_GUARD = 10**6
@@ -37,17 +37,10 @@ class EnumerationError(ValueError):
     pass
 
 
-def enumerate_index_set(r_indices, D: int) -> list[MultiIndex]:
+def enumerate_index_set(indices: list[int], D: int) -> list[MultiIndex]:
     """Every ordered tuple over the given base-kernel indices up to degree D,
-    by degree and lexicographic within one. `r_indices` may be an int r
-    (meaning indices 1..r) or an explicit index list. A set beyond
-    ENUMERATION_GUARD tuples raises."""
-    if isinstance(r_indices, int):
-        if r_indices < 1:
-            raise EnumerationError("need at least one base kernel")
-        indices = list(range(1, r_indices + 1))
-    else:
-        indices = list(r_indices)
+    by degree and lexicographic within one. A set beyond ENUMERATION_GUARD
+    tuples raises."""
     if D < 0:
         raise EnumerationError("D must be nonnegative")
     size = sum(len(indices) ** d for d in range(D + 1))
@@ -156,25 +149,20 @@ def full_gradient(
 def uniform_draws(ks: BaseKernelSet, rho: RhoSchedule, seed: int):
     """The draw of uniform coordinate descent: one coordinate of the
     enumerated set, uniformly on the generator [seed, 2], with its exact
-    component from its dense product kernel (`grad_component`), carrying the
-    inverse-probability estimate size * g_i. The set is enumerated once,
-    here, so one beyond the guard fails before the loop starts."""
+    component from its dense product kernel (`grad_component`). Returns the
+    tuple and its inverse-probability estimate size * g_i. The set is
+    enumerated once, here, so one beyond the guard fails before the loop
+    starts."""
     tuples = enumerate_index_set(ks.indices, ks.D)
     size = len(tuples)
     rng = np.random.default_rng([int(seed), 2])
 
-    def draw(alpha: np.ndarray, masses: DegreeMasses) -> GradSample:
+    def draw(alpha: np.ndarray, masses: DegreeMasses) -> tuple[MultiIndex, float]:
         idx = tuples[int(rng.integers(size))]
         g_i = grad_component(alpha, product_kernel_matrix(ks, idx), rho.rho_sq[len(idx)])
-        return GradSample(index=idx, value=size * g_i, mass=total_mass_C(masses))
+        return idx, size * g_i
 
     return draw
-
-
-def run_ucd(config, data: Dataset, ks: BaseKernelSet, rho: RhoSchedule) -> RunResult:
-    """Uniform coordinate descent: the descent loop of `optimizer.run` with
-    `uniform_draws` in place of the proportional sampler."""
-    return run(config, data, ks, rho, draws=uniform_draws)
 
 
 def run_full_gradient(

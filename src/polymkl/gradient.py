@@ -1,5 +1,5 @@
-"""Exact gradient components of the inner-minimized objective, per-degree
-gradient masses, and the single-coordinate importance-sampled estimate.
+"""Exact gradient components of the inner-minimized objective and their
+per-degree masses.
 
 The component for product kernel i of degree d is
 
@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import MultiIndex
 from .kernels import BaseKernelSet
 
 GRAD_SCALE = 0.5
@@ -70,20 +69,6 @@ class DegreeMasses:
     projections: dict[int, np.ndarray] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class GradSample:
-    """One-nonzero-coordinate gradient estimate: value on `index`, zero elsewhere.
-
-    With proportional-to-|gradient| sampling the value is -mass, where mass is
-    the gradient's l1 norm at sampling time, so the estimate's norm equals mass
-    exactly.
-    """
-
-    index: MultiIndex
-    value: float
-    mass: float
-
-
 def degree_masses(alpha: np.ndarray, ks: BaseKernelSet, rho: RhoSchedule) -> DegreeMasses:
     """All D+1 degree masses; the rank-one matrix alpha alpha' is never
     materialized. S^(.)0 is all ones, so degree 0 is (sum alpha)^2. A degree
@@ -117,13 +102,3 @@ def total_mass_C(masses: DegreeMasses) -> float:
     GRAD_SCALE times the summed degree masses."""
     return GRAD_SCALE * masses.total
 
-
-def importance_estimate(sampled: MultiIndex, masses: DegreeMasses) -> GradSample:
-    """Estimate after drawing `sampled` with probability |g_i| / C: the single
-    surviving coordinate carries g_i / q_i = -C."""
-    C = total_mass_C(masses)
-    if C <= 0:
-        raise ZeroDivisionError(
-            "total gradient mass is zero; caller must treat this as converged"
-        )
-    return GradSample(index=tuple(sampled), value=-C, mass=C)

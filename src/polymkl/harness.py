@@ -149,17 +149,14 @@ def _prepare_data(config: RunConfig):
         n_train, n_val, n_test = config.split_sizes
         train, val, test = split(full, n_train, n_val, n_test, seed=config.seed)
     else:
+        # oversample the train block and slice a validation set off its tail
         spec = config.synthetic
-        n_val = config.synthetic_val
-        if n_val > 0:
-            # oversample the train block and slice a validation set off its tail
-            oversized = replace(spec, n_train=spec.n_train + n_val)
-            train_big, test, _truth = gen_synthetic(oversized)
-            train = Dataset(train_big.inputs[: spec.n_train], train_big.targets[: spec.n_train])
-            val = Dataset(train_big.inputs[spec.n_train :], train_big.targets[spec.n_train :])
-        else:
-            train, test, _truth = gen_synthetic(spec)
-            val = None
+        n = spec.n_train
+        train_big, test, _truth = gen_synthetic(replace(spec, n_train=n + config.synthetic_val))
+        train = Dataset(train_big.inputs[:n], train_big.targets[:n])
+        val = None
+        if config.synthetic_val > 0:
+            val = Dataset(train_big.inputs[n:], train_big.targets[n:])
     std_train, params = standardize(train)
     std_val = params.apply(val) if val is not None else None
     std_test = params.apply(test) if test is not None else None
@@ -170,7 +167,7 @@ def _dispatch(config: RunConfig, train: Dataset, ks: BaseKernelSet, rho: RhoSche
     if config.algo == "stoch":
         return optimizer.run(config, train, ks, rho)
     if config.algo == "ucd":
-        return baselines.run_ucd(config, train, ks, rho)
+        return optimizer.run(config, train, ks, rho, draws=baselines.uniform_draws)
     return baselines.run_full_gradient(config, train, ks, rho)
 
 

@@ -23,8 +23,9 @@ Woodbury's identity. The two final solves, at the averaged and at the last
 iterate, take the same form, assembled afresh from theta by
 `assemble_combined_gram`. So the loop allocates no n x n array. The
 checkpoint checks the cache against itself and against theta: a probe
-through columns built afresh, and the last updated column against its
-kernel's diagonal and one row, computed from the inputs in O(n k).
+through columns built afresh, each tuple's slot and 1/rho^2 exactly, and the
+last updated column against its kernel's diagonal and one row, computed from
+the inputs in O(n k).
 """
 
 from __future__ import annotations
@@ -39,14 +40,7 @@ import numpy as np
 from .dataset import Dataset, MultiIndex
 from .dual import DualState, SupportGram, assemble_combined_gram
 from .dual import solve_alpha, support_columns
-from .gradient import (
-    DegreeMasses,
-    GradSample,
-    RhoSchedule,
-    degree_masses,
-    importance_estimate,
-    total_mass_C,
-)
+from .gradient import DegreeMasses, RhoSchedule, degree_masses, total_mass_C
 # product_kernel_matrix is unused here, but the benchmark's tracer
 # (bench/measure.py) wraps this module attribute by name, so it stays imported
 from .kernels import (  # noqa: F401
@@ -186,6 +180,11 @@ class SupportCache:
         s = self.num_columns
         return SupportGram(self._C[:, :s], self._G[:s, :s], weights)
 
+    def slots(self, keys: list[MultiIndex]) -> np.ndarray:
+        """The slots of monomials `keys`, -1 for one without a column. Adds
+        no column."""
+        return np.array([self._slot_of_key.get(key, -1) for key in keys], dtype=np.intp)
+
     def column(self, idx: MultiIndex) -> np.ndarray:
         """The cached column of the monomial of tuple idx."""
         return self._C[:, self._slot_of_key[monomial_key(idx)]]
@@ -251,7 +250,6 @@ class OptimizerState:
         self.rho = rho
         self.iter = 0
         self.last_index: MultiIndex | None = None
-        self.records: list[RunRecord] = []
         self.cache = SupportCache(ks)
         # the Gram check's fixed probe, made at its first call
         self._probe: np.ndarray | None = None
@@ -316,25 +314,25 @@ class OptimizerState:
         self._position[idx] = m
         return m
 
-    def step(self, sample: GradSample, eta: float) -> "OptimizerState":
+    def step(self, idx: MultiIndex, value: float, eta: float) -> "OptimizerState":
         """One full update: count the entering iterate toward the average, add
-        -eta * sample.value >= 0 to the sampled coordinate, and rescale back
-        into the unit ball. A gradient component is never positive, so a
-        positive sample raises ValueError, as does a step size that is not
-        positive and finite."""
+        -eta * value >= 0 to coordinate idx, where `value` is the drawn
+        estimate of its gradient component, and rescale back into the unit
+        ball. A gradient component is never positive, so a positive value
+        raises ValueError, as does a step size that is not positive and
+        finite."""
         # written so that a NaN fails them too
         if not 0.0 < eta < math.inf:
             raise ValueError(f"step size must be positive and finite, got {eta}")
-        if not math.isfinite(sample.value):
+        if not math.isfinite(value):
             raise FloatingPointError("non-finite gradient sample")
-        if sample.value > 0.0:
-            raise ValueError(f"positive gradient sample {sample.value} on {sample.index}")
+        if value > 0.0:
+            raise ValueError(f"positive gradient sample {value} on {idx}")
         m = len(self._position)
         self._sum[:m] += self._theta[:m]
         self._count += 1
         self.iter += 1
-        idx = sample.index
-        delta_theta = -eta * sample.value
+        delta_theta = -eta * value
         if delta_theta == 0.0:
             return self
         position = self._position.get(idx)
@@ -358,15 +356,17 @@ class OptimizerState:
         return self
 
     def check_combined_gram(self):
-        """Raise FloatingPointError if the cache fails `SupportCache.check`,
+        """Raise FloatingPointError if the cache fails `SupportCache.check`;
         if the cached Gram times a fixed probe vector differs from the same
-        product over `support_columns` of theta, or if the cached column of
-        `last_index` disagrees with entries of its product kernel
-        (`_check_column`). The cache's own check shares its key map and
-        columns; the probe shares neither, nor the state's slots, so it
-        catches a tuple in the wrong slot or a wrong column; the kernel
-        entries come straight from the inputs. Each bound is _GRAM_CHECK_RTOL
-        times what it compares."""
+        product over `support_columns` of theta; if a touched tuple's slot or
+        1/rho^2 is not, bit for bit, its monomial's slot or 1 / rho_|i|^2; or
+        if the cached column of `last_index` disagrees with entries of its
+        product kernel (`_check_column`). The cache's own check shares its key
+        map and columns; the probe shares neither, nor the state's slots, but
+        its norms underflow at weights whose products fall below about
+        1e-162, where only the exact comparisons can tell; the kernel entries
+        come straight from the inputs. Each bound is _GRAM_CHECK_RTOL times
+        what it compares."""
         self.cache.check()
         # a fixed probe, made once per state, so the check draws nothing from
         # the run's generator
@@ -386,6 +386,13 @@ class OptimizerState:
                 f"cached Gram disagrees with the support tuples' own columns: "
                 f"{error:.3e} of {size:.3e}"
             )
+        tuples = list(self._position)
+        m = len(tuples)
+        if not np.array_equal(self._slot[:m], self.cache.slots([monomial_key(i) for i in tuples])):
+            raise FloatingPointError("a touched tuple's slot is not its monomial's")
+        inv_rho_sq = 1.0 / self.rho.rho_sq[[len(i) for i in tuples]]
+        if not np.array_equal(self._inv_rho_sq[:m], inv_rho_sq):
+            raise FloatingPointError("a touched tuple's 1/rho^2 is not 1/rho_|i|^2")
         if self.last_index is not None:
             self._check_column(self.last_index, self.cache.column(self.last_index))
 
@@ -439,13 +446,13 @@ class OptimizerState:
 
 
 def proportional_draws(ks: BaseKernelSet, rho: RhoSchedule, seed: int):
-    """The draw of the proportional sampler: one tuple with probability
-    |g_i| / C through a `SamplerWorkspace` on the generator [seed, 1],
-    carrying the importance estimate -C."""
+    """The draw of the proportional sampler: one tuple i with probability
+    q_i = |g_i| / C through a `SamplerWorkspace` on the generator [seed, 1],
+    with the importance estimate g_i / q_i = -C of its component."""
     workspace = SamplerWorkspace(ks, rho, np.random.default_rng([int(seed), 1]))
 
-    def draw(alpha: np.ndarray, masses: DegreeMasses) -> GradSample:
-        return importance_estimate(workspace.draw(alpha, masses), masses)
+    def draw(alpha: np.ndarray, masses: DegreeMasses) -> tuple[MultiIndex, float]:
+        return workspace.draw(alpha, masses), -total_mass_C(masses)
 
     return draw
 
@@ -460,17 +467,19 @@ def run(
     after it, is in support form.
 
     `config` is a `RunConfig`; the loop reads its fields T, step (None for
-    the default 1 / sqrt(C0^2 T)), seed and checkpoint_every (>= 1). `draws(ks, rho, seed)` is called once, before the
-    loop, and returns `draw(alpha, masses) -> GradSample`, the estimate
-    applied at that iteration; it owns its generator. The default is
-    `proportional_draws`; `baselines.uniform_draws` gives uniform coordinate
-    descent.
+    the default 1 / sqrt(C0^2 T)), seed and checkpoint_every (>= 1).
+    `draws(ks, rho, seed)` is called once, before the loop, and returns
+    `draw(alpha, masses) -> (idx, value)`: the drawn tuple and the estimate
+    of its gradient component that the iteration's step applies. It owns its
+    generator. The default is `proportional_draws`; `baselines.uniform_draws`
+    gives uniform coordinate descent.
     """
     T = int(config.T)
     if T < 1:
         raise ValueError("T must be >= 1")
     draw = draws(ks, rho, config.seed)
     state = OptimizerState(ks, rho)
+    records: list[RunRecord] = []
     y = data.targets
 
     started = time.perf_counter()
@@ -495,7 +504,7 @@ def run(
                     RuntimeWarning,
                     stacklevel=2,
                 )
-            state.records.append(
+            records.append(
                 RunRecord(
                     iter=k,
                     wall_time_s=time.perf_counter() - started,
@@ -510,11 +519,11 @@ def run(
                 state.mark_tail_iterates(T - k + 1)
                 converged = True
                 break
-            state.step(draw(dual.alpha, masses), step_size)
+            state.step(*draw(dual.alpha, masses), step_size)
             if k % config.checkpoint_every == 0:
                 state.check_combined_gram()
     except Exception as exc:
-        exc.partial_records = state.records  # let the harness flush what exists
+        exc.partial_records = records  # let the harness flush what exists
         raise
 
     theta_avg = state.average_theta()
@@ -524,7 +533,7 @@ def run(
     return RunResult(
         theta_avg=theta_avg,
         final=final,
-        records=state.records,
+        records=records,
         step_size=step_size,
         converged=converged,
         mass_exceeded_budget=mass_exceeded,

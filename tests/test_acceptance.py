@@ -22,7 +22,6 @@ import scipy.stats
 import polymkl
 from polymkl import (
     Dataset,
-    GradSample,
     OptimizerState,
     RhoSchedule,
     RunConfig,
@@ -360,7 +359,7 @@ def test_criterion_8_structural_invariants():
             dense_sum[idx] += state.theta.value(idx)
         idx = tuples[int(pick_rng.integers(len(tuples)))]
         value = -float(pick_rng.uniform(0.0, 6.0))
-        state.step(GradSample(index=idx, value=value, mass=-value), eta=0.25)
+        state.step(idx, value, eta=0.25)
         rebuilt = state.rebuild_combined_gram().dense()
         current = state.combined_gram()
         denom = max(np.linalg.norm(rebuilt), 1e-300)

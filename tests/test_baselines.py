@@ -12,12 +12,12 @@ from polymkl import (
     enumerate_index_set,
     full_gradient,
     objective_J,
+    run,
     run_full_gradient,
-    run_ucd,
     solve_alpha,
 )
 from polymkl import baselines
-from polymkl.baselines import EnumerationError, solve_dense
+from polymkl.baselines import EnumerationError, solve_dense, uniform_draws
 from polymkl.dual import assemble_combined_gram
 from polymkl.gradient import GRAD_SCALE
 from polymkl.kernels import product_kernel_matrix
@@ -44,22 +44,22 @@ def config_for(T, seed=0, D=1, **kw):
 
 class TestEnumerateIndexSet:
     def test_single_kernel_degree_two(self):
-        tuples = enumerate_index_set(1, 2)
+        tuples = enumerate_index_set(list(range(1, 1 + 1)), 2)
         assert tuples == [(), (1,), (1, 1)]
         assert len(tuples) == 3
 
     def test_geometric_size(self):
-        assert len(enumerate_index_set(5, 3)) == 156
+        assert len(enumerate_index_set(list(range(1, 5 + 1)), 3)) == 156
 
     def test_all_distinct(self):
-        tuples = enumerate_index_set(3, 2)
+        tuples = enumerate_index_set(list(range(1, 3 + 1)), 2)
         assert len(tuples) == 13
         assert len(set(tuples)) == 13
 
     def test_guard(self, monkeypatch):
         monkeypatch.setattr(baselines, "ENUMERATION_GUARD", 1000)
         with pytest.raises(EnumerationError, match="guard"):
-            enumerate_index_set(10, 7)
+            enumerate_index_set(list(range(1, 10 + 1)), 7)
 
     def test_explicit_indices_with_constant(self):
         tuples = enumerate_index_set([0, 1, 2], 1)
@@ -91,7 +91,7 @@ class TestRunUcd:
         ks = build_base_kernels(data, include_constant=False, D=0)
         rho = RhoSchedule.uniform(0)
         T, eta = 20, 0.05
-        result = run_ucd(config_for(T, D=0, step=eta), data, ks, rho)
+        result = run(config_for(T, D=0, step=eta), data, ks, rho, draws=uniform_draws)
 
         theta = 0.0
         values = []
@@ -130,8 +130,8 @@ class TestRunUcd:
 
     def test_feasible_and_deterministic(self):
         data, ks, rho = make_setup(n=5, r=2, D=2, seed=6)
-        a = run_ucd(config_for(80, seed=1, D=2), data, ks, rho)
-        b = run_ucd(config_for(80, seed=1, D=2), data, ks, rho)
+        a = run(config_for(80, seed=1, D=2), data, ks, rho, draws=uniform_draws)
+        b = run(config_for(80, seed=1, D=2), data, ks, rho, draws=uniform_draws)
         for ra, rb in zip(a.records, b.records):
             assert ra.theta_norm == rb.theta_norm <= 1 + 1e-12
             assert ra.J_value == rb.J_value
@@ -149,7 +149,7 @@ class TestRunUcd:
             best = float("inf")
             for _ in range(3):
                 start = time.perf_counter()
-                run_ucd(config_for(120, D=2), data, ks, rho)
+                run(config_for(120, D=2), data, ks, rho, draws=uniform_draws)
                 best = min(best, time.perf_counter() - start)
             return best / 120
 

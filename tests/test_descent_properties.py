@@ -16,7 +16,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polymkl import Dataset, GradSample, OptimizerState, RhoSchedule, build_base_kernels
+from polymkl import Dataset, OptimizerState, RhoSchedule, build_base_kernels
 from polymkl.kernels import monomial_key
 
 R, D, N = 2, 3, 6
@@ -66,7 +66,7 @@ def check_against_dense_reference(steps, seen):
         for key, value in reference.items():
             running_sum[key] = running_sum.get(key, 0.0) + value
         before = set(state.theta.as_dict())
-        state.step(GradSample(index=idx, value=-magnitude, mass=magnitude), eta)
+        state.step(idx, -magnitude, eta)
         if eta * magnitude != 0.0:
             reference[idx] = reference.get(idx, 0.0) + eta * magnitude
             norm = math.sqrt(math.fsum(v * v for v in reference.values()))

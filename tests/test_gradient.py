@@ -10,7 +10,6 @@ from polymkl import (
     SparseTheta,
     build_base_kernels,
     degree_masses,
-    importance_estimate,
     objective_J,
     product_kernel_matrix,
     solve_alpha,
@@ -18,6 +17,7 @@ from polymkl import (
 )
 from polymkl.baselines import grad_component
 from polymkl.dual import assemble_combined_gram
+from polymkl.optimizer import proportional_draws
 
 
 def make_instance(n=10, r=3, D=2, seed=0, include_constant=False):
@@ -173,23 +173,17 @@ class TestImportanceEstimate:
         alpha = np.array([0.5, -0.5])  # sums to zero: degree-0 mass vanishes
         masses = degree_masses(alpha, ks, rho)
         assert masses.delta[0] == pytest.approx(0.0, abs=1e-15)
-        sample = importance_estimate((1,), masses)
+        idx, value = proportional_draws(ks, rho, seed=0)(alpha, masses)
         exact = grad_component(alpha, product_kernel_matrix(ks, (1,)), 1.0)
-        assert sample.value == pytest.approx(exact, rel=1e-12)
-        assert sample.mass == -sample.value
-
-    def test_zero_mass_rejected(self):
-        _, ks, rho = make_instance()
-        masses = degree_masses(np.zeros(ks.n), ks, rho)
-        with pytest.raises(ZeroDivisionError):
-            importance_estimate((1,), masses)
+        assert idx == (1,)
+        assert value == pytest.approx(exact, rel=1e-12)
 
     def test_norm_equals_mass(self):
         data, ks, rho = make_instance(n=6, r=2, D=2, seed=30)
         alpha = np.random.default_rng(31).normal(size=6)
         masses = degree_masses(alpha, ks, rho)
-        sample = importance_estimate((1, 2), masses)
-        assert abs(sample.value) == sample.mass == total_mass_C(masses)
+        _idx, value = proportional_draws(ks, rho, seed=0)(alpha, masses)
+        assert -value == total_mass_C(masses)
 
 
 class TestUnbiasedness:

@@ -469,7 +469,7 @@ class TestRhoPriorTiltsDegreeSampling:
         assert fractions["tilted"] < fractions["flat"]
 
     def test_aggregate_draw_counts_over_paired_runs(self):
-        from polymkl.gradient import degree_masses, importance_estimate, total_mass_C
+        from polymkl.gradient import degree_masses, total_mass_C
         from polymkl.optimizer import OptimizerState, default_step_size
         from polymkl.sampler import SamplerWorkspace
 
@@ -487,7 +487,7 @@ class TestRhoPriorTiltsDegreeSampling:
                     eta = default_step_size(total_mass_C(masses) ** 2, T)
                 idx = ws.draw(dual.alpha, masses)
                 top += len(idx) == 3
-                state.step(importance_estimate(idx, masses), eta)
+                state.step(idx, -total_mass_C(masses), eta)
             return top
 
         flat = count_top_degree_draws([1.0, 1.0, 1.0, 1.0])

@@ -4,7 +4,6 @@ import scipy.optimize
 
 from polymkl import (
     Dataset,
-    GradSample,
     KernelError,
     OptimizerState,
     RhoSchedule,
@@ -19,7 +18,7 @@ from polymkl import (
 from polymkl import baselines, optimizer
 from polymkl.baselines import solve_dense
 from polymkl.dual import SupportGram, solve_alpha
-from polymkl.gradient import degree_masses, importance_estimate, total_mass_C
+from polymkl.gradient import degree_masses, total_mass_C
 from polymkl.sampler import SamplerWorkspace
 
 
@@ -97,10 +96,10 @@ class TestStep:
     def test_zero_value_only_counters_move(self):
         data, ks, rho = make_run_setup()
         state = OptimizerState(ks, rho)
-        state.step(GradSample(index=(1,), value=-5.0, mass=5.0), eta=0.1)
+        state.step((1,), -5.0, eta=0.1)
         before = state.theta.as_dict()
         cached = state.support_gram()
-        state.step(GradSample(index=(2,), value=0.0, mass=0.0), eta=0.1)
+        state.step((2,), 0.0, eta=0.1)
         assert state.theta.as_dict() == before
         assert state.iter == 2
         after = state.support_gram()
@@ -112,7 +111,7 @@ class TestStep:
         data, ks, rho = make_run_setup()
         state = OptimizerState(ks, rho)
         with pytest.raises(ValueError, match="step size"):
-            state.step(GradSample(index=(1,), value=-1.0, mass=1.0), eta=eta)
+            state.step((1,), -1.0, eta=eta)
         assert state.theta.as_dict() == {} and state.iter == 0
 
     @pytest.mark.parametrize("value", [1e-300, 3.4e-29, 1.0])
@@ -120,27 +119,27 @@ class TestStep:
         # every gradient component is <= 0, so a step can only raise theta
         data, ks, rho = make_run_setup()
         state = OptimizerState(ks, rho)
-        state.step(GradSample(index=(1,), value=-1.0, mass=1.0), eta=0.1)
+        state.step((1,), -1.0, eta=0.1)
         before = state.theta.as_dict()
         with pytest.raises(ValueError, match="positive gradient sample"):
-            state.step(GradSample(index=(1,), value=value, mass=value), eta=0.1)
+            state.step((1,), value, eta=0.1)
         assert state.theta.as_dict() == before and state.iter == 1
 
     def test_non_finite_sample_raises(self):
         data, ks, rho = make_run_setup()
         state = OptimizerState(ks, rho)
         with pytest.raises(FloatingPointError, match="non-finite gradient sample"):
-            state.step(GradSample(index=(1,), value=float("nan"), mass=1.0), eta=0.1)
+            state.step((1,), float("nan"), eta=0.1)
 
     def test_unknown_base_index_raises(self):
         # without the constant kernel, (0, 2) names an unknown base kernel,
         # though its monomial (2,) is known once (2,) has been stepped on
         data, ks, rho = make_run_setup()
         fresh, cached = OptimizerState(ks, rho), OptimizerState(ks, rho)
-        cached.step(GradSample(index=(2,), value=-1.0, mass=1.0), eta=0.1)
+        cached.step((2,), -1.0, eta=0.1)
         for state, raw in [(fresh, {}), (cached, {(2,): pytest.approx(0.1)})]:
             with pytest.raises(KernelError, match="index 0"):
-                state.step(GradSample(index=(0, 2), value=-1.0, mass=1.0), eta=0.1)
+                state.step((0, 2), -1.0, eta=0.1)
             assert state.theta.as_dict() == raw
 
     def test_fresh_state_single_coordinate(self):
@@ -148,14 +147,14 @@ class TestStep:
         state = OptimizerState(ks, rho)
         c = 3.0
         eta = 0.05
-        state.step(GradSample(index=(1, 2), value=-c, mass=c), eta=eta)
+        state.step((1, 2), -c, eta=eta)
         assert state.theta.value((1, 2)) == pytest.approx(eta * c, rel=1e-15)
         assert state.theta.support_size == 1
 
     def test_projection_engages_on_large_step(self):
         data, ks, rho = make_run_setup()
         state = OptimizerState(ks, rho)
-        state.step(GradSample(index=(1,), value=-50.0, mass=50.0), eta=1.0)
+        state.step((1,), -50.0, eta=1.0)
         assert state.theta.norm() == pytest.approx(1.0, abs=1e-12)
 
     def test_step_whose_square_overflows_keeps_the_other_coordinates(self):
@@ -164,8 +163,8 @@ class TestStep:
         # which would send every weight to 0
         data, ks, rho = make_run_setup()
         state = OptimizerState(ks, rho)
-        state.step(GradSample(index=(1,), value=-0.5, mass=0.5), eta=1.0)
-        state.step(GradSample(index=(2,), value=-1e200, mass=1e200), eta=1.0)
+        state.step((1,), -0.5, eta=1.0)
+        state.step((2,), -1e200, eta=1.0)
         assert set(state.theta.as_dict()) == {(1,), (2,)}
         assert state.theta.value((2,)) == pytest.approx(1.0, rel=1e-15)
         assert state.theta.value((1,)) == pytest.approx(5e-201, rel=1e-15)
@@ -176,9 +175,9 @@ class TestStep:
     def test_step_whose_weight_overflows_raises(self):
         data, ks, rho = make_run_setup()
         state = OptimizerState(ks, rho)
-        state.step(GradSample(index=(1,), value=-0.5, mass=0.5), eta=1.0)
+        state.step((1,), -0.5, eta=1.0)
         with pytest.raises(FloatingPointError, match="overflows"):
-            state.step(GradSample(index=(2,), value=-1e300, mass=1e300), eta=1e10)
+            state.step((2,), -1e300, eta=1e10)
         assert state.theta.as_dict() == {(1,): 0.5}
 
     def test_underflowed_weight_leaves_theta_and_keeps_its_column(self):
@@ -187,8 +186,8 @@ class TestStep:
         # and a later step raises the same entry again
         data, ks, rho = make_run_setup()
         state = OptimizerState(ks, rho)
-        state.step(GradSample(index=(1,), value=-1e-30, mass=1e-30), eta=1.0)
-        state.step(GradSample(index=(2,), value=-1e300, mass=1e300), eta=1.0)
+        state.step((1,), -1e-30, eta=1.0)
+        state.step((2,), -1e300, eta=1.0)
         assert state.theta.as_dict() == {(2,): 1.0}
         assert state.support_size == 1
         assert state.cache.monomials == [(1,), (2,)]
@@ -196,7 +195,7 @@ class TestStep:
         state.check_combined_gram()
         average = state.average_theta()
         assert average.value((1,)) == 1e-30 / 2 and average.value((2,)) == 0.0
-        state.step(GradSample(index=(1,), value=-0.5, mass=0.5), eta=1.0)
+        state.step((1,), -0.5, eta=1.0)
         assert set(state.theta.as_dict()) == {(1,), (2,)}
         assert state.cache.monomials == [(1,), (2,)]
         state.check_combined_gram()
@@ -211,7 +210,7 @@ class TestStep:
         for _ in range(500):
             idx = tuples[int(rng.integers(len(tuples)))]
             value = -float(rng.uniform(0.0, 1.0))
-            state.step(GradSample(index=idx, value=value, mass=-value), eta=0.3)
+            state.step(idx, value, eta=0.3)
             direct = np.sqrt(np.sum(np.square(list(state.theta.as_dict().values()))))
             assert state.norm() == pytest.approx(direct, rel=1e-14)
             assert state.theta.norm() == pytest.approx(direct, rel=1e-14)
@@ -222,12 +221,28 @@ class TestStep:
         data, ks, _ = make_run_setup(D=3)
         state = OptimizerState(ks, RhoSchedule(np.array([1.0, 1.0, 1.0, 1.5e-2])))
         for _ in range(2):
-            state.step(GradSample(index=(1, 1, 1), value=-5e-324, mass=5e-324), eta=1.0)
+            state.step((1, 1, 1), -5e-324, eta=1.0)
         assert 0.0 < state.support_gram().weights[0] < 1e-320
         return state
 
     def test_subnormal_weights_pass_the_check(self):
         self.subnormal_state().check_combined_gram()
+
+    def test_check_catches_a_doubled_inv_rho_sq_at_subnormal_weights(self):
+        # the probe's norms underflow to 0 at these weights, so only the exact
+        # comparison with 1 / rho_|i|^2 can tell
+        state = self.subnormal_state()
+        state._inv_rho_sq[0] *= 2.0
+        with pytest.raises(FloatingPointError, match="1/rho"):
+            state.check_combined_gram()
+
+    def test_check_catches_a_wrong_slot_at_subnormal_weights(self):
+        state = self.subnormal_state()
+        state.step((2,), -5e-324, eta=1.0)
+        state.check_combined_gram()
+        state._slot[1] = 0
+        with pytest.raises(FloatingPointError, match="slot"):
+            state.check_combined_gram()
 
     def test_incremental_gram_matches_rebuild_over_random_steps(self):
         data, ks, rho = make_run_setup(n=5, r=2, D=2, seed=4)
@@ -237,7 +252,7 @@ class TestStep:
         for _ in range(50):
             idx = tuples[int(rng.integers(len(tuples)))]
             value = -float(rng.uniform(0.1, 5.0))
-            state.step(GradSample(index=idx, value=value, mass=-value), eta=0.2)
+            state.step(idx, value, eta=0.2)
             rebuilt = state.rebuild_combined_gram().dense()
             current = state.combined_gram()
             denom = max(np.linalg.norm(rebuilt), 1e-300)
@@ -255,8 +270,8 @@ class TestStep:
             ks, "product_columns",
             lambda tuples: columns(ks, [tuple(swap.get(j, j) for j in t) for t in tuples]),
         )
-        state.step(GradSample(index=(1, 1), value=-2.0, mass=2.0), eta=0.1)
-        state.step(GradSample(index=(2,), value=-2.0, mass=2.0), eta=0.1)
+        state.step((1, 1), -2.0, eta=0.1)
+        state.step((2,), -2.0, eta=0.1)
         with pytest.raises(FloatingPointError, match="its kernel"):
             state.check_combined_gram()
 
@@ -266,8 +281,8 @@ class TestStep:
         inputs[:, 1] = 0.0
         ks = build_base_kernels(Dataset(inputs=inputs, targets=data.targets), False, 2)
         state = OptimizerState(ks, rho)
-        state.step(GradSample(index=(1,), value=-2.0, mass=2.0), eta=0.1)
-        state.step(GradSample(index=(1, 2), value=-2.0, mass=2.0), eta=0.1)
+        state.step((1,), -2.0, eta=0.1)
+        state.step((1, 2), -2.0, eta=0.1)
         assert state.last_index == (1, 2)
         state.check_combined_gram()
 
@@ -293,8 +308,8 @@ class TestStep:
 
         ks.product_columns = patched
         state = OptimizerState(ks, rho)
-        state.step(GradSample(index=(1,), value=-2.0, mass=2.0), eta=0.1)
-        state.step(GradSample(index=(1, 2), value=-2.0, mass=2.0), eta=0.1)
+        state.step((1,), -2.0, eta=0.1)
+        state.step((1, 2), -2.0, eta=0.1)
         assert state.last_index == (1, 2)
         return state
 
@@ -337,8 +352,8 @@ class TestStep:
         # (0, 2) is the monomial (2,): one column, and the constant factor 1
         data, ks, rho = make_run_setup(n=8, r=2, D=2, seed=11, include_constant=True)
         state = OptimizerState(ks, rho)
-        state.step(GradSample(index=(2,), value=-2.0, mass=2.0), eta=0.1)
-        state.step(GradSample(index=(0, 2), value=-2.0, mass=2.0), eta=0.1)
+        state.step((2,), -2.0, eta=0.1)
+        state.step((0, 2), -2.0, eta=0.1)
         assert state.last_index == (0, 2) and state.cache.monomials == [(2,)]
         state.check_combined_gram()
 
@@ -367,7 +382,7 @@ class TestStep:
         data, ks, rho = make_run_setup(n=6, r=2, D=2, seed=9)
         state = OptimizerState(ks, rho)
         for idx in [(1,), (2, 1), (1, 2), (2,)]:
-            state.step(GradSample(index=idx, value=-2.0, mass=2.0), eta=0.1)
+            state.step(idx, -2.0, eta=0.1)
         state.check_combined_gram()
         return state
 
@@ -411,9 +426,9 @@ class TestLazyAverage:
     def test_constant_iterates(self):
         data, ks, rho = make_run_setup()
         state = OptimizerState(ks, rho)
-        state.step(GradSample(index=(1,), value=-3.0, mass=3.0), eta=0.1)  # theta -> 0.3
+        state.step((1,), -3.0, eta=0.1)  # theta -> 0.3
         for _ in range(10):
-            state.step(GradSample(index=(2,), value=0.0, mass=0.0), eta=0.1)
+            state.step((2,), 0.0, eta=0.1)
         # the zero iterate, then ten at 0.3
         avg = state.average_theta()
         assert avg.value((1,)) == pytest.approx(3.0 / 11, rel=1e-12)
@@ -423,8 +438,8 @@ class TestLazyAverage:
     def test_two_iterations(self):
         data, ks, rho = make_run_setup()
         state = OptimizerState(ks, rho)
-        state.step(GradSample(index=(1,), value=-4.0, mass=4.0), eta=0.1)  # theta -> 0.4
-        state.step(GradSample(index=(2,), value=0.0, mass=0.0), eta=0.1)
+        state.step((1,), -4.0, eta=0.1)  # theta -> 0.4
+        state.step((2,), 0.0, eta=0.1)
         avg = state.average_theta()
         # average of theta0 = 0 and theta1 = 0.4 e_1
         assert avg.value((1,)) == pytest.approx(0.2, rel=1e-12)
@@ -442,7 +457,7 @@ class TestLazyAverage:
             count += 1
             pick = tuples[int(rng.integers(len(tuples)))]
             value = -float(rng.uniform(0.0, 8.0))
-            state.step(GradSample(index=pick, value=value, mass=-value), eta=0.3)
+            state.step(pick, value, eta=0.3)
         avg = state.average_theta()
         for idx in tuples:
             assert avg.value(idx) == pytest.approx(dense_sum[idx] / count, abs=1e-10)
@@ -483,8 +498,8 @@ class TestRun:
 
         monkeypatch.setattr(optimizer, "solve_alpha", recording_solve)
         data, ks, rho = make_run_setup(seed=13)
-        algo = run if module is optimizer else baselines.run_ucd
-        result = algo(self.config(T=20, checkpoint_every=5), data, ks, rho)
+        draws = optimizer.proportional_draws if module is optimizer else baselines.uniform_draws
+        result = run(self.config(T=20, checkpoint_every=5), data, ks, rho, draws=draws)
         loop, returned = grams[:-2], grams[-2:]
         assert len(loop) == 20
         assert all(isinstance(K, SupportGram) for K in grams)
@@ -552,13 +567,13 @@ class TestRun:
         times = [rec.wall_time_s for rec in result.records]
         assert all(b >= a for a, b in zip(times, times[1:]))
 
-    @pytest.mark.parametrize("algo", [run, baselines.run_ucd])
-    def test_mass_budget_flag_warns_without_failing(self, algo, monkeypatch):
+    @pytest.mark.parametrize("draws", [optimizer.proportional_draws, baselines.uniform_draws])
+    def test_mass_budget_flag_warns_without_failing(self, draws, monkeypatch):
         data, ks, rho = make_run_setup(seed=19)
         monkeypatch.setattr(optimizer, "MASS_BUDGET_FACTOR", 1e-9)
         config = self.config(T=10, seed=8)
         with pytest.warns(RuntimeWarning, match="gradient mass"):
-            result = algo(config, data, ks, rho)
+            result = run(config, data, ks, rho, draws=draws)
         assert result.mass_exceeded_budget
         assert len(result.records) == 10  # flagged, not aborted
 
@@ -614,7 +629,7 @@ class TestStepAverageAgainstManualLoop:
                 C0 = total_mass_C(masses)
                 eta = default_step_size(C0 * C0, T)
             idx = ws.draw(dual.alpha, masses)
-            state.step(importance_estimate(idx, masses), eta)
+            state.step(idx, -total_mass_C(masses), eta)
         keys = {k for th in thetas for k in th}
         for key in keys:
             dense_avg = sum(th.get(key, 0.0) for th in thetas) / T

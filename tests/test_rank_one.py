@@ -19,7 +19,6 @@ import pytest
 
 from polymkl import (
     Dataset,
-    GradSample,
     OptimizerState,
     RhoSchedule,
     RunConfig,
@@ -31,7 +30,7 @@ from polymkl import (
 )
 from polymkl.baselines import brute_force_q
 from polymkl.dual import assemble_combined_gram, predict, solve_alpha
-from polymkl.gradient import DegreeMasses, importance_estimate
+from polymkl.gradient import DegreeMasses, total_mass_C
 from polymkl.kernels import monomial_key, product_kernel_cross, product_kernel_matrix
 from polymkl.sampler import SamplerWorkspace
 
@@ -124,7 +123,7 @@ class TestAgainstDense:
         for idx in random_theta(ks, rng, size=10).as_dict():
             before_gram = state.combined_gram()
             before = state.theta.value(idx)
-            state.step(GradSample(index=idx, value=-0.5, mass=0.5), eta=0.1)
+            state.step(idx, -0.5, eta=0.1)
             coef = (state.theta.value(idx) - before) / rho.rho_sq[len(idx)]
             expected = coef * product_kernel_matrix(ks, idx)
             after_gram = state.combined_gram()
@@ -143,7 +142,7 @@ class TestAgainstDense:
         theta.update({idx: float(rng.uniform(0.1, 1.0)) for idx in shared})
         # stepped in, so the projections rescale the earlier weights
         for idx, value in theta.items():
-            state.step(GradSample(index=idx, value=-value, mass=value), eta=0.7)
+            state.step(idx, -value, eta=0.7)
         keys = {monomial_key(idx) for idx in theta}
         if D > 1 or include_constant:
             assert len(keys) < state.theta.support_size
@@ -233,9 +232,8 @@ class TestNoSquareTemporaries:
     def test_step(self):
         ks, rho, rng = self.instance()
         state = OptimizerState(ks, rho)
-        sample = GradSample(index=(1, 0, 2), value=-0.5, mass=0.5)
-        state.step(sample, eta=0.1)
-        assert self.peak_bytes(lambda: state.step(sample, eta=0.1)) < self.budget
+        state.step((1, 0, 2), -0.5, eta=0.1)
+        assert self.peak_bytes(lambda: state.step((1, 0, 2), -0.5, eta=0.1)) < self.budget
 
     def test_loop_iteration(self):
         # the loop body of `run`: support solve, degree masses, draw and step
@@ -248,7 +246,7 @@ class TestNoSquareTemporaries:
             dual = solve_alpha(state.support_gram(), y)
             masses = degree_masses(dual.alpha, ks, rho)
             idx = ws.draw(dual.alpha, masses)
-            state.step(importance_estimate(idx, masses), eta=0.05)
+            state.step(idx, -total_mass_C(masses), eta=0.05)
 
         for _ in range(100):
             iteration()

@@ -22,7 +22,6 @@ import scipy.linalg
 
 from polymkl import (
     Dataset,
-    GradSample,
     OptimizerState,
     RhoSchedule,
     RunConfig,
@@ -68,7 +67,7 @@ def random_steps(state, rng, count):
             picks.append((0,) + idx)
         for pick in picks:
             value = -float(rng.uniform(0.1, 5.0))
-            state.step(GradSample(index=pick, value=value, mass=abs(value)), eta=0.2)
+            state.step(pick, value, eta=0.2)
 
 
 def relative(actual, expected):
@@ -141,10 +140,10 @@ def test_evicted_monomials_keep_zero_weight_columns():
     # step of 1e-200 on (1, 2), then one on (3,) so large that the
     # projection's factor 1e-150 takes (1, 2) below the smallest double
     data, state, _ = make_state(False, 2, 1e-2, seed=4)
-    state.step(GradSample(index=(1, 2), value=-1e-200, mass=1e-200), eta=1.0)
+    state.step((1, 2), -1e-200, eta=1.0)
     before = state.support_gram()
     saved = [a.copy() for a in (before.columns, before.gram, before.weights)]
-    state.step(GradSample(index=(3,), value=-1e150, mass=1e150), eta=1.0)
+    state.step((3,), -1e150, eta=1.0)
     assert set(state.theta.as_dict()) == {(3,)}
     K = state.support_gram()
     assert state.cache.monomials == [(1, 2), (3,)]
@@ -155,7 +154,7 @@ def test_evicted_monomials_keep_zero_weight_columns():
     state.check_combined_gram()
     assert_matches_dense(K, data.targets)
     # the monomial returns to the column it kept
-    state.step(GradSample(index=(2, 1), value=-1.0, mass=1.0), eta=0.1)
+    state.step((2, 1), -1.0, eta=0.1)
     assert state.cache.monomials == [(1, 2), (3,)]
     K = state.support_gram()
     assert relative(K.weights, resummed(state)) <= 1e-12
