@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import BaseKernelSet
+from .lapack import dsymv
 
 GRAD_SCALE = 0.5
 
@@ -74,7 +75,8 @@ def degree_masses(alpha: np.ndarray, ks: BaseKernelSet, rho: RhoSchedule) -> Deg
     materialized. S^(.)0 is all ones, so degree 0 is (sum alpha)^2. A degree
     held as features, S^(.)d = Phi_d Phi_d', costs n F_d as |Phi_d' alpha|^2,
     and its projection Phi_d' alpha is kept for the sampler; a dense degree
-    costs n^2 as the quadratic form in S^(.)d."""
+    is the quadratic form in S^(.)d, a symmetric matrix-vector product that
+    reads only its lower triangle, n^2 / 2 entries."""
     if rho.D != ks.D:
         raise ValueError(f"rho covers degrees 0..{rho.D} but kernel set has D={ks.D}")
     forms = [float(alpha.sum()) ** 2]
@@ -85,7 +87,9 @@ def degree_masses(alpha: np.ndarray, ks: BaseKernelSet, rho: RhoSchedule) -> Deg
             v = projections[d] = phi.T @ alpha
             forms.append(v @ v)
         else:
-            forms.append(alpha @ (ks.dense_powers[d] @ alpha))
+            # S^(.)d is symmetric, so its transpose is the same array in
+            # Fortran order
+            forms.append(alpha @ dsymv(1.0, ks.dense_powers[d].T, alpha, lower=1))
     # one division per entry, as rounded as the scalar divisions
     delta = np.array(forms) / rho.rho_sq
     if ks.dense_powers:

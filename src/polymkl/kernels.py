@@ -12,7 +12,7 @@ Their sum S = Z Z' over the m base columns has rank at most m, so its power
 S^(.)k factors exactly as Phi_k Phi_k' through the F_k = C(m+k-1, k) scaled
 symmetric monomials of degree k. `BaseKernelSet` holds each degree in the
 cheaper of the two forms: Phi_k where F_k < n (a quadratic form costs n F_k),
-the dense S^(.)k elsewhere (n^2). Beside each feature degree k+1 it holds
+the dense S^(.)k elsewhere (n^2 / 2). Beside each feature degree k+1 it holds
 the m x F_(k+1) lift L_k: for any u, the squared column norms of
 Phi_k'(u * Z) are L_k (Phi_(k+1)' u)^2, so the sampler reads a position's
 weights off one projection onto the next degree's features. The fast paths
@@ -44,7 +44,9 @@ class BaseKernelSet:
     S^(.)k = Phi_k Phi_k'. Its column for the multiset c_1 <= ... <= c_k of
     base positions is sqrt(k! / prod cnt!) * prod_i Z[:, c_i], with cnt the
     multiplicities; Phi_1 is Z itself. Elsewhere `dense_powers[k]` holds the
-    n x n array S^(.)k. F_k never falls as k grows, so the feature degrees
+    n x n array S^(.)k, C-ordered and exactly symmetric, so its transpose is
+    the same matrix in Fortran order and BLAS reads it through its lower
+    triangle alone. F_k never falls as k grows, so the feature degrees
     are 1..K and the dense ones K+1..D. S^(.)0 is all ones and held in
     neither.
 

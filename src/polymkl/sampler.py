@@ -16,8 +16,10 @@ v = Phi_(k+1)' u the weights are L_k v^2 (`BaseKernelSet.lifts`; L_0 is the
 identity and Phi_1 = Z), at n F_(k+1) + m F_(k+1) flops. At the first
 position u = alpha, and the degree masses already hold v, so it costs
 nothing more. At the top feature degree K, where Phi_(K+1) is not held, they
-are colsum((Phi_K' U)^2) at n F_K m flops; at a dense degree one n x n by
-n x m product, n^2 m flops. Their sum over j telescopes to the previous
+are colsum((Phi_K' U)^2) at n F_K m flops. At a dense degree P = S^(.)k is
+exactly symmetric, so only its lower triangle is read: the weights are
+2 colsum(U * (tril(P) U)) - diag(P)'(U * U), one triangular product at
+n^2 m / 2 multiply-adds. Their sum over j telescopes to the previous
 position's chosen weight. The resulting joint law over ordered tuples is
 exactly the normalized |gradient| distribution, which
 `baselines.brute_force_q` enumerates densely for testing.
@@ -30,6 +32,7 @@ import numpy as np
 from .dataset import MultiIndex
 from .gradient import DegreeMasses, RhoSchedule
 from .kernels import BaseKernelSet
+from .lapack import dtrmm
 
 # round-off tolerance for masses that are nonnegative in exact arithmetic,
 # relative to the ambient mass scale
@@ -69,7 +72,8 @@ class SamplerWorkspace:
         self.rng = rng
         # running factor u = alpha * z_prefix; where a degree is dense, also
         # U = u[:, None] * Z and the product Phi_K' U (F_K x m) at the top
-        # feature degree K or S^(.)k U (n x m) above it
+        # feature degree K, and above it one n x m buffer that holds U * U
+        # and then, in place, tril(S^(.)k) U
         self.u = np.empty(ks.n)
         self._U = self._PhiU = self._PU = None
         if ks.dense_powers:
@@ -113,7 +117,9 @@ class SamplerWorkspace:
     def position_weights(self, u: np.ndarray, remaining: int) -> np.ndarray:
         """Unnormalized weight of every base index at a position whose running
         factor is u, with `remaining` < D positions after it:
-        colsum(U * (S^(.)remaining U)) with U = u[:, None] * Z."""
+        colsum(U * (S^(.)remaining U)) with U = u[:, None] * Z. A dense power
+        P is read through its lower triangle only, as
+        2 colsum(U * (tril(P) U)) - diag(P)'(U * U)."""
         ks = self.ks
         phi = ks.Z if remaining == 0 else ks.features.get(remaining + 1)
         if phi is not None:
@@ -124,8 +130,14 @@ class SamplerWorkspace:
             # S^(.)K = Phi Phi', so each weight is a squared column norm of Phi' U
             V = np.matmul(phi.T, U, out=self._PhiU)
             return np.einsum("fj,fj->j", V, V)
-        PU = np.matmul(ks.dense_powers[remaining], U, out=self._PU)
-        return np.einsum("tj,tj->j", U, PU)
+        P = ks.dense_powers[remaining]
+        PU = np.multiply(U, U, out=self._PU)
+        diagonal = np.diagonal(P) @ PU
+        np.copyto(PU, U)
+        # P is symmetric, so P.T is the same array in Fortran order and its
+        # lower triangle is tril(P)
+        PU = dtrmm(1.0, P.T, PU, lower=1, overwrite_b=1)
+        return 2.0 * np.einsum("tj,tj->j", U, PU) - diagonal
 
     def _lift(self, v: np.ndarray, remaining: int) -> np.ndarray:
         """The weights L_remaining v^2 from v = Phi_(remaining+1)' u."""

@@ -295,6 +295,66 @@ class TestFirstPosition:
             assert np.max(np.abs(lifted - fresh)) <= 1e-12 * scale, d
 
 
+def dense_instances(count, seed):
+    """Kernel sets with n < F_2, so degree 2 and every degree above it are
+    held as dense Hadamard powers (and S itself where n <= m), with D up to
+    4, the constant kernel on and off, tilted rho, and a random vector."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        r = int(rng.integers(3, 9))
+        include_constant = bool(rng.integers(2))
+        m = r + include_constant
+        n = int(rng.integers(3, m * (m + 1) // 2))
+        D = int(rng.integers(2, 5))
+        data = Dataset(inputs=rng.normal(size=(n, r)), targets=np.zeros(n))
+        ks = build_base_kernels(data, include_constant=include_constant, D=D)
+        rho = RhoSchedule(rng.uniform(0.2, 5.0, size=D + 1))
+        yield ks, rho, rng.normal(size=n)
+
+
+class TestDenseTriangleReads:
+    # Each dense power is read through its lower triangle only. Both products
+    # round within a few n ulps of their uncancelled scale, |U|'|P||U| for
+    # the weights and |alpha|'|P||alpha| for the masses: with n < 45 here
+    # that is below 1e-13, and the worst seen was 8e-16. Dropping the factor
+    # 2 or the diagonal term errs by more than 0.4 of that scale on every
+    # instance.
+    BOUND = 1e-13
+
+    def test_dense_powers_are_exactly_symmetric_fortran_transposes(self):
+        for ks, _, _ in dense_instances(60, seed=80):
+            assert ks.dense_powers
+            for P in ks.dense_powers.values():
+                assert np.array_equal(P, P.T)
+                # so BLAS reads P.T as it is, without a copy
+                assert P.T.flags.f_contiguous
+
+    def test_position_weights_match_the_full_matrix_product(self):
+        remaining_seen, two_below_top = set(), False
+        for ks, rho, u in dense_instances(60, seed=80):
+            workspace = SamplerWorkspace(ks, rho, np.random.default_rng(0))
+            U = u[:, None] * ks.Z
+            dense = [k for k in range(1, ks.D) if k in ks.dense_powers]
+            remaining_seen.update(dense)
+            two_below_top |= len(dense) >= 2
+            for k in dense:
+                P = ks.dense_powers[k]
+                full = np.einsum("tj,tj->j", U, P @ U)
+                scale = np.einsum("tj,tj->j", np.abs(U), np.abs(P) @ np.abs(U))
+                error = np.abs(workspace.position_weights(u, k) - full)
+                assert np.all(error <= self.BOUND * scale), (ks.n, ks.D, k)
+        assert remaining_seen == {1, 2, 3} and two_below_top
+
+    def test_degree_masses_match_the_full_quadratic_form(self):
+        for ks, rho, alpha in dense_instances(60, seed=80):
+            masses = degree_masses(alpha, ks, rho)
+            for d, P in ks.dense_powers.items():
+                full = alpha @ P @ alpha / rho.rho_sq[d]
+                scale = np.abs(alpha) @ np.abs(P) @ np.abs(alpha) / rho.rho_sq[d]
+                # the clamp may zero a form that is round-off below zero
+                assert abs(masses.delta[d] - full) <= self.BOUND * scale, (ks.n, ks.D, d)
+
+
 # a degree-D draw on a kernel set whose top feature block is scaled by
 # 1 + 1e-6: the masses and the first position agree with each other, but the
 # second position projects onto the uncorrupted block below

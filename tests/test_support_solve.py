@@ -355,13 +355,15 @@ def test_routines_load_without_scipy_linalg_and_are_shared_with_it():
         "import sys\n"
         "import polymkl.lapack as ours\n"
         "print('loaded:', 'scipy.linalg' in sys.modules)\n"
-        "import scipy.linalg.lapack\n"
+        "import scipy.linalg.blas, scipy.linalg.lapack\n"
         "print('shared:', ours.dpotrf is scipy.linalg.lapack.dpotrf,"
-        " ours.dpotrs is scipy.linalg.lapack.dpotrs)\n"
+        " ours.dpotrs is scipy.linalg.lapack.dpotrs,"
+        " ours.dtrmm is scipy.linalg.blas.dtrmm,"
+        " ours.dsymv is scipy.linalg.blas.dsymv)\n"
     )
     done = run_python("-c", code)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split("\n")[:2] == ["loaded: False", "shared: True True"]
+    assert done.stdout.split("\n")[:2] == ["loaded: False", "shared: True True True True"]
 
 
 def test_indefinite_capacitance_raises_under_python_O():
