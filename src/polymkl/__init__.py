@@ -33,7 +33,6 @@ from .dual import (
     DualSolveError,
     DualState,
     assemble_combined_gram,
-    objective_J,
     predict,
     solve_alpha,
 )
@@ -44,12 +43,11 @@ from .gradient import (
     degree_masses,
     total_mass_C,
 )
-from .harness import MetricsOutput, RunConfig, parse_cli, run_experiment, run_scaling_study
+from .harness import MetricsOutput, RunConfig, parse_cli, run_experiment
 from .kernels import (
     BaseKernelSet,
     KernelError,
     build_base_kernels,
-    count_index_set,
     product_kernel_cross,
     product_kernel_matrix,
 )

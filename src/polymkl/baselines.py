@@ -52,16 +52,16 @@ def enumerate_index_set(indices: list[int], D: int) -> list[MultiIndex]:
     return tuples
 
 
-def _iter_tuple_grams(ks: BaseKernelSet, D: int):
+def _iter_tuple_grams(ks: BaseKernelSet, D: int, dtype=np.float64):
     """Depth-first walk of all tuples with prefix Hadamard products shared, so
     each tuple costs one elementwise multiply by its last base Gram, which is
-    built afresh from the inputs: x_j x_j', or all ones for index 0. Yields
-    (tuple, Gram)."""
+    built afresh from the inputs: x_j x_j', or all ones for index 0. Every
+    Gram has type `dtype`. Yields (tuple, Gram)."""
 
     def base(j: int) -> np.ndarray:
         if j == 0:
-            return np.ones((ks.n, ks.n))
-        x = ks.inputs[:, j - 1]
+            return np.ones((ks.n, ks.n), dtype)
+        x = ks.inputs[:, j - 1].astype(dtype)
         return np.outer(x, x)
 
     def walk(prefix: MultiIndex, mat: np.ndarray):
@@ -70,7 +70,7 @@ def _iter_tuple_grams(ks: BaseKernelSet, D: int):
             for j in ks.indices:
                 yield from walk(prefix + (j,), mat * base(j))
 
-    yield from walk((), np.ones((ks.n, ks.n)))
+    yield from walk((), np.ones((ks.n, ks.n), dtype))
 
 
 def solve_dense(K_theta: np.ndarray, y: np.ndarray) -> DualState:
@@ -123,16 +123,20 @@ def brute_force_q(
 ) -> dict[MultiIndex, float]:
     """Exact normalized |gradient| over every ordered tuple of degree <= D, the
     law the proportional sampler draws from. Test oracle only: enumeration is
-    exponential in D and stops at ENUMERATION_GUARD tuples."""
+    exponential in D and stops at ENUMERATION_GUARD tuples. The dense
+    products, quadratic forms and sums are taken in np.longdouble, so where a
+    tuple's mass alpha' K_i alpha cancels the oracle keeps more digits than
+    the column code it checks; a form that rounds below zero is read as 0."""
     enumerate_index_set(ks.indices, D)  # raises beyond the guard
+    a = np.asarray(alpha, dtype=np.longdouble)
     magnitudes = {
-        idx: -grad_component(alpha, gram, rho.rho_sq[len(idx)])
-        for idx, gram in _iter_tuple_grams(ks, D)
+        idx: max(a @ gram @ a, 0) / rho.rho_sq[len(idx)]
+        for idx, gram in _iter_tuple_grams(ks, D, np.longdouble)
     }
     total = sum(magnitudes.values())
     if total <= 0:
         raise SamplerError("zero total gradient mass; nothing to normalize")
-    return {idx: mass / total for idx, mass in magnitudes.items()}
+    return {idx: float(mass / total) for idx, mass in magnitudes.items()}
 
 
 def full_gradient(

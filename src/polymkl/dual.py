@@ -146,27 +146,22 @@ def monomial_weights(theta, rho) -> tuple[list, np.ndarray]:
     return list(terms), np.array([math.fsum(t) for t in terms.values()])
 
 
-def support_columns(theta, ks: BaseKernelSet, rho) -> tuple[np.ndarray, np.ndarray]:
-    """theta's support built fresh from its tuples: the n x s columns, one per
-    distinct monomial, and their summed weights theta_i / rho_d(i)^2, so that
-    K_theta = C diag(weights) C'. O(n s)."""
+def support_columns(theta, ks: BaseKernelSet, rho) -> tuple[list, np.ndarray, np.ndarray]:
+    """theta's support built fresh from its tuples: the distinct monomials,
+    the n x s columns, one per monomial, and their summed weights
+    theta_i / rho_d(i)^2, so that K_theta = C diag(weights) C'. O(n s)."""
     keys, weights = monomial_weights(theta, rho)
     # the keys drop index 0, so product_columns cannot reject it on its own
     if not ks.has_constant and any(0 in idx for idx, _ in theta.items()):
         raise KernelError("no base kernel with index 0")
-    return ks.product_columns(keys), weights
+    return keys, ks.product_columns(keys), weights
 
 
 def assemble_combined_gram(theta, ks: BaseKernelSet, rho) -> SupportGram:
     """K_theta in support form, built fresh: `support_columns` and their Gram
     C'C. O(n s^2), with no n x n array."""
-    C, weights = support_columns(theta, ks, rho)
+    _keys, C, weights = support_columns(theta, ks, rho)
     return SupportGram(C, C.T @ C, weights)
-
-
-def objective_J(theta, ks: BaseKernelSet, rho, y: np.ndarray) -> float:
-    """J at a sparse weight vector: assemble K_theta and run the inner solve."""
-    return solve_alpha(assemble_combined_gram(theta, ks, rho), y).J_value
 
 
 def predict(

@@ -26,7 +26,6 @@ import argparse
 import csv
 import math
 import os
-import statistics
 import sys
 import time
 import uuid
@@ -46,12 +45,9 @@ from .dataset import (
 )
 from .dual import predict
 from .gradient import RhoSchedule
-from .kernels import BaseKernelSet, build_base_kernels, count_index_set
+from .kernels import BaseKernelSet, build_base_kernels
 
 ALGOS = ("stoch", "ucd", "fullgrad")
-
-# the scaling study skips the full-gradient solver on index sets larger than this
-_SCALING_ENUM_GUARD = 20000
 
 
 class ConfigError(ValueError):
@@ -296,62 +292,6 @@ def _write_outputs(stem: str, out: MetricsOutput):
         for tmp in staged:
             os.unlink(tmp)
     out.paths = {name: path for name, (path, _) in artifacts.items()}
-
-
-def read_theta_csv(path: str) -> dict[tuple[int, ...], float]:
-    """Parse a support listing back into an index-to-weight map."""
-    support: dict[tuple[int, ...], float] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            idx = tuple(int(p) for p in row["tuple"].split("-")) if row["tuple"] else ()
-            support[idx] = float(row["weight"])
-    return support
-
-
-def run_scaling_study(
-    r_values: list[int],
-    D: int,
-    base_spec: SyntheticSpec,
-    T: int,
-    seeds: list[int],
-    lam: float = 1e-5,
-) -> list[dict]:
-    """Median per-iteration wall time of the proportional sampler and the
-    full-gradient solver across input dimensions, with the index-set sizes.
-
-    The full-gradient column is skipped where the enumerated set would exceed
-    _SCALING_ENUM_GUARD tuples. Returns one row per r.
-    """
-    rows = []
-    for r in r_values:
-        ordered, _distinct = count_index_set(r, D)
-        row = {"r": r, "index_set_size": ordered, "stoch_s_per_iter": None, "fullgrad_s_per_iter": None}
-        stoch_times, full_times = [], []
-        for seed in seeds:
-            spec = replace(base_spec, r=r, seed=seed)
-            config = RunConfig(
-                algo="stoch", D=D, T=T, seed=seed, lam=lam,
-                include_constant=False, synthetic=spec, out="unused",
-            )
-            train, _val, _test, _params = _prepare_data(config)
-            ks = build_base_kernels(train, include_constant=False, D=D)
-            rho = config.rho_schedule()
-            result = optimizer.run(config, train, ks, rho)
-            stoch_times.extend(_iteration_times(result.records))
-            if ordered <= _SCALING_ENUM_GUARD:
-                full = baselines.run_full_gradient(config, train, ks, rho, tol=0.0)
-                full_times.extend(_iteration_times(full.records))
-        row["stoch_s_per_iter"] = statistics.median(stoch_times)
-        if full_times:
-            row["fullgrad_s_per_iter"] = statistics.median(full_times)
-        rows.append(row)
-    return rows
-
-
-def _iteration_times(records) -> list[float]:
-    times = [rec.wall_time_s for rec in records]
-    return [b - a for a, b in zip([0.0] + times[:-1], times)]
 
 
 def parse_cli(argv: list[str]) -> RunConfig:

@@ -127,10 +127,6 @@ class BaseKernelSet:
         return powers
 
     @property
-    def num_kernels(self) -> int:
-        return len(self.indices)
-
-    @property
     def has_constant(self) -> bool:
         return 0 in self._position
 
@@ -212,11 +208,3 @@ def product_kernel_cross(
         out = out * np.outer(query_inputs[:, j - 1], train_inputs[:, j - 1])
     return out
 
-
-def count_index_set(r: int, D: int) -> tuple[int, int]:
-    """(ordered tuple count sum_{d<=D} r^d, distinct multiset count C(r+D, D))."""
-    if r < 1 or D < 0:
-        raise KernelError("need r >= 1 and D >= 0")
-    ordered = sum(r**d for d in range(D + 1))
-    distinct = math.comb(r + D, D)
-    return ordered, distinct

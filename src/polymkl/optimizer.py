@@ -23,9 +23,9 @@ Woodbury's identity. The two final solves, at the averaged and at the last
 iterate, take the same form, assembled afresh from theta by
 `assemble_combined_gram`. So the loop allocates no n x n array. The
 checkpoint checks the cache against itself and against theta: a probe
-through columns built afresh, each tuple's slot and 1/rho^2 exactly, and the
-last updated column against its kernel's diagonal and one row, computed from
-the inputs in O(n k).
+through columns built afresh, with the weights and without them, each
+tuple's slot and 1/rho^2 exactly, and the last updated column against its
+kernel's diagonal and one row, computed from the inputs in O(n k).
 """
 
 from __future__ import annotations
@@ -358,15 +358,19 @@ class OptimizerState:
     def check_combined_gram(self):
         """Raise FloatingPointError if the cache fails `SupportCache.check`;
         if the cached Gram times a fixed probe vector differs from the same
-        product over `support_columns` of theta; if a touched tuple's slot or
-        1/rho^2 is not, bit for bit, its monomial's slot or 1 / rho_|i|^2; or
-        if the cached column of `last_index` disagrees with entries of its
-        product kernel (`_check_column`). The cache's own check shares its key
-        map and columns; the probe shares neither, nor the state's slots, but
-        its norms underflow at weights whose products fall below about
-        1e-162, where only the exact comparisons can tell; the kernel entries
+        product over `support_columns` of theta; if the probe through a live
+        monomial's cached column differs from the probe through its column
+        built afresh; if a touched tuple's slot or 1/rho^2 is not, bit for
+        bit, its monomial's slot or 1 / rho_|i|^2; or if the cached column of
+        `last_index` disagrees with entries of its product kernel
+        (`_check_column`). The cache's own check shares its key map and
+        columns; the Gram probe shares neither, nor the state's slots, but its
+        norms underflow at weights whose products fall below about 1e-162.
+        The column probe carries no weight, so it sees a wrong column at any
+        weight, and the exact comparisons see the rest; the kernel entries
         come straight from the inputs. Each bound is _GRAM_CHECK_RTOL times
-        what it compares."""
+        what it compares, before any cancellation. O(n s) beyond the cache's
+        own check."""
         self.cache.check()
         # a fixed probe, made once per state, so the check draws nothing from
         # the run's generator
@@ -374,17 +378,31 @@ class OptimizerState:
             self._probe = np.random.default_rng(0).standard_normal(self.ks.n)
         probe = self._probe
         K = self.support_gram()
-        cached = K.columns @ (K.weights * (K.columns.T @ probe))
-        columns, weights = support_columns(self.theta, self.ks, self.rho)
+        cached_along = K.columns.T @ probe
+        cached = K.columns @ (K.weights * cached_along)
+        keys, columns, weights = support_columns(self.theta, self.ks, self.rho)
         along = columns.T @ probe
         expected = columns @ (weights * along)
+        magnitudes = np.abs(columns)
         # the size of the sum before any cancellation between its terms
-        size = np.linalg.norm(np.abs(columns) @ (weights * np.abs(along)))
+        size = np.linalg.norm(magnitudes @ (weights * np.abs(along)))
         error = np.linalg.norm(cached - expected)
         if not error <= _GRAM_CHECK_RTOL * size:
             raise FloatingPointError(
                 f"cached Gram disagrees with the support tuples' own columns: "
                 f"{error:.3e} of {size:.3e}"
+            )
+        # a key without a column maps to -1; the exact slot comparison below
+        # raises on it whatever this comparison finds
+        errors = np.abs(cached_along[self.cache.slots(keys)] - along)
+        sizes = magnitudes.T @ np.abs(probe)
+        # written so that a NaN fails it too
+        wrong = np.flatnonzero(~(errors <= _GRAM_CHECK_RTOL * sizes))
+        if wrong.size:
+            k = wrong[0]
+            raise FloatingPointError(
+                f"cached column of monomial {keys[k]} disagrees with its column "
+                f"built afresh: {errors[k]:.3e} of {sizes[k]:.3e}"
             )
         tuples = list(self._position)
         m = len(tuples)

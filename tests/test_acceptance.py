@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 import scipy.stats
 
-import polymkl
 from polymkl import (
     Dataset,
     OptimizerState,
@@ -37,7 +36,6 @@ from polymkl import (
     project_pos_l2ball,
     run,
     run_full_gradient,
-    run_scaling_study,
     solve_alpha,
     standardize,
     total_mass_C,
@@ -46,6 +44,8 @@ from polymkl.baselines import brute_force_q, grad_component, solve_dense
 from polymkl.dual import assemble_combined_gram
 from polymkl.kernels import product_kernel_cross
 from polymkl.sampler import SamplerWorkspace
+
+from helpers import objective_J, run_scaling_study
 
 
 def report(number, ok, detail):
@@ -120,8 +120,8 @@ def test_criterion_2_gradient_correctness():
             plus[idx] += h
             minus[idx] -= h
             fd = (
-                polymkl.objective_J(SparseTheta.from_dict(plus), ks, rho, data.targets)
-                - polymkl.objective_J(SparseTheta.from_dict(minus), ks, rho, data.targets)
+                objective_J(SparseTheta.from_dict(plus), ks, rho, data.targets)
+                - objective_J(SparseTheta.from_dict(minus), ks, rho, data.targets)
             ) / (2 * h)
             g = grad_component(dual.alpha, product_kernel_matrix(ks, idx), rho.rho_sq[len(idx)])
             rel = abs(g - fd) / (1 + abs(fd))
@@ -246,7 +246,7 @@ def equal_weight_model(ks, rho, train, query_inputs):
     the dense base Grams. Returns the inner solve at that point and its
     predictions at the query inputs."""
     D = ks.D
-    weight = 1.0 / np.sqrt(sum(ks.num_kernels**d for d in range(D + 1)))
+    weight = 1.0 / np.sqrt(sum(len(ks.indices)**d for d in range(D + 1)))
     S = sum(product_kernel_matrix(ks, (j,)) for j in ks.indices)
     K_eq = weight * sum(S**d / rho.rho_sq[d] for d in range(D + 1))
     state = solve_dense(K_eq, train.targets)

@@ -11,7 +11,6 @@ from polymkl import (
     build_base_kernels,
     enumerate_index_set,
     full_gradient,
-    objective_J,
     run,
     run_full_gradient,
     solve_alpha,
@@ -21,6 +20,8 @@ from polymkl.baselines import EnumerationError, solve_dense, uniform_draws
 from polymkl.dual import assemble_combined_gram
 from polymkl.gradient import GRAD_SCALE
 from polymkl.kernels import product_kernel_matrix
+
+from helpers import objective_J
 
 
 def make_setup(n=5, r=2, D=1, seed=0, include_constant=False):

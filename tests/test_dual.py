@@ -9,12 +9,13 @@ from polymkl import (
     RhoSchedule,
     SparseTheta,
     build_base_kernels,
-    objective_J,
     predict,
     solve_alpha,
 )
 from polymkl import baselines
 from polymkl.baselines import dual_objective, solve_dense
+
+from helpers import objective_J
 
 
 def random_psd(n, seed, scale=1.0):

@@ -10,7 +10,6 @@ from polymkl import (
     SparseTheta,
     build_base_kernels,
     degree_masses,
-    objective_J,
     product_kernel_matrix,
     solve_alpha,
     total_mass_C,
@@ -18,6 +17,8 @@ from polymkl import (
 from polymkl.baselines import grad_component
 from polymkl.dual import assemble_combined_gram
 from polymkl.optimizer import proportional_draws
+
+from helpers import objective_J
 
 
 def make_instance(n=10, r=3, D=2, seed=0, include_constant=False):

@@ -21,7 +21,9 @@ from polymkl import (
 from polymkl.baselines import solve_dense
 from polymkl.dataset import gen_synthetic, standardize
 from polymkl.dual import assemble_combined_gram
-from polymkl.harness import ConfigError, main, read_theta_csv
+from polymkl.harness import ConfigError, main
+
+from helpers import read_theta_csv
 
 
 class TestParseCli:

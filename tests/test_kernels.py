@@ -8,10 +8,11 @@ from polymkl import (
     Dataset,
     KernelError,
     build_base_kernels,
-    count_index_set,
     product_kernel_cross,
     product_kernel_matrix,
 )
+
+from helpers import count_index_set
 
 
 def random_dataset(n=10, r=3, seed=0):
@@ -43,7 +44,7 @@ class TestBuildBaseKernels:
         data = Dataset(inputs=np.array([[2.0], [3.0]]), targets=np.zeros(2))
         ks = build_base_kernels(data, include_constant=True, D=1)
         np.testing.assert_array_equal(product_kernel_matrix(ks, (0,)), np.ones((2, 2)))
-        assert ks.num_kernels == 2 and ks.has_constant
+        assert len(ks.indices) == 2 and ks.has_constant
 
     def test_sum_matches_independent_summation(self):
         data = random_dataset(n=10, r=3, seed=1)

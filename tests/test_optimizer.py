@@ -244,6 +244,22 @@ class TestStep:
         with pytest.raises(FloatingPointError, match="slot"):
             state.check_combined_gram()
 
+    def test_check_catches_a_wrong_column_at_subnormal_weights(self):
+        # G is re-formed from the wrong column, which is not the last updated
+        # one, and every product through a weight underflows, so only the
+        # probe through the columns alone can tell
+        data, ks, _ = make_run_setup(n=8, r=3, D=3, include_constant=True)
+        state = OptimizerState(ks, RhoSchedule(np.array([1.0, 1.0, 1.0, 1.5e-2])))
+        for idx in [(1, 1, 1), (1, 1, 1), (2,), (1, 1, 1)]:
+            state.step(idx, -5e-324, eta=1.0)
+        state.check_combined_gram()
+        cache = state.cache
+        s = cache.num_columns
+        cache._C[:, cache._slot_of_key[(2,)]] *= 1.5
+        cache._G[:s, :s] = cache._C[:, :s].T @ cache._C[:, :s]
+        with pytest.raises(FloatingPointError, match=r"column of monomial \(2,\)"):
+            state.check_combined_gram()
+
     def test_incremental_gram_matches_rebuild_over_random_steps(self):
         data, ks, rho = make_run_setup(n=5, r=2, D=2, seed=4)
         state = OptimizerState(ks, rho)
