@@ -90,6 +90,12 @@ class SyntheticSpec:
             raise DatasetError("r, n_train, n_test, n_terms must all be positive")
         if self.max_degree < 0:
             raise DatasetError("max_degree must be nonnegative")
+        available = count_monomials(self.r, self.max_degree)
+        if self.n_terms > available:
+            raise DatasetError(
+                f"n_terms={self.n_terms} exceeds the {available} distinct monomials of "
+                f"degree <= {self.max_degree} in {self.r} variables"
+            )
 
 
 def load_csv(path) -> Dataset:
@@ -169,10 +175,12 @@ def split(
 
 def count_monomials(r: int, max_degree: int) -> int:
     """Number of distinct monomials the generator can draw (degree 1..max_degree
-    multisets of r variables, or just the constant monomial when max_degree=0)."""
+    multisets of r variables, or just the constant monomial when max_degree=0).
+    The multisets of degree 0..max_degree number C(r + max_degree, max_degree),
+    so the count is that less the empty one, in O(min(r, max_degree))."""
     if max_degree == 0:
         return 1
-    return sum(math.comb(r + d - 1, d) for d in range(1, max_degree + 1))
+    return math.comb(r + max_degree, max_degree) - 1
 
 
 def gen_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset, list[MultiIndex]]:
@@ -183,11 +191,6 @@ def gen_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset, list[MultiInde
     sorted 1-based variable tuples. The target is noise-free and unnormalized;
     it is exactly reproducible from truth and the raw inputs.
     """
-    if spec.n_terms > count_monomials(spec.r, spec.max_degree):
-        raise DatasetError(
-            f"n_terms={spec.n_terms} exceeds the {count_monomials(spec.r, spec.max_degree)} "
-            f"distinct monomials of degree <= {spec.max_degree} in {spec.r} variables"
-        )
     rng = np.random.default_rng(spec.seed)
     n_total = spec.n_train + spec.n_test
     inputs = rng.uniform(-1.0, 1.0, size=(n_total, spec.r))

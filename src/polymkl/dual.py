@@ -18,7 +18,8 @@ O(n s + s^3) with no n x n array. The dense Cholesky on an n x n array
 oracles. Both call LAPACK potrf/potrs directly (`.lapack`), the routines
 behind scipy's cho_factor/cho_solve: at the small s of a descent loop the
 per-call checks and copies of those wrappers cost more than the arithmetic.
-Any nonzero `info` raises `DualSolveError`.
+Any nonzero `info` raises `DualSolveError`, as does a support solve whose
+residual shows the system too ill-conditioned to trust.
 """
 
 from __future__ import annotations
@@ -39,10 +40,22 @@ from .kernels import (  # noqa: F401
 )
 from .lapack import dpotrf, dpotrs
 
+# the largest residual of the first solve, ||y - (K_theta + n I) alpha||,
+# allowed relative to ||y||. It grows about as 1/lambda: the bench
+# workloads read at most 2.3e-11, and a synthetic r=3, n=40, D=3 run at most
+# 3.2e-7 at lambda=1e-10 and 3.8e-4 at 1e-13, whose test MSE (1.8e-15)
+# still falls with lambda. From 3.7e-3 at 1e-14 the solve's error shows in
+# the predictions (test MSE 2.8e-11, and 2.3e-8 at 1e-15); by 46 at 1e-18
+# the refinement step grows the residual instead of cutting it, and J turns
+# negative.
+_RESIDUAL_RTOL = 1e-3
+
 
 class DualSolveError(RuntimeError):
-    """Factorization failure; K_theta + nI should always be PD, so this signals
-    NaN/inf corruption upstream."""
+    """Factorization failure, or a support solve too inaccurate to use.
+    K_theta + nI should always be PD, so a failed factorization signals
+    NaN/inf corruption upstream, and an inaccurate solve a ridge strength so
+    small that K_theta swamps n I beyond what doubles resolve."""
 
 
 @dataclass(frozen=True)
@@ -100,7 +113,9 @@ def solve_alpha(K_theta: SupportGram, y: np.ndarray) -> DualState:
     Where K_theta outweighs n I along y, alpha is far smaller than y and the
     subtraction cancels most of its digits, so one step of refinement against
     the residual of (K_theta + n I) alpha = y follows, through the same
-    factor."""
+    factor. A first residual above _RESIDUAL_RTOL of ||y|| raises
+    `DualSolveError`: the system is then too ill-conditioned for the
+    refinement to recover a usable alpha."""
     y = np.asarray(y, dtype=np.float64)
     n = len(y)
     C = K_theta.columns
@@ -130,7 +145,17 @@ def solve_alpha(K_theta: SupportGram, y: np.ndarray) -> DualState:
             return out
 
         alpha = solve(y)
-        alpha += solve(y - n * alpha - C @ (weights * (C.T @ alpha)))
+        residual = y - n * alpha - C @ (weights * (C.T @ alpha))
+        # squared norms, as np.linalg.norm costs more than the comparison
+        # needs; an overflowing residual and a NaN both fail the test
+        size_sq, scale_sq = float(np.vdot(residual, residual)), float(np.vdot(y, y))
+        if not size_sq <= _RESIDUAL_RTOL**2 * scale_sq:
+            raise DualSolveError(
+                f"support solve residual {math.sqrt(size_sq):.3e} exceeds {_RESIDUAL_RTOL:g} "
+                f"of ||y|| = {math.sqrt(scale_sq):.3e}; the system is too ill-conditioned "
+                f"(lambda too small?)"
+            )
+        alpha += solve(residual)
     if not np.all(np.isfinite(alpha)):
         raise DualSolveError("non-finite dual solution; upstream state is corrupt")
     return DualState(alpha=alpha, K_theta=K_theta, J_value=float(0.5 * y @ alpha))

@@ -15,7 +15,7 @@ product kernel, for the uniform draw and the oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,34 +57,26 @@ class RhoSchedule:
 @dataclass(frozen=True)
 class DegreeMasses:
     """delta[d] = alpha' S^(.)d alpha / rho_d^2: the total |gradient| mass of all
-    degree-d product kernels, up to the common GRAD_SCALE factor.
-
-    `projections[d]` = Phi_d' alpha for each degree d the kernel set holds as
-    features, the vector whose squared norm is the mass before rho-scaling.
-    The sampler reads the weights of a degree-d draw's first position off
-    it. Masses built without projections still draw; the first position then
-    projects afresh, like every later one."""
+    degree-d product kernels, up to the common GRAD_SCALE factor."""
 
     delta: np.ndarray
     total: float
-    projections: dict[int, np.ndarray] = field(default_factory=dict)
 
 
 def degree_masses(alpha: np.ndarray, ks: BaseKernelSet, rho: RhoSchedule) -> DegreeMasses:
     """All D+1 degree masses; the rank-one matrix alpha alpha' is never
     materialized. S^(.)0 is all ones, so degree 0 is (sum alpha)^2. A degree
-    held as features, S^(.)d = Phi_d Phi_d', costs n F_d as |Phi_d' alpha|^2,
-    and its projection Phi_d' alpha is kept for the sampler; a dense degree
-    is the quadratic form in S^(.)d, a symmetric matrix-vector product that
-    reads only its lower triangle, n^2 / 2 entries."""
+    held as features, S^(.)d = Phi_d Phi_d', costs n F_d as |Phi_d' alpha|^2;
+    a dense degree is the quadratic form in S^(.)d, a symmetric
+    matrix-vector product that reads only its lower triangle, n^2 / 2
+    entries."""
     if rho.D != ks.D:
         raise ValueError(f"rho covers degrees 0..{rho.D} but kernel set has D={ks.D}")
     forms = [float(alpha.sum()) ** 2]
-    projections = {}
     for d in range(1, ks.D + 1):
         phi = ks.features.get(d)
         if phi is not None:
-            v = projections[d] = phi.T @ alpha
+            v = phi.T @ alpha
             forms.append(v @ v)
         else:
             # S^(.)d is symmetric, so its transpose is the same array in
@@ -98,7 +90,7 @@ def degree_masses(alpha: np.ndarray, ks: BaseKernelSet, rho: RhoSchedule) -> Deg
         delta[(delta < 0) & (delta >= -1e-12 * max(1.0, float(np.max(np.abs(delta)))))] = 0.0
         if np.any(delta < 0):
             raise FloatingPointError(f"negative degree mass beyond round-off: {delta}")
-    return DegreeMasses(delta=delta, total=float(delta.sum()), projections=projections)
+    return DegreeMasses(delta=delta, total=float(delta.sum()))
 
 
 def total_mass_C(masses: DegreeMasses) -> float:

@@ -512,8 +512,16 @@ def run(
                 C0 = C
                 if config.step is not None:
                     step_size = float(config.step)
+                elif C0 > 0:
+                    B = C0 * C0
+                    # where B T under- or overflows, the same step without it
+                    step_size = (
+                        default_step_size(B, T)
+                        if 0.0 < B * T < math.inf
+                        else 1.0 / (C0 * math.sqrt(T))
+                    )
                 else:
-                    step_size = default_step_size(C0 * C0, T) if C0 > 0 else 1.0
+                    step_size = 1.0
             if C > MASS_BUDGET_FACTOR * max(C0, 1e-300) and not mass_exceeded:
                 mass_exceeded = True
                 warnings.warn(

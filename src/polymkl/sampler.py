@@ -13,10 +13,9 @@ u = alpha * z_prefix elementwise. Position i uses conditional weights
 for m base kernels. Where the kernel set holds the next degree's features
 Phi_(k+1) (F_(k+1) < n), they are read off one projection: with
 v = Phi_(k+1)' u the weights are L_k v^2 (`BaseKernelSet.lifts`; L_0 is the
-identity and Phi_1 = Z), at n F_(k+1) + m F_(k+1) flops. At the first
-position u = alpha, and the degree masses already hold v, so it costs
-nothing more. At the top feature degree K, where Phi_(K+1) is not held, they
-are colsum((Phi_K' U)^2) at n F_K m flops. At a dense degree P = S^(.)k is
+identity and Phi_1 = Z), at n F_(k+1) + m F_(k+1) flops. At the top
+feature degree K, where Phi_(K+1) is not held, they are
+colsum((Phi_K' U)^2) at n F_K m flops. At a dense degree P = S^(.)k is
 exactly symmetric, so only its lower triangle is read: the weights are
 2 colsum(U * (tril(P) U)) - diag(P)'(U * U), one triangular product at
 n^2 m / 2 multiply-adds. Their sum over j telescopes to the previous
@@ -97,13 +96,8 @@ class SamplerWorkspace:
         # entering position i the denominator is the weight that won position
         # i-1 (telescoping); at i=1 it is the degree weight before rho-scaling
         denom = float(masses.delta[d] * self.rho.rho_sq[d])
-        projection = masses.projections.get(d)
         for i in range(1, d + 1):
-            if i == 1 and projection is not None:
-                # the degree masses already projected alpha onto Phi_d
-                weights = self._lift(projection, d - 1)
-            else:
-                weights = self.position_weights(u, d - i)
+            weights = self.position_weights(u, d - i)
             total = float(weights.sum())
             # written so that a NaN total fails it too
             if not abs(total - denom) <= 1e-9 * max(1.0, abs(denom)):
@@ -117,13 +111,16 @@ class SamplerWorkspace:
     def position_weights(self, u: np.ndarray, remaining: int) -> np.ndarray:
         """Unnormalized weight of every base index at a position whose running
         factor is u, with `remaining` < D positions after it:
-        colsum(U * (S^(.)remaining U)) with U = u[:, None] * Z. A dense power
-        P is read through its lower triangle only, as
-        2 colsum(U * (tril(P) U)) - diag(P)'(U * U)."""
+        colsum(U * (S^(.)remaining U)) with U = u[:, None] * Z. Where the
+        next degree is held as features, that is L_remaining v^2 with
+        v = Phi_(remaining+1)' u. A dense power P is read through its lower
+        triangle only, as 2 colsum(U * (tril(P) U)) - diag(P)'(U * U)."""
         ks = self.ks
         phi = ks.Z if remaining == 0 else ks.features.get(remaining + 1)
         if phi is not None:
-            return self._lift(phi.T @ u, remaining)
+            v = phi.T @ u
+            squares = v * v
+            return squares if remaining == 0 else ks.lifts[remaining] @ squares
         U = np.multiply(u[:, None], ks.Z, out=self._U)
         phi = ks.features.get(remaining)
         if phi is not None:
@@ -138,9 +135,3 @@ class SamplerWorkspace:
         # lower triangle is tril(P)
         PU = dtrmm(1.0, P.T, PU, lower=1, overwrite_b=1)
         return 2.0 * np.einsum("tj,tj->j", U, PU) - diagonal
-
-    def _lift(self, v: np.ndarray, remaining: int) -> np.ndarray:
-        """The weights L_remaining v^2 from v = Phi_(remaining+1)' u."""
-        squares = v * v
-        return squares if remaining == 0 else self.ks.lifts[remaining] @ squares
-

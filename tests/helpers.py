@@ -1,14 +1,19 @@
 """Helpers that only the tests call: the index-set count, the scaling study
 behind acceptance criterion 6, a reader for the support listing a run
-writes, and J at a sparse weight vector. None of them is on a path of the
-CLI or of the learner, so they live here and not in the package."""
+writes, J at a sparse weight vector, and a Python subprocess that imports
+this checkout's package. None of them is on a path of the CLI or of the
+learner, so they live here and not in the package."""
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 import statistics
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -90,3 +95,13 @@ def run_scaling_study(
 def _iteration_times(records) -> list[float]:
     times = [rec.wall_time_s for rec in records]
     return [b - a for a, b in zip([0.0] + times[:-1], times)]
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run `python *args` with this checkout's `src` first on the import path,
+    for checks that need a fresh interpreter or its flags, such as -O."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )

@@ -163,4 +163,4 @@ class TestGenSynthetic:
     def test_too_many_terms(self):
         assert count_monomials(2, 1) == 2
         with pytest.raises(DatasetError, match="exceeds"):
-            gen_synthetic(SyntheticSpec(r=2, n_train=5, n_test=5, n_terms=3, max_degree=1, seed=0))
+            SyntheticSpec(r=2, n_train=5, n_test=5, n_terms=3, max_degree=1, seed=0)

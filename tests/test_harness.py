@@ -40,7 +40,7 @@ class TestParseCli:
 
     def test_bogus_algo_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            parse_cli(["--algo", "bogus", "--synthetic", "r=2,train=10,test=5"])
+            parse_cli(["--algo", "bogus", "--synthetic", "r=3,train=10,test=5"])
         assert exc.value.code == 2
         assert "bogus" in capsys.readouterr().err
 
@@ -64,37 +64,37 @@ class TestParseCli:
     def test_data_and_synthetic_exclusive(self, capsys):
         with pytest.raises(SystemExit):
             parse_cli(["--data", "x.csv", "--split", "5,0,5",
-                       "--synthetic", "r=2,train=10,test=5"])
+                       "--synthetic", "r=3,train=10,test=5"])
         capsys.readouterr()
 
     def test_unknown_flag(self, capsys):
         with pytest.raises(SystemExit):
-            parse_cli(["--frobnicate", "--synthetic", "r=2,train=10,test=5"])
+            parse_cli(["--frobnicate", "--synthetic", "r=3,train=10,test=5"])
         assert "frobnicate" in capsys.readouterr().err
 
     def test_unknown_synthetic_key(self, capsys):
         with pytest.raises(SystemExit):
-            parse_cli(["--synthetic", "r=2,train=10,test=5,zap=3"])
+            parse_cli(["--synthetic", "r=3,train=10,test=5,zap=3"])
         assert "zap" in capsys.readouterr().err
 
     @pytest.mark.parametrize("every", ["0", "-5"])
     def test_checkpoint_every_below_one_usage_error(self, every, capsys):
         with pytest.raises(SystemExit) as exc:
-            parse_cli(["--checkpoint-every", every, "--synthetic", "r=2,train=10,test=5"])
+            parse_cli(["--checkpoint-every", every, "--synthetic", "r=3,train=10,test=5"])
         assert exc.value.code == 2
         assert "checkpoint-every" in capsys.readouterr().err
 
     @pytest.mark.parametrize("step", ["0", "-0.1"])
     def test_step_not_positive_usage_error(self, step, capsys):
         with pytest.raises(SystemExit) as exc:
-            parse_cli(["--step", step, "--synthetic", "r=2,train=10,test=5"])
+            parse_cli(["--step", step, "--synthetic", "r=3,train=10,test=5"])
         assert exc.value.code == 2
         assert "step" in capsys.readouterr().err
 
     @pytest.mark.parametrize("step", [float("nan"), float("inf")])
     def test_step_not_finite(self, step):
         with pytest.raises(ConfigError, match="step"):
-            RunConfig(step=step, synthetic=SyntheticSpec(r=2, n_train=10, n_test=5))
+            RunConfig(step=step, synthetic=SyntheticSpec(r=3, n_train=10, n_test=5))
 
     def test_negative_synthetic_val(self):
         with pytest.raises(ConfigError, match="val"):
@@ -137,21 +137,21 @@ class TestParseCli:
     @pytest.mark.parametrize("lam", [0.0, -1.0, float("nan"), float("inf")])
     def test_lambda_not_positive_finite(self, lam):
         with pytest.raises(ConfigError, match="lambda"):
-            RunConfig(lam=lam, synthetic=SyntheticSpec(r=2, n_train=10, n_test=5))
+            RunConfig(lam=lam, synthetic=SyntheticSpec(r=3, n_train=10, n_test=5))
 
     @pytest.mark.parametrize(
         "grid", [(1e-3, -1.0), (1e-3, 0.0), (float("nan"),), (1.0, float("inf"))]
     )
     def test_lambda_grid_entry_not_positive_finite(self, grid):
         with pytest.raises(ConfigError, match="lambda-grid"):
-            RunConfig(lambda_grid=grid, synthetic=SyntheticSpec(r=2, n_train=10, n_test=5))
+            RunConfig(lambda_grid=grid, synthetic=SyntheticSpec(r=3, n_train=10, n_test=5))
 
     @pytest.mark.parametrize(
         "rho_sq", [(1, 0, 1, 1), (1, -2, 1, 1), (1, float("nan"), 1, 1), (float("inf"), 1, 1, 1)]
     )
     def test_rho_sq_entry_not_positive_finite(self, rho_sq):
         with pytest.raises(ConfigError, match="rho-sq"):
-            RunConfig(rho_sq=rho_sq, synthetic=SyntheticSpec(r=2, n_train=10, n_test=5))
+            RunConfig(rho_sq=rho_sq, synthetic=SyntheticSpec(r=3, n_train=10, n_test=5))
 
     @pytest.mark.parametrize(
         "flags",
@@ -164,7 +164,7 @@ class TestParseCli:
     )
     def test_bad_ridge_or_scale_usage_error_before_any_fit(self, flags, capsys, tmp_path):
         out = str(tmp_path / "run")
-        argv = flags + ["--synthetic", "r=2,train=10,test=5,val=5", "--out", out]
+        argv = flags + ["--synthetic", "r=3,train=10,test=5,val=5", "--out", out]
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -173,7 +173,7 @@ class TestParseCli:
 
     @pytest.mark.parametrize(
         "source",
-        [["--synthetic", "r=2,train=10,test=5"], ["--data", "DATA", "--split", "12,0,8"]],
+        [["--synthetic", "r=3,train=10,test=5"], ["--data", "DATA", "--split", "12,0,8"]],
     )
     def test_lambda_grid_without_validation_rows_usage_error_before_any_fit(
         self, source, capsys, tmp_path
@@ -186,6 +186,15 @@ class TestParseCli:
         assert exc.value.code == 2
         assert "lambda-grid needs a validation split" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["data.csv"]
+
+    def test_excess_synthetic_terms_usage_error_before_any_write(self, capsys, tmp_path):
+        # the default terms=10 exceeds the 9 monomials of degree <= 2 in 3 variables
+        out = str(tmp_path / "run")
+        with pytest.raises(SystemExit) as exc:
+            main(["--synthetic", "r=3,train=40,test=10,maxdeg=2", "--degree", "2", "--out", out])
+        assert exc.value.code == 2
+        assert "exceeds the 9 distinct monomials" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_synthetic_degree_above_run_degree(self, capsys):
         with pytest.raises(SystemExit):
@@ -418,6 +427,36 @@ class TestRunExperiment:
         assert "synthetic failure" in err
         assert "already exists" in err and "flushed to" not in err
         assert earlier.read_text() == "an earlier run's partial records\n"
+
+    def test_ill_conditioned_solve_fails_with_partial_records(self, tmp_path, capsys):
+        # at lambda=1e-30 the support weights swamp n I, and the solve's
+        # residual, not a silently wrong J or test MSE, ends the run
+        out = str(tmp_path / "tiny")
+        code = main(
+            ["--synthetic", "r=3,train=40,test=10,terms=5", "--degree", "3", "--iters", "200",
+             "--lambda", "1e-30", "--out", out]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "support solve residual" in err and "partial records" in err
+        assert sorted(os.listdir(tmp_path)) == ["tiny.records.partial.csv"]
+
+    def test_huge_lambda_completes(self, tmp_path, capsys):
+        # C0 is about 1e-300 here, so C0^2 underflows to zero; the default
+        # step must come without the square
+        out = str(tmp_path / "huge")
+        code = main(
+            ["--synthetic", "r=3,train=40,test=10,terms=5", "--degree", "3", "--iters", "200",
+             "--lambda", "1e300", "--out", out]
+        )
+        assert code == 0, capsys.readouterr().err
+        summary = dict(
+            line.split(": ", 1) for line in Path(out + ".summary.txt").read_text().splitlines()
+        )
+        step = float(summary["step"])
+        assert 0.0 < step < float("inf")
+        # J = y'alpha / 2 lies in (0, |y|^2 / (2n)], which is 1/2 for standardized y
+        assert 0.0 < float(summary["J_avg_iterate"]) <= 0.5
 
     def test_csv_data_path(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -1,8 +1,4 @@
-import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +15,8 @@ from polymkl import baselines, sampler
 from polymkl.baselines import EnumerationError, brute_force_q, enumerate_index_set
 from polymkl.gradient import DegreeMasses
 from polymkl.sampler import _NEG_TOL, SamplerError, SamplerWorkspace, _draw_categorical
+
+from helpers import run_python
 
 
 def random_instance(n=10, r=3, D=2, seed=0, include_constant=False):
@@ -136,8 +134,8 @@ class TestExactLaw:
 
     def test_tv_distance_and_chisquare_where_every_position_lifts(self):
         # F_1 = 3 and F_2 = 6 fall below n = 12, so both degrees are features
-        # and every position reads its weights off the next degree's
-        # projection, the first one off the degree masses
+        # and every position, the first included, reads its weights off the
+        # next degree's projection
         alpha, ks, rho = random_instance(n=12, r=2, D=2, seed=15, include_constant=True)
         assert sorted(ks.features) == [1, 2] and not ks.dense_powers
         assert_law_matches(alpha, ks, rho, 10**5, 105, "every position lifts")
@@ -191,8 +189,8 @@ def scripted_law(alpha, ks, rho, monkeypatch):
 class TestScriptedExactLaw:
     def test_matches_the_enumerated_law(self, monkeypatch):
         # n 5-13, r 1-4, D 1-4, the constant kernel on and off, random rho:
-        # the draw's every branch (the first position off the degree masses,
-        # lifted positions, the top feature degree, dense degrees) is taken.
+        # the draw's every branch (lifted positions, the top feature degree,
+        # dense degrees) is taken.
         # A tuple's mass (z'alpha)^2 cancels in the draw's doubles, so each
         # error is taken relative to its mass before cancellation,
         # (|z|'|alpha|)^2: the worst seen was 1.6e-15. The oracle sums in
@@ -273,6 +271,9 @@ class TestDeterminismAndCost:
 
 
 class TestFirstPosition:
+    # the first position projects alpha afresh, like every later one; the
+    # weights it lifts off Phi_d' alpha must sum to the degree mass, which
+    # `degree_masses` takes as the squared norm of its own Phi_d' alpha
     @pytest.mark.parametrize(
         "n,r,D,include_constant",
         [
@@ -288,13 +289,12 @@ class TestFirstPosition:
     ):
         alpha, ks, rho = random_instance(n, r, D, seed=60, include_constant=include_constant)
         masses = degree_masses(alpha, ks, rho)
-        assert sorted(masses.projections) == sorted(ks.features)
         ws = SamplerWorkspace(ks, rho, np.random.default_rng(61))
-        for d, projection in masses.projections.items():
-            fresh = ws.position_weights(alpha, d - 1)
-            lifted = ws._lift(projection, d - 1)
-            scale = np.max(np.abs(fresh))
-            assert np.max(np.abs(lifted - fresh)) <= 1e-12 * scale, d
+        assert ks.features
+        for d in ks.features:
+            mass = masses.delta[d] * rho.rho_sq[d]
+            total = ws.position_weights(alpha, d - 1).sum()
+            assert abs(total - mass) <= 1e-12 * mass, d
 
 
 def dense_instances(count, seed):
@@ -375,7 +375,7 @@ print("features:", sorted(ks.features))
 ks.features[3] = ks.features[3] * (1 + 1e-6)
 masses = degree_masses(alpha, ks, rho)
 delta = np.array([0.0, 0.0, 0.0, masses.delta[3]])
-top = DegreeMasses(delta=delta, total=float(delta[3]), projections=masses.projections)
+top = DegreeMasses(delta=delta, total=float(delta[3]))
 ws = SamplerWorkspace(ks, rho, np.random.default_rng(71))
 try:
     ws.draw(alpha, top)
@@ -386,17 +386,44 @@ except SamplerError as exc:
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python -O"])
 def test_corrupt_top_feature_block_raises_within_the_draw(flags):
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    done = subprocess.run(
-        [sys.executable, *flags, "-c", CORRUPT_TOP_BLOCK],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
+    done = run_python(*flags, "-c", CORRUPT_TOP_BLOCK)
     assert done.returncode == 0, done.stderr
     assert "features: [1, 2, 3]" in done.stdout
+    assert "raised: telescoping identity violated" in done.stdout
+
+
+# a degree-1 draw at alpha handed, through `dataclasses.replace`, the masses
+# of a nearby vector with only its degree-1 mass kept, 3e-4 off alpha's own:
+# the first position projects alpha afresh, so the telescoping check raises
+MASSES_OF_ANOTHER_ALPHA = """
+import dataclasses
+import numpy as np
+from polymkl import Dataset, RhoSchedule, build_base_kernels, degree_masses
+from polymkl.sampler import SamplerError, SamplerWorkspace
+
+rng = np.random.default_rng(72)
+data = Dataset(inputs=rng.normal(size=(30, 4)), targets=rng.normal(size=30))
+ks = build_base_kernels(data, include_constant=True, D=2)
+rho = RhoSchedule.uniform(2)
+alpha = rng.normal(size=30)
+other = alpha + 1e-3 * rng.normal(size=30)
+print("features:", sorted(ks.features))
+masses = degree_masses(other, ks, rho)
+delta = np.array([0.0, masses.delta[1], 0.0])
+handed = dataclasses.replace(masses, delta=delta, total=float(delta[1]))
+ws = SamplerWorkspace(ks, rho, np.random.default_rng(73))
+try:
+    print("drew:", ws.draw(alpha, handed))
+except SamplerError as exc:
+    print("raised:", exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python -O"])
+def test_degree_one_draw_checks_masses_of_another_alpha(flags):
+    done = run_python(*flags, "-c", MASSES_OF_ANOTHER_ALPHA)
+    assert done.returncode == 0, done.stderr
+    assert "features: [1, 2]" in done.stdout
     assert "raised: telescoping identity violated" in done.stdout
 
 

@@ -11,10 +11,6 @@ its weights from theta and a fresh C'C.
 
 import itertools
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +32,8 @@ import polymkl.optimizer as optimizer_mod
 from polymkl.baselines import solve_dense
 from polymkl.dual import DualSolveError, SupportGram, solve_alpha
 from polymkl.optimizer import monomial_key
+
+from helpers import run_python
 
 LAMBDAS = (1e-6, 1e-2, 10.0)
 INSTANCES = [
@@ -336,18 +334,21 @@ def test_any_nonzero_lapack_info_raises(monkeypatch, routine, info):
         solve_alpha(K, y)
 
 
+def test_ill_conditioned_solve_raises():
+    # weights 1e12 leave the first solve's residual well inside its bound and
+    # J in (0, |y|^2 / (2n)]; at 1e16 the residual exceeds |y| itself
+    rng = np.random.default_rng(5)
+    C, y = rng.normal(size=(40, 6)), rng.normal(size=40)
+    J = solve_alpha(SupportGram(C, C.T @ C, np.full(6, 1e12)), y).J_value
+    assert 0.0 < J <= y @ y / 80
+    with pytest.raises(DualSolveError, match="support solve residual"):
+        solve_alpha(SupportGram(C, C.T @ C, np.full(6, 1e16)), y)
+
+
 def test_indefinite_dense_system_raises():
     _, y = not_positive_definite()
     with pytest.raises(DualSolveError, match="potrf info"):
         solve_dense(-100.0 * np.eye(len(y)), y)
-
-
-def run_python(*args: str) -> subprocess.CompletedProcess:
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
-    )
 
 
 def test_routines_load_without_scipy_linalg_and_are_shared_with_it():
