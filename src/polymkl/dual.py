@@ -62,8 +62,9 @@ class DualSolveError(RuntimeError):
 class SupportGram:
     """K_theta = C diag(weights) C' in the span of its support: `columns` is
     n x s, one column per distinct monomial (`monomial_key`), `gram` is C'C
-    (s x s), and `weights` (length s) are the summed theta_i / rho_|i|^2 of
-    each monomial's tuples. Each weight is a sum of nonnegative terms, 0.0
+    (s x s, exactly symmetric, as the solve reads it transposed), and
+    `weights` (length s) are the summed theta_i / rho_|i|^2 of each
+    monomial's tuples. Each weight is a sum of nonnegative terms, 0.0
     for a monomial with no tuple left, so a negative or non-finite one means
     corrupt state: construction raises FloatingPointError on it, and the
     solve and `dense` read the weights as they are. The learner's only Gram
@@ -128,10 +129,14 @@ def solve_alpha(K_theta: SupportGram, y: np.ndarray) -> DualState:
         alpha = y / n
     else:
         root = np.sqrt(weights)
-        # Fortran order, so potrf factors it in place
-        capacitance = np.multiply(K_theta.gram, root[:, None], order="F")
+        # Fortran order, so potrf factors it in place. The Gram is exactly
+        # symmetric, so its transpose holds the same values in Fortran
+        # order, and each entry is (G_ij r_i) r_j either way
+        capacitance = np.multiply(K_theta.gram.T, root[:, None], order="F")
         capacitance *= root
-        capacitance.flat[:: s + 1] += n
+        # its diagonal, as a 1-D view through the C-ordered transpose
+        diagonal = capacitance.T.reshape(-1)[:: s + 1]
+        diagonal += n
         factor, info = dpotrf(capacitance, lower=True, clean=False, overwrite_a=True)
         if info:
             raise DualSolveError(f"Cholesky failed on the capacitance matrix: potrf info {info}")

@@ -57,10 +57,19 @@ class RhoSchedule:
 @dataclass(frozen=True)
 class DegreeMasses:
     """delta[d] = alpha' S^(.)d alpha / rho_d^2: the total |gradient| mass of all
-    degree-d product kernels, up to the common GRAD_SCALE factor."""
+    degree-d product kernels, up to the common GRAD_SCALE factor. `total` is
+    numpy's pairwise sum float(delta.sum()), which the degree draw takes as
+    its total; construction raises ValueError on any other value, NaN
+    included."""
 
     delta: np.ndarray
     total: float
+
+    def __post_init__(self):
+        summed = float(self.delta.sum())
+        # written so that a NaN fails it too
+        if not self.total == summed:
+            raise ValueError(f"degree mass total {self.total} is not the sum of delta, {summed}")
 
 
 def degree_masses(alpha: np.ndarray, ks: BaseKernelSet, rho: RhoSchedule) -> DegreeMasses:
@@ -84,9 +93,10 @@ def degree_masses(alpha: np.ndarray, ks: BaseKernelSet, rho: RhoSchedule) -> Deg
             forms.append(alpha @ dsymv(1.0, ks.dense_powers[d].T, alpha, lower=1))
     # one division per entry, as rounded as the scalar divisions
     delta = np.array(forms) / rho.rho_sq
-    if ks.dense_powers:
-        # quadratic forms in PSD matrices; clamp the tiny negative round-off.
-        # The other masses are sums of squares and never negative.
+    # quadratic forms in PSD matrices; clamp the tiny negative round-off.
+    # The other masses are sums of squares and never negative. The test is
+    # written so that a NaN takes the clamp's path too, and passes through it
+    if ks.dense_powers and not delta.min() >= 0.0:
         delta[(delta < 0) & (delta >= -1e-12 * max(1.0, float(np.max(np.abs(delta)))))] = 0.0
         if np.any(delta < 0):
             raise FloatingPointError(f"negative degree mass beyond round-off: {delta}")

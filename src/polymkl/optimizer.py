@@ -227,12 +227,15 @@ class SupportCache:
         self._C, self._G = C, G
 
     def check(self):
-        """Raise FloatingPointError if G has drifted from a fresh C'C, by more
+        """Raise FloatingPointError if G is not exactly symmetric, as the
+        solve reads it transposed, or has drifted from a fresh C'C by more
         than _GRAM_CHECK_RTOL of its norm."""
         s = self.num_columns
-        C = self._C[:, :s]
+        C, G = self._C[:, :s], self._G[:s, :s]
+        if not np.array_equal(G, G.T):
+            raise FloatingPointError("cached column Gram is not exactly symmetric")
         fresh = C.T @ C
-        error = np.linalg.norm(self._G[:s, :s] - fresh)
+        error = np.linalg.norm(G - fresh)
         if not error <= _GRAM_CHECK_RTOL * np.linalg.norm(fresh):
             raise FloatingPointError(f"cached column Gram disagrees with C'C: {error:.3e}")
 

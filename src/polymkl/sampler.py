@@ -22,9 +22,19 @@ n^2 m / 2 multiply-adds. Their sum over j telescopes to the previous
 position's chosen weight. The resulting joint law over ordered tuples is
 exactly the normalized |gradient| distribution, which
 `baselines.brute_force_q` enumerates densely for testing.
+
+Each categorical, the degree's and every position's, takes the pairwise
+total its caller already holds (`DegreeMasses.total`, and the sum the
+telescoping check takes) and walks the weights as Python floats, which at
+the few weights of most draws costs less than numpy's calls and draws the
+same index bit for bit.
 """
 
 from __future__ import annotations
+
+import math
+from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 
@@ -42,23 +52,32 @@ class SamplerError(RuntimeError):
     pass
 
 
-def _draw_categorical(rng: np.random.Generator, weights: np.ndarray, scale: float) -> int:
-    """One uniform variate against the cumulative sums of `weights`, renormalized
-    by their computed total. Negative round-off down to -_NEG_TOL*scale is
-    clamped to zero; anything lower signals corruption. The total is numpy's
-    pairwise sum, not the last cumulative sum, which rounds differently from
-    eight weights on."""
-    weights = np.asarray(weights, dtype=np.float64)
-    low = weights.min(initial=np.inf)
+def _draw_categorical(
+    rng: np.random.Generator, weights: np.ndarray, total: float, scale: float
+) -> int:
+    """One uniform variate, scaled by `total`, against the cumulative sums of
+    `weights`. `total` is the caller's numpy pairwise sum of the same
+    weights, float(weights.sum()), not the last cumulative sum, which rounds
+    differently from eight weights on. Negative round-off down to
+    -_NEG_TOL*scale is clamped to zero, and the total then taken afresh;
+    anything lower signals corruption, as does a total that is not positive
+    and finite. The sums run over Python floats: numpy's cumsum is sequential
+    at every length, so `accumulate` gives it bit for bit, without numpy's
+    per-call cost at the few weights of most draws."""
+    values = weights.tolist()
+    low = min(values)
     if low < -_NEG_TOL * max(1.0, scale):
         raise SamplerError(f"negative sampling mass beyond round-off: min={low}")
     if low < 0.0:
         weights = np.maximum(weights, 0.0)
-    total = float(weights.sum())
-    if total <= 0:
-        raise SamplerError("all sampling masses vanished; upstream state is corrupt")
+        values, total = weights.tolist(), float(weights.sum())
+    # written so that a NaN total fails it too
+    if not 0.0 < total < math.inf:
+        raise SamplerError(
+            f"sampling masses total {total}, not positive and finite; upstream state is corrupt"
+        )
     u = rng.random() * total
-    return min(int(weights.cumsum().searchsorted(u, side="right")), len(weights) - 1)
+    return min(bisect_right(list(accumulate(values)), u), len(values) - 1)
 
 
 class SamplerWorkspace:
@@ -84,9 +103,8 @@ class SamplerWorkspace:
 
     def draw(self, alpha: np.ndarray, masses: DegreeMasses) -> MultiIndex:
         ks = self.ks
-        if masses.total <= 0:
-            raise SamplerError("zero total gradient mass; nothing to sample")
-        d = _draw_categorical(self.rng, masses.delta, masses.total)
+        # a zero or non-finite total raises here, before any variate is drawn
+        d = _draw_categorical(self.rng, masses.delta, masses.total, masses.total)
         if d == 0:
             return ()
 
@@ -102,7 +120,7 @@ class SamplerWorkspace:
             # written so that a NaN total fails it too
             if not abs(total - denom) <= 1e-9 * max(1.0, abs(denom)):
                 raise SamplerError(f"telescoping identity violated: {total} vs {denom}")
-            pos = _draw_categorical(self.rng, weights, scale=max(denom, 1.0))
+            pos = _draw_categorical(self.rng, weights, total, scale=max(denom, 1.0))
             chosen.append(ks.indices[pos])
             denom = float(weights[pos])
             u *= ks.Z[:, pos]

@@ -26,6 +26,16 @@ from polymkl.harness import ConfigError, main
 from helpers import read_theta_csv
 
 
+def usage_error(capsys) -> str:
+    """The message of argparse's closing `error:` line on stderr. The usage
+    line above it names every flag, so only this line tells which check
+    failed."""
+    prefix = "polymkl: error: "
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith(prefix), last
+    return last[len(prefix):]
+
+
 class TestParseCli:
     def test_full_flag_set(self):
         config = parse_cli(
@@ -65,7 +75,7 @@ class TestParseCli:
         with pytest.raises(SystemExit):
             parse_cli(["--data", "x.csv", "--split", "5,0,5",
                        "--synthetic", "r=3,train=10,test=5"])
-        capsys.readouterr()
+        assert usage_error(capsys) == "exactly one of --data and --synthetic is required"
 
     def test_unknown_flag(self, capsys):
         with pytest.raises(SystemExit):
@@ -82,14 +92,14 @@ class TestParseCli:
         with pytest.raises(SystemExit) as exc:
             parse_cli(["--checkpoint-every", every, "--synthetic", "r=3,train=10,test=5"])
         assert exc.value.code == 2
-        assert "checkpoint-every" in capsys.readouterr().err
+        assert usage_error(capsys) == "checkpoint-every must be >= 1"
 
     @pytest.mark.parametrize("step", ["0", "-0.1"])
     def test_step_not_positive_usage_error(self, step, capsys):
         with pytest.raises(SystemExit) as exc:
             parse_cli(["--step", step, "--synthetic", "r=3,train=10,test=5"])
         assert exc.value.code == 2
-        assert "step" in capsys.readouterr().err
+        assert usage_error(capsys) == f"step must be a positive finite number, got {float(step)}"
 
     @pytest.mark.parametrize("step", [float("nan"), float("inf")])
     def test_step_not_finite(self, step):
@@ -168,7 +178,12 @@ class TestParseCli:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert flags[0].lstrip("-") in capsys.readouterr().err
+        expected = {
+            "--lambda": "lambda must be a positive finite number, got",
+            "--lambda-grid": "lambda-grid entries must be positive finite numbers, got",
+            "--rho-sq": "rho-sq entries must be positive finite numbers, got",
+        }[flags[0]]
+        assert usage_error(capsys).startswith(expected)
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize(

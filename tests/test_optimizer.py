@@ -437,6 +437,21 @@ class TestStep:
         with pytest.raises(FloatingPointError, match="column Gram"):
             state.check_combined_gram()
 
+    def test_check_catches_a_gram_one_ulp_from_symmetric(self):
+        # the solve reads G transposed, so one entry one ulp off its mirror
+        # fails the check, far inside the drift bound
+        state = self.cached_state()
+        state.cache._G[0, 1] = np.nextafter(state.cache._G[0, 1], np.inf)
+        with pytest.raises(FloatingPointError, match="not exactly symmetric"):
+            state.check_combined_gram()
+
+    def test_check_catches_a_symmetric_corrupt_column_gram_entry(self):
+        state = self.cached_state()
+        state.cache._G[0, 1] += 1e-3 * abs(state.cache._G[0, 1]) + 1e-3
+        state.cache._G[1, 0] = state.cache._G[0, 1]
+        with pytest.raises(FloatingPointError, match="disagrees with C'C"):
+            state.check_combined_gram()
+
 
 class TestLazyAverage:
     def test_constant_iterates(self):

@@ -167,7 +167,7 @@ def scripted_law(alpha, ks, rho, monkeypatch):
     chances w[pos] / sum(w) that the real one gives those outcomes."""
     script, chance = [], [1.0]
 
-    def scripted(rng, weights, scale):
+    def scripted(rng, weights, total, scale):
         # the real draw clamps negative round-off to zero
         weights = np.maximum(weights, 0.0)
         pos = script.pop(0)
@@ -427,6 +427,61 @@ def test_degree_one_draw_checks_masses_of_another_alpha(flags):
     assert "raised: telescoping identity violated" in done.stdout
 
 
+# totals that are not positive and finite, through a draw and handed to the
+# categorical directly, and degree masses whose total is not their sum: each
+# raises where it is made, also under python -O. An inf mass once drew its
+# degree and failed later, on the telescoping check
+NON_FINITE_TOTALS = """
+import numpy as np
+from polymkl import Dataset, RhoSchedule, build_base_kernels
+from polymkl.gradient import DegreeMasses
+from polymkl.sampler import SamplerError, SamplerWorkspace, _draw_categorical
+
+rng = np.random.default_rng(74)
+data = Dataset(inputs=rng.normal(size=(10, 3)), targets=rng.normal(size=10))
+ks = build_base_kernels(data, include_constant=False, D=2)
+alpha = rng.normal(size=10)
+ws = SamplerWorkspace(ks, RhoSchedule.uniform(2), np.random.default_rng(75))
+weights = np.array([1.0, 2.0, 0.5])
+
+
+def attempt(label, call):
+    try:
+        print(label, "gave:", call())
+    except (SamplerError, ValueError) as exc:
+        print(label, "raised:", type(exc).__name__, exc)
+
+
+delta = np.array([0.0, np.inf, 1.0])
+attempt("inf mass", lambda: ws.draw(alpha, DegreeMasses(delta=delta, total=float(delta.sum()))))
+attempt("nan total", lambda: _draw_categorical(np.random.default_rng(0), weights, np.nan, 1.0))
+attempt("inf total", lambda: _draw_categorical(np.random.default_rng(0), weights, np.inf, 1.0))
+attempt("wrong masses total", lambda: DegreeMasses(delta=weights, total=3.0))
+attempt("nan masses total", lambda: DegreeMasses(delta=weights, total=np.nan))
+attempt("nan mass", lambda: DegreeMasses(delta=np.array([np.nan, 1.0, 2.0]), total=np.nan))
+attempt("right masses total", lambda: DegreeMasses(delta=weights, total=3.5).total)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python -O"])
+def test_totals_not_positive_and_finite_raise_where_they_are_made(flags):
+    done = run_python(*flags, "-c", NON_FINITE_TOTALS)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines == [
+        "inf mass raised: SamplerError sampling masses total inf, not positive and finite; "
+        "upstream state is corrupt",
+        "nan total raised: SamplerError sampling masses total nan, not positive and finite; "
+        "upstream state is corrupt",
+        "inf total raised: SamplerError sampling masses total inf, not positive and finite; "
+        "upstream state is corrupt",
+        "wrong masses total raised: ValueError degree mass total 3.0 is not the sum of delta, 3.5",
+        "nan masses total raised: ValueError degree mass total nan is not the sum of delta, 3.5",
+        "nan mass raised: ValueError degree mass total nan is not the sum of delta, nan",
+        "right masses total gave: 3.5",
+    ]
+
+
 class TestWorkspaceInvariant:
     def test_running_product_matches_factors(self):
         # after the draw, the workspace's running factor must be exactly
@@ -491,13 +546,16 @@ class TestCategoricalDrawBitIdentity:
 
     @pytest.mark.parametrize("kind", ["plain", "zeros", "round-off"])
     def test_same_index_and_generator_state(self, kind):
+        # every length up to 64, and two long ones past any short-length
+        # agreement of numpy's pairwise and sequential sums; each draw is
+        # handed the pairwise total of the weights, as the sampler hands it
         rng = np.random.default_rng(50)
-        for m in range(1, 65):
+        for m in [*range(1, 65), 200, 1001]:
             for _ in range(20):
                 weights, scale = self.random_weights(rng, m, kind)
                 seed = int(rng.integers(2**32))
                 ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-                got = _draw_categorical(ours, weights.copy(), scale)
+                got = _draw_categorical(ours, weights.copy(), float(weights.sum()), scale)
                 assert got == draw_categorical_reference(theirs, weights, scale)
                 assert type(got) is int
                 assert ours.bit_generator.state == theirs.bit_generator.state
@@ -509,7 +567,7 @@ class TestCategoricalDrawBitIdentity:
         u = (1.0 - 2.0**-53) * float(weights.sum())
         assert np.cumsum(weights).searchsorted(u, side="right") == len(weights)
         rng = FixedVariate(1.0 - 2.0**-53)
-        assert _draw_categorical(rng, weights, 1.0) == len(weights) - 1
+        assert _draw_categorical(rng, weights, float(weights.sum()), 1.0) == len(weights) - 1
         assert draw_categorical_reference(rng, weights, 1.0) == len(weights) - 1
 
     def test_bin_edges(self):
@@ -524,16 +582,33 @@ class TestCategoricalDrawBitIdentity:
             (0.75, 4),
             (1.0 - 2.0**-53, 4),
         ]:
-            assert _draw_categorical(FixedVariate(variate), weights, 1.0) == expected, variate
+            assert _draw_categorical(FixedVariate(variate), weights, 4.0, 1.0) == expected, variate
+
+    def test_total_is_the_pairwise_sum(self):
+        # nine weights whose pairwise sum, 7.5200000000000005, is one ulp
+        # above their last cumulative sum, 7.52: a variate on the first bin's
+        # upper edge under the pairwise total lands in the second bin, and
+        # under the sequential total in the first
+        weights = np.array([0.7, 0.01, 3.0, 0.1, 0.2, 0.01, 3.0, 0.2, 0.3])
+        pairwise, sequential = float(weights.sum()), float(np.cumsum(weights)[-1])
+        assert (pairwise, sequential) == (7.5200000000000005, 7.52)
+        rng = FixedVariate(0.7 / pairwise)
+        assert draw_categorical_reference(rng, weights, 1.0) == 1
+        assert _draw_categorical(rng, weights, pairwise, 1.0) == 1
+        assert _draw_categorical(rng, weights, sequential, 1.0) == 0
 
     @pytest.mark.parametrize(
         "weights",
         [np.array([0.5, -1e-6, 0.5]), np.zeros(5), np.array([0.0]), np.array([-1e-13, 0.0])],
     )
     def test_still_raises(self, weights):
-        for draw in (_draw_categorical, draw_categorical_reference):
+        total = float(weights.sum())
+        for draw in (
+            lambda rng: _draw_categorical(rng, weights, total, 1.0),
+            lambda rng: draw_categorical_reference(rng, weights, 1.0),
+        ):
             rng = np.random.default_rng(51)
             before = rng.bit_generator.state
             with pytest.raises(SamplerError):
-                draw(rng, weights, 1.0)
+                draw(rng)
             assert rng.bit_generator.state == before

@@ -21,6 +21,7 @@ from polymkl import (
     OptimizerState,
     RhoSchedule,
     RunConfig,
+    SparseTheta,
     SyntheticSpec,
     build_base_kernels,
     gen_synthetic,
@@ -30,7 +31,7 @@ from polymkl import (
 import polymkl.dual as dual_mod
 import polymkl.optimizer as optimizer_mod
 from polymkl.baselines import solve_dense
-from polymkl.dual import DualSolveError, SupportGram, solve_alpha
+from polymkl.dual import DualSolveError, SupportGram, assemble_combined_gram, solve_alpha
 from polymkl.optimizer import monomial_key
 
 from helpers import run_python
@@ -211,7 +212,25 @@ def test_cache_matches_resum_and_fresh_gram(include_constant):
         assert relative(K.weights, expected) <= 1e-12
         fresh = K.columns.T @ K.columns
         assert relative(K.gram, fresh) <= 1e-12
+        # the solve reads the Gram transposed
+        assert np.array_equal(K.gram, K.gram.T)
     state.check_combined_gram()
+
+
+def test_assembled_gram_is_exactly_symmetric():
+    # the solve builds the capacitance from the Gram's transpose, so a Gram
+    # built afresh must be symmetric bit for bit: n 3-60, r 1-5, D 1-3, the
+    # constant kernel on and off, up to 40 random tuples
+    rng = np.random.default_rng(90)
+    for _ in range(100):
+        n, r, D = int(rng.integers(3, 61)), int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        data = Dataset(inputs=rng.normal(size=(n, r)), targets=np.zeros(n))
+        ks = build_base_kernels(data, include_constant=bool(rng.integers(2)), D=D)
+        tuples = [t for d in range(D + 1) for t in itertools.product(ks.indices, repeat=d)]
+        picked = rng.choice(len(tuples), size=min(len(tuples), int(rng.integers(1, 41))))
+        theta = SparseTheta.from_dict({tuples[i]: float(rng.uniform(0.1, 1.0)) for i in picked})
+        gram = assemble_combined_gram(theta, ks, RhoSchedule.uniform(D)).gram
+        assert np.array_equal(gram, gram.T), (n, r, D)
 
 
 def test_run_matches_dense_inner_solves(monkeypatch):
