@@ -10,7 +10,9 @@ differentiating the half-weighted penalty; it is pinned by the
 finite-difference tests and must not be changed independently of them. The
 learner never forms a single component: the degree masses sum them in
 closed form, and `baselines.grad_component` evaluates one from its dense
-product kernel, for the uniform draw and the oracles.
+product kernel, for the uniform draw and the oracles. Where the top degree
+is dense, its mass is the sum of the weights of the first position of a
+top-degree draw, which the masses carry to the sampler.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import BaseKernelSet
+from .kernels import BaseKernelSet, position_weights
 from .lapack import dsymv
 
 GRAD_SCALE = 0.5
@@ -60,10 +62,18 @@ class DegreeMasses:
     degree-d product kernels, up to the common GRAD_SCALE factor. `total` is
     numpy's pairwise sum float(delta.sum()), which the degree draw takes as
     its total; construction raises ValueError on any other value, NaN
-    included."""
+    included.
+
+    Where the top degree D is dense, `first` holds the m unnormalized weights
+    of the first position of a degree-D draw, whose sum is alpha' S^(.)D
+    alpha, and `alpha` a copy of the vector they were taken at: the sampler
+    takes that position from them and refuses masses of another alpha.
+    Elsewhere both are None."""
 
     delta: np.ndarray
     total: float
+    first: np.ndarray | None = None
+    alpha: np.ndarray | None = None
 
     def __post_init__(self):
         summed = float(self.delta.sum())
@@ -76,13 +86,21 @@ def degree_masses(alpha: np.ndarray, ks: BaseKernelSet, rho: RhoSchedule) -> Deg
     """All D+1 degree masses; the rank-one matrix alpha alpha' is never
     materialized. S^(.)0 is all ones, so degree 0 is (sum alpha)^2. A degree
     held as features, S^(.)d = Phi_d Phi_d', costs n F_d as |Phi_d' alpha|^2;
-    a dense degree is the quadratic form in S^(.)d, a symmetric
-    matrix-vector product that reads only its lower triangle, n^2 / 2
-    entries."""
+    a dense degree below the top is the quadratic form in S^(.)d, a
+    symmetric matrix-vector product that reads only its lower triangle,
+    n^2 / 2 entries.
+
+    Where the top degree D is dense, S^(.)D is not held. One product over
+    [alpha * Z | alpha] reads degree D-1's form alone (its lower triangle
+    where dense, n^2 m / 2 multiply-adds, or Phi_(D-1)): its first m
+    columns are the weights w of the first position of a degree-D draw, its
+    last is degree D-1's form, and degree D's form is sum(w). The masses
+    carry w and a copy of alpha for the draw."""
     if rho.D != ks.D:
         raise ValueError(f"rho covers degrees 0..{rho.D} but kernel set has D={ks.D}")
+    top_is_dense = ks.top_is_dense
     forms = [float(alpha.sum()) ** 2]
-    for d in range(1, ks.D + 1):
+    for d in range(1, ks.D - 1 if top_is_dense else ks.D + 1):
         phi = ks.features.get(d)
         if phi is not None:
             v = phi.T @ alpha
@@ -91,16 +109,31 @@ def degree_masses(alpha: np.ndarray, ks: BaseKernelSet, rho: RhoSchedule) -> Deg
             # S^(.)d is symmetric, so its transpose is the same array in
             # Fortran order
             forms.append(alpha @ dsymv(1.0, ks.dense_powers[d].T, alpha, lower=1))
+    first = None
+    if top_is_dense:
+        if ks.D > 1:
+            weights = position_weights(ks, alpha, ks.D - 1, form=True)
+            forms.append(float(weights[-1]))
+            first = weights[:-1]
+        else:
+            # degree 0's form is (sum alpha)^2, taken above
+            first = position_weights(ks, alpha, 0)
+        forms.append(float(first.sum()))
     # one division per entry, as rounded as the scalar divisions
     delta = np.array(forms) / rho.rho_sq
-    # quadratic forms in PSD matrices; clamp the tiny negative round-off.
-    # The other masses are sums of squares and never negative. The test is
-    # written so that a NaN takes the clamp's path too, and passes through it
-    if ks.dense_powers and not delta.min() >= 0.0:
+    # a form read off a dense power is a quadratic form in a PSD matrix, and
+    # may round below zero: clamp the tiny negative round-off. Sums of
+    # squares are never negative
+    if min(forms) < 0.0:
         delta[(delta < 0) & (delta >= -1e-12 * max(1.0, float(np.max(np.abs(delta)))))] = 0.0
         if np.any(delta < 0):
             raise FloatingPointError(f"negative degree mass beyond round-off: {delta}")
-    return DegreeMasses(delta=delta, total=float(delta.sum()))
+    return DegreeMasses(
+        delta=delta,
+        total=float(delta.sum()),
+        first=first,
+        alpha=None if first is None else alpha.copy(),
+    )
 
 
 def total_mass_C(masses: DegreeMasses) -> float:

@@ -12,10 +12,13 @@ Their sum S = Z Z' over the m base columns has rank at most m, so its power
 S^(.)k factors exactly as Phi_k Phi_k' through the F_k = C(m+k-1, k) scaled
 symmetric monomials of degree k. `BaseKernelSet` holds each degree in the
 cheaper of the two forms: Phi_k where F_k < n (a quadratic form costs n F_k),
-the dense S^(.)k elsewhere (n^2 / 2). Beside each feature degree k+1 it holds
+the dense S^(.)k elsewhere (n^2 / 2), except a dense top degree D, which
+nothing reads and which is not built. Beside each feature degree k+1 it holds
 the m x F_(k+1) lift L_k: for any u, the squared column norms of
-Phi_k'(u * Z) are L_k (Phi_(k+1)' u)^2, so the sampler reads a position's
-weights off one projection onto the next degree's features. The fast paths
+Phi_k'(u * Z) are L_k (Phi_(k+1)' u)^2, so a position's weights are read off
+one projection onto the next degree's features. `position_weights` computes
+the weights of every draw position, for the sampler and, at the first
+position of a dense top degree, for the degree masses. The fast paths
 work on these columns; `product_kernel_matrix` and `product_kernel_cross`
 build Grams as plain arrays straight from the inputs and serve as the
 independent oracles. The tests and baselines take them dense (n x n); the
@@ -29,6 +32,7 @@ import math
 import numpy as np
 
 from .dataset import Dataset, MultiIndex
+from .lapack import dtrmm
 
 
 class KernelError(ValueError):
@@ -43,11 +47,14 @@ class BaseKernelSet:
     Where F_k = C(m+k-1, k) < n, `features[k]` holds Phi_k (n x F_k) with
     S^(.)k = Phi_k Phi_k'. Its column for the multiset c_1 <= ... <= c_k of
     base positions is sqrt(k! / prod cnt!) * prod_i Z[:, c_i], with cnt the
-    multiplicities; Phi_1 is Z itself. Elsewhere `dense_powers[k]` holds the
-    n x n array S^(.)k, C-ordered and exactly symmetric, so its transpose is
-    the same matrix in Fortran order and BLAS reads it through its lower
-    triangle alone. F_k never falls as k grows, so the feature degrees
-    are 1..K and the dense ones K+1..D. S^(.)0 is all ones and held in
+    multiplicities; Phi_1 is Z itself. F_k never falls as k grows, so the
+    feature degrees are 1..K and the dense ones K+1..D. For the dense degrees
+    below the top, K+1..D-1, `dense_powers[k]` holds the n x n array S^(.)k,
+    C-ordered and exactly symmetric, so its transpose is the same matrix in
+    Fortran order and BLAS reads it through its lower triangle alone. Where
+    the top degree D is dense (`top_is_dense`), S^(.)D is held in neither
+    form: its mass is the sum of the first position's weights of a degree-D
+    draw, which read degree D-1 alone. S^(.)0 is all ones and held in
     neither.
 
     For k = 1..K-1, `lifts[k]` holds L_k (m x F_(k+1)): entry (j, c') is how
@@ -112,19 +119,25 @@ class BaseKernelSet:
         return features, lifts
 
     def _dense_powers(self, first: int) -> dict[int, np.ndarray]:
-        """S^(.)k for k = first..D. S is kept only as S^(.)1; otherwise the top
-        power is written into S's own buffer."""
-        if first > self.D:
+        """S^(.)k for k = first..D-1. S is kept only as S^(.)1; otherwise the
+        top power held is written into S's own buffer."""
+        top = self.D - 1
+        if first > top:
             return {}
         S = self.Z @ self.Z.T
         powers = {1: S} if first == 1 else {}
         power = S
-        for k in range(2, self.D + 1):
-            out = S if k == self.D and first > 1 else None
+        for k in range(2, top + 1):
+            out = S if k == top and first > 1 else None
             power = np.multiply(power, S, out=out)
             if k >= first:
                 powers[k] = power
         return powers
+
+    @property
+    def top_is_dense(self) -> bool:
+        """Whether the top degree D is dense: F_D >= n, so S^(.)D is not held."""
+        return self.D > len(self.features)
 
     @property
     def has_constant(self) -> bool:
@@ -163,10 +176,51 @@ def product_columns(inputs: np.ndarray, tuples: list[MultiIndex]) -> np.ndarray:
     return out
 
 
+def position_weights(
+    ks: BaseKernelSet, u: np.ndarray, remaining: int, form: bool = False
+) -> np.ndarray:
+    """Unnormalized weight of every base index at a draw position whose running
+    factor is u, with `remaining` < D positions after it:
+    colsum(U * (S^(.)remaining U)) with U = u[:, None] * Z. Where the next
+    degree is held as features, that is L_remaining v^2 with
+    v = Phi_(remaining+1)' u. At the top feature degree K each weight is a
+    squared column norm of Phi_K' U. A dense power P is read through its
+    lower triangle only, as 2 colsum(U * (tril(P) U)) - diag(P)'(U * U).
+
+    With `form`, U takes u itself as one more column, and the weights one
+    more entry: the quadratic form u' S^(.)remaining u. That column rides
+    on the products over U alone, so `form` is asked for only where degree
+    remaining+1 is not held as features and remaining >= 1."""
+    phi = ks.Z if remaining == 0 else ks.features.get(remaining + 1)
+    if phi is not None:
+        v = phi.T @ u
+        squares = v * v
+        return squares if remaining == 0 else ks.lifts[remaining] @ squares
+    m = ks.Z.shape[1]
+    U = np.empty((ks.n, m + 1 if form else m), order="F")
+    np.multiply(u[:, None], ks.Z, out=U[:, :m])
+    if form:
+        U[:, m] = u
+    phi = ks.features.get(remaining)
+    if phi is not None:
+        # S^(.)K = Phi Phi', so each weight is a squared column norm of Phi' U
+        V = phi.T @ U
+        return np.einsum("fj,fj->j", V, V)
+    P = ks.dense_powers[remaining]
+    PU = np.multiply(U, U)
+    diagonal = np.diagonal(P) @ PU
+    np.copyto(PU, U)
+    # P is symmetric, so P.T is the same array in Fortran order and its
+    # lower triangle is tril(P)
+    PU = dtrmm(1.0, P.T, PU, lower=1, overwrite_b=1)
+    return 2.0 * np.einsum("tj,tj->j", U, PU) - diagonal
+
+
 def build_base_kernels(data: Dataset, include_constant: bool, D: int) -> BaseKernelSet:
     """Per-variable linear kernels K_j = x_j x_j', optionally plus an all-ones
     constant kernel, held as columns, with each Hadamard power of S = sum K_j
-    up to degree D precomputed in its cheaper exact form."""
+    up to degree D precomputed in its cheaper exact form, save a dense top
+    degree, which is not built."""
     return BaseKernelSet(data.inputs, include_constant, D)
 
 

@@ -10,18 +10,26 @@ u = alpha * z_prefix elementwise. Position i uses conditional weights
     pi(j) proportional to sum_{t,s} u_t u_s S^(.)k_ts z_jt z_js
           = colsum(U * (S^(.)k U))_j,   U = u[:, None] * Z,   k = d - i,
 
-for m base kernels. Where the kernel set holds the next degree's features
-Phi_(k+1) (F_(k+1) < n), they are read off one projection: with
-v = Phi_(k+1)' u the weights are L_k v^2 (`BaseKernelSet.lifts`; L_0 is the
-identity and Phi_1 = Z), at n F_(k+1) + m F_(k+1) flops. At the top
-feature degree K, where Phi_(K+1) is not held, they are
-colsum((Phi_K' U)^2) at n F_K m flops. At a dense degree P = S^(.)k is
-exactly symmetric, so only its lower triangle is read: the weights are
-2 colsum(U * (tril(P) U)) - diag(P)'(U * U), one triangular product at
-n^2 m / 2 multiply-adds. Their sum over j telescopes to the previous
-position's chosen weight. The resulting joint law over ordered tuples is
-exactly the normalized |gradient| distribution, which
+for m base kernels, which `kernels.position_weights` computes. Where the
+kernel set holds the next degree's features Phi_(k+1) (F_(k+1) < n), they
+are read off one projection: with v = Phi_(k+1)' u the weights are L_k v^2
+(`BaseKernelSet.lifts`; L_0 is the identity and Phi_1 = Z), at
+n F_(k+1) + m F_(k+1) flops. At the top feature degree K, where Phi_(K+1)
+is not held, they are colsum((Phi_K' U)^2) at n F_K m flops. At a dense
+degree P = S^(.)k is exactly symmetric, so only its lower triangle is read:
+the weights are 2 colsum(U * (tril(P) U)) - diag(P)'(U * U), one triangular
+product at n^2 m / 2 multiply-adds. Their sum over j telescopes to the
+previous position's chosen weight. The resulting joint law over ordered
+tuples is exactly the normalized |gradient| distribution, which
 `baselines.brute_force_q` enumerates densely for testing.
+
+Where the top degree D is dense, the first position of a degree-D draw
+comes from the masses: `gradient.degree_masses` takes its weights with
+degree D's mass, which is their sum, and hands them over in
+`DegreeMasses.first` with the alpha they were taken at. A draw handed
+masses of another alpha raises, since at that position the telescoping
+check compares the weights only with their own sum; from the second
+position on, it checks them against a fresh product.
 
 Each categorical, the degree's and every position's, takes the pairwise
 total its caller already holds (`DegreeMasses.total`, and the sum the
@@ -40,8 +48,7 @@ import numpy as np
 
 from .dataset import MultiIndex
 from .gradient import DegreeMasses, RhoSchedule
-from .kernels import BaseKernelSet
-from .lapack import dtrmm
+from .kernels import BaseKernelSet, position_weights
 
 # round-off tolerance for masses that are nonnegative in exact arithmetic,
 # relative to the ambient mass scale
@@ -81,28 +88,25 @@ def _draw_categorical(
 
 
 class SamplerWorkspace:
-    """Reusable per-draw buffers over one immutable kernel set. Single-owner:
+    """Reusable per-draw state over one immutable kernel set. Single-owner:
     share the kernel set across workspaces, not a workspace across callers."""
 
     def __init__(self, ks: BaseKernelSet, rho: RhoSchedule, rng: np.random.Generator):
         self.ks = ks
         self.rho = rho
         self.rng = rng
-        # running factor u = alpha * z_prefix; where a degree is dense, also
-        # U = u[:, None] * Z and the product Phi_K' U (F_K x m) at the top
-        # feature degree K, and above it one n x m buffer that holds U * U
-        # and then, in place, tril(S^(.)k) U
+        # running factor u = alpha * z_prefix
         self.u = np.empty(ks.n)
-        self._U = self._PhiU = self._PU = None
-        if ks.dense_powers:
-            self._U = np.empty(ks.Z.shape, order="F")
-            self._PU = np.empty(ks.Z.shape, order="F")
-            if ks.features:
-                top = ks.features[len(ks.features)]
-                self._PhiU = np.empty((top.shape[1], ks.Z.shape[1]))
 
     def draw(self, alpha: np.ndarray, masses: DegreeMasses) -> MultiIndex:
         ks = self.ks
+        if ks.top_is_dense and not (
+            masses.alpha is not None and np.array_equal(masses.alpha, alpha)
+        ):
+            raise SamplerError(
+                "degree masses were not taken at this alpha; the first position "
+                "of a top-degree draw comes from them"
+            )
         # a zero or non-finite total raises here, before any variate is drawn
         d = _draw_categorical(self.rng, masses.delta, masses.total, masses.total)
         if d == 0:
@@ -111,11 +115,15 @@ class SamplerWorkspace:
         u = self.u
         np.copyto(u, alpha)
         chosen: list[int] = []
+        from_masses = d == ks.D and ks.top_is_dense
         # entering position i the denominator is the weight that won position
         # i-1 (telescoping); at i=1 it is the degree weight before rho-scaling
         denom = float(masses.delta[d] * self.rho.rho_sq[d])
         for i in range(1, d + 1):
-            weights = self.position_weights(u, d - i)
+            if i == 1 and from_masses:
+                weights = masses.first
+            else:
+                weights = position_weights(ks, u, d - i)
             total = float(weights.sum())
             # written so that a NaN total fails it too
             if not abs(total - denom) <= 1e-9 * max(1.0, abs(denom)):
@@ -125,31 +133,3 @@ class SamplerWorkspace:
             denom = float(weights[pos])
             u *= ks.Z[:, pos]
         return tuple(chosen)
-
-    def position_weights(self, u: np.ndarray, remaining: int) -> np.ndarray:
-        """Unnormalized weight of every base index at a position whose running
-        factor is u, with `remaining` < D positions after it:
-        colsum(U * (S^(.)remaining U)) with U = u[:, None] * Z. Where the
-        next degree is held as features, that is L_remaining v^2 with
-        v = Phi_(remaining+1)' u. A dense power P is read through its lower
-        triangle only, as 2 colsum(U * (tril(P) U)) - diag(P)'(U * U)."""
-        ks = self.ks
-        phi = ks.Z if remaining == 0 else ks.features.get(remaining + 1)
-        if phi is not None:
-            v = phi.T @ u
-            squares = v * v
-            return squares if remaining == 0 else ks.lifts[remaining] @ squares
-        U = np.multiply(u[:, None], ks.Z, out=self._U)
-        phi = ks.features.get(remaining)
-        if phi is not None:
-            # S^(.)K = Phi Phi', so each weight is a squared column norm of Phi' U
-            V = np.matmul(phi.T, U, out=self._PhiU)
-            return np.einsum("fj,fj->j", V, V)
-        P = ks.dense_powers[remaining]
-        PU = np.multiply(U, U, out=self._PU)
-        diagonal = np.diagonal(P) @ PU
-        np.copyto(PU, U)
-        # P is symmetric, so P.T is the same array in Fortran order and its
-        # lower triangle is tril(P)
-        PU = dtrmm(1.0, P.T, PU, lower=1, overwrite_b=1)
-        return 2.0 * np.einsum("tj,tj->j", U, PU) - diagonal

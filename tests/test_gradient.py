@@ -14,6 +14,7 @@ from polymkl import (
     solve_alpha,
     total_mass_C,
 )
+from polymkl import gradient
 from polymkl.baselines import grad_component
 from polymkl.dual import assemble_combined_gram
 from polymkl.optimizer import proportional_draws
@@ -138,6 +139,30 @@ class TestDegreeMasses:
             for idx in itertools.product(ks.indices, repeat=2)
         )
         assert masses.delta[2] == pytest.approx(brute, rel=1e-9)
+
+    @pytest.mark.parametrize("top_sum", [-1e-14, -1e-3])
+    def test_negative_top_form_clamped_within_round_off(self, monkeypatch, top_sum):
+        # n=8, r=4: m=4 and F = 4/10, so degree 1 is held as features and the
+        # dense top degree 2 in neither form. Its form is the sum of the first
+        # position's weights, and no dense power is held: a negative sum of
+        # -1e-14 is round-off and clamped to zero, and one of -1e-3, beyond
+        # -1e-12 of the largest mass, raises
+        _, ks, rho = make_instance(n=8, r=4, D=2, seed=7)
+        assert ks.top_is_dense and sorted(ks.features) == [1] and not ks.dense_powers
+        alpha = np.random.default_rng(8).normal(size=8)
+
+        def weights(ks, u, remaining, form=False):
+            assert (remaining, form) == (1, True)
+            return np.array([1e-14, top_sum - 1e-14, 0.0, 0.0, 2.0])
+
+        monkeypatch.setattr(gradient, "position_weights", weights)
+        if top_sum < -1e-12:
+            with pytest.raises(FloatingPointError, match="beyond round-off"):
+                degree_masses(alpha, ks, rho)
+            return
+        masses = degree_masses(alpha, ks, rho)
+        assert masses.delta[1] == 2.0 and masses.delta[2] == 0.0
+        assert masses.total == float(masses.delta.sum())
 
 
 class TestTotalMass:

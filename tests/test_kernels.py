@@ -21,7 +21,8 @@ def random_dataset(n=10, r=3, seed=0):
 
 
 def held_power(ks, d):
-    """S^(.)d rebuilt densely from the form the kernel set holds."""
+    """S^(.)d rebuilt densely from the form the kernel set holds; a dense top
+    degree is held in neither form."""
     if d == 0:
         return np.ones((ks.n, ks.n))
     if d in ks.features:
@@ -56,10 +57,12 @@ class TestBuildBaseKernels:
             np.testing.assert_allclose(held_power(ks, 1), expected, rtol=1e-12)
 
     def test_power_cache(self):
-        # m=2, F = 2/3/4: all degrees as features at n=6, mixed at n=3, dense at n=2
+        # m=2, F = 2/3/4: all degrees as features at n=6, mixed at n=3, dense at n=2;
+        # the dense top degree 3 is not held at n=3 and n=2
         for n in (6, 3, 2):
             ks = build_base_kernels(random_dataset(n=n, r=2, seed=2), include_constant=False, D=3)
-            for d in range(1, 4):
+            assert ks.top_is_dense == (n < 6) and 3 not in ks.dense_powers
+            for d in range(1, 4 - ks.top_is_dense):
                 expected = oracle_power(ks, d)
                 np.testing.assert_allclose(
                     held_power(ks, d), expected, rtol=0, atol=1e-12 * np.abs(expected).max()
@@ -67,13 +70,15 @@ class TestBuildBaseKernels:
 
     @pytest.mark.parametrize(
         "n,features,dense",
-        [(25, [1, 2, 3], []), (12, [1, 2], [3]), (10, [1], [2, 3]), (3, [], [1, 2, 3])],
+        [(25, [1, 2, 3], []), (12, [1, 2], []), (10, [1], [2]), (3, [], [1, 2])],
     )
     def test_form_per_degree(self, n, features, dense):
         # r=3 with the constant kernel: m=4 and F = 4/10/20; features where F_k < n,
-        # so at n=10 degree 2 is dense
+        # so at n=10 degree 2 is dense. The top degree 3 is dense below n=25 and
+        # is then held in neither form
         ks = build_base_kernels(random_dataset(n=n, r=3, seed=4), include_constant=True, D=3)
         assert sorted(ks.features) == features and sorted(ks.dense_powers) == dense
+        assert ks.top_is_dense == (n < 25) and 3 not in ks.dense_powers
         for k, phi in ks.features.items():
             assert phi.shape == (n, math.comb(4 + k - 1, k))
         if features:
@@ -132,15 +137,18 @@ class TestProductKernelMatrix:
             assert np.linalg.eigvalsh(K).min() >= -1e-8 * max(np.linalg.norm(K), 1.0)
 
     def test_sum_over_tuples_equals_power(self):
-        # sum of all ordered degree-d products reproduces the d-th power of S
+        # sum of all ordered degree-d products reproduces the d-th power of S:
+        # the held form, or the dense base Grams' for the top degree, which
+        # is dense here and held in neither form
         data = random_dataset(n=6, r=3, seed=8)
         for const in (False, True):
             ks = build_base_kernels(data, include_constant=const, D=3)
+            assert ks.top_is_dense
             for d in range(4):
                 total = np.zeros((6, 6))
                 for idx in itertools.product(ks.indices, repeat=d):
                     total += product_kernel_matrix(ks, idx)
-                power = held_power(ks, d)
+                power = oracle_power(ks, d) if d == 3 else held_power(ks, d)
                 np.testing.assert_allclose(
                     total, power, rtol=1e-9, atol=1e-9 * np.abs(power).max()
                 )

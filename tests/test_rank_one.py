@@ -11,6 +11,7 @@ where every degree takes features, a steady-state mass, draw and step, and a
 whole run between checkpoints, create no n x n temporary.
 """
 
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -30,8 +31,13 @@ from polymkl import (
 )
 from polymkl.baselines import brute_force_q
 from polymkl.dual import assemble_combined_gram, predict, solve_alpha
-from polymkl.gradient import DegreeMasses, total_mass_C
-from polymkl.kernels import monomial_key, product_kernel_cross, product_kernel_matrix
+from polymkl.gradient import total_mass_C
+from polymkl.kernels import (
+    monomial_key,
+    position_weights,
+    product_kernel_cross,
+    product_kernel_matrix,
+)
 from polymkl.sampler import SamplerWorkspace
 
 RTOL = 1e-12
@@ -79,11 +85,10 @@ def oracle_power(ks, d):
     return sum(product_kernel_matrix(ks, (j,)) for j in ks.indices) ** d
 
 
-def check_position_weights(ks, rho, alpha, rng):
+def check_position_weights(ks, alpha):
     """Position weights at every prefix of every degree against the running
     product M = alpha alpha' times the prefix Grams, with
     remaining = d - len(prefix) - 1."""
-    ws = SamplerWorkspace(ks, rho, rng)
     for prefix in all_tuples(ks, ks.D - 1):
         M = np.outer(alpha, alpha)
         u = alpha.copy()
@@ -93,15 +98,17 @@ def check_position_weights(ks, rho, alpha, rng):
         for remaining in range(ks.D - len(prefix)):
             P = oracle_power(ks, remaining)
             dense = [np.sum(M * P * product_kernel_matrix(ks, (j,))) for j in ks.indices]
-            assert_close(ws.position_weights(u, remaining), dense)
+            assert_close(position_weights(ks, u, remaining), dense)
 
 
 def top_degree_masses(alpha, ks, rho):
     """Degree masses with all mass on the top degree, so a draw runs every
-    position."""
+    position; they keep the first position that a dense top degree takes
+    from them."""
+    masses = degree_masses(alpha, ks, rho)
     delta = np.zeros(ks.D + 1)
-    delta[ks.D] = degree_masses(alpha, ks, rho).delta[ks.D]
-    return DegreeMasses(delta=delta, total=float(delta.sum()))
+    delta[ks.D] = masses.delta[ks.D]
+    return dataclasses.replace(masses, delta=delta, total=float(delta.sum()))
 
 
 def dense_gram(theta, ks, rho):
@@ -115,7 +122,7 @@ def dense_gram(theta, ks, rho):
 class TestAgainstDense:
     def test_position_weights(self, include_constant, D, seed):
         data, ks, rho, rng = make_instance(include_constant, D, seed)
-        check_position_weights(ks, rho, rng.normal(size=ks.n), rng)
+        check_position_weights(ks, rng.normal(size=ks.n))
 
     def test_step_gram_delta(self, include_constant, D, seed):
         data, ks, rho, rng = make_instance(include_constant, D, seed)
@@ -186,7 +193,7 @@ class TestBothForms:
 
     def test_position_weights(self, n):
         data, ks, rho, rng = make_instance(True, self.D, seed=n, n=n)
-        check_position_weights(ks, rho, rng.normal(size=n), rng)
+        check_position_weights(ks, rng.normal(size=n))
 
 
 class TestNoSquareTemporaries:
@@ -220,9 +227,10 @@ class TestNoSquareTemporaries:
         assert self.peak_bytes(lambda: ws.draw(alpha, masses)) < self.budget
 
     def test_draw_dense_degrees(self):
-        # r=30: m=31 and F = 31/496/5456, so degrees 2 and 3 stay dense at n=300
+        # r=30: m=31 and F = 31/496/5456, so degrees 2 and 3 stay dense at n=300;
+        # the top one is held in neither form
         data, ks, rho, rng = make_instance(True, 3, seed=6, n=self.n, r=30)
-        assert sorted(ks.dense_powers) == [2, 3]
+        assert sorted(ks.dense_powers) == [2] and ks.top_is_dense
         alpha = rng.normal(size=ks.n)
         ws = SamplerWorkspace(ks, rho, rng)
         masses = top_degree_masses(alpha, ks, rho)

@@ -14,6 +14,7 @@ from polymkl import (
 from polymkl import baselines, sampler
 from polymkl.baselines import EnumerationError, brute_force_q, enumerate_index_set
 from polymkl.gradient import DegreeMasses
+from polymkl.kernels import position_weights
 from polymkl.sampler import _NEG_TOL, SamplerError, SamplerWorkspace, _draw_categorical
 
 from helpers import run_python
@@ -190,7 +191,8 @@ class TestScriptedExactLaw:
     def test_matches_the_enumerated_law(self, monkeypatch):
         # n 5-13, r 1-4, D 1-4, the constant kernel on and off, random rho:
         # the draw's every branch (lifted positions, the top feature degree,
-        # dense degrees) is taken.
+        # dense degrees, a dense top degree's first position off the masses)
+        # is taken.
         # A tuple's mass (z'alpha)^2 cancels in the draw's doubles, so each
         # error is taken relative to its mass before cancellation,
         # (|z|'|alpha|)^2: the worst seen was 1.6e-15. The oracle sums in
@@ -205,7 +207,7 @@ class TestScriptedExactLaw:
             ks = build_base_kernels(data, include_constant=bool(rng.integers(2)), D=D)
             rho = RhoSchedule(rng.uniform(0.2, 5.0, size=D + 1))
             alpha = rng.normal(size=n)
-            forms.add((bool(ks.features), bool(ks.dense_powers)))
+            forms.add((bool(ks.features), bool(ks.dense_powers), ks.top_is_dense))
             law = scripted_law(alpha, ks, rho, monkeypatch)
             q = brute_force_q(alpha, ks, rho, D)
             assert law.keys() == q.keys()
@@ -213,7 +215,14 @@ class TestScriptedExactLaw:
             cancelled = ((Z.T @ alpha) / (np.abs(Z).T @ np.abs(alpha))) ** 2
             errors = [abs(law[idx] - p) / p * c for (idx, p), c in zip(q.items(), cancelled)]
             worst = max(worst, max(errors))
-        assert forms == {(True, False), (True, True), (False, True)}
+        # a dense top degree above only features holds no dense power. D=1
+        # with m >= n holds none either; `TestHandComputedCases` draws there
+        assert forms == {
+            (True, False, False),
+            (True, False, True),
+            (True, True, True),
+            (False, True, True),
+        }
         assert worst <= 1e-12, worst
 
 
@@ -289,18 +298,18 @@ class TestFirstPosition:
     ):
         alpha, ks, rho = random_instance(n, r, D, seed=60, include_constant=include_constant)
         masses = degree_masses(alpha, ks, rho)
-        ws = SamplerWorkspace(ks, rho, np.random.default_rng(61))
         assert ks.features
         for d in ks.features:
             mass = masses.delta[d] * rho.rho_sq[d]
-            total = ws.position_weights(alpha, d - 1).sum()
+            total = position_weights(ks, alpha, d - 1).sum()
             assert abs(total - mass) <= 1e-12 * mass, d
 
 
 def dense_instances(count, seed):
     """Kernel sets with n < F_2, so degree 2 and every degree above it are
-    held as dense Hadamard powers (and S itself where n <= m), with D up to
-    4, the constant kernel on and off, tilted rho, and a random vector."""
+    dense (and S itself where n <= m), with D up to 4, the constant kernel
+    on and off, tilted rho, and a random vector. The dense degrees below the
+    top are held as Hadamard powers; the top one is held in neither form."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
         r = int(rng.integers(3, 9))
@@ -308,6 +317,23 @@ def dense_instances(count, seed):
         m = r + include_constant
         n = int(rng.integers(3, m * (m + 1) // 2))
         D = int(rng.integers(2, 5))
+        data = Dataset(inputs=rng.normal(size=(n, r)), targets=np.zeros(n))
+        ks = build_base_kernels(data, include_constant=include_constant, D=D)
+        rho = RhoSchedule(rng.uniform(0.2, 5.0, size=D + 1))
+        yield ks, rho, rng.normal(size=n)
+
+
+def dense_top_instances(seed):
+    """The two shapes of a dense top degree that hold no dense power at all,
+    each with the constant kernel on and off: D=1 with m >= n, and D=3 above
+    features 1 and 2 (m=4, F = 4/10/20, 10 < n <= 20)."""
+    rng = np.random.default_rng(seed)
+    for n, r, include_constant, D in [
+        (4, 4, False, 1),
+        (5, 4, True, 1),
+        (13, 4, False, 3),
+        (18, 3, True, 3),
+    ]:
         data = Dataset(inputs=rng.normal(size=(n, r)), targets=np.zeros(n))
         ks = build_base_kernels(data, include_constant=include_constant, D=D)
         rho = RhoSchedule(rng.uniform(0.2, 5.0, size=D + 1))
@@ -325,17 +351,18 @@ class TestDenseTriangleReads:
 
     def test_dense_powers_are_exactly_symmetric_fortran_transposes(self):
         for ks, _, _ in dense_instances(60, seed=80):
-            assert ks.dense_powers
+            assert ks.top_is_dense
+            assert sorted(ks.dense_powers) == list(range(len(ks.features) + 1, ks.D))
             for P in ks.dense_powers.values():
                 assert np.array_equal(P, P.T)
                 # so BLAS reads P.T as it is, without a copy
                 assert P.T.flags.f_contiguous
 
     def test_position_weights_match_the_full_matrix_product(self):
+        # with the form column u beside U = u * Z, whose weight is u' P u
         remaining_seen, two_below_top = set(), False
         for ks, rho, u in dense_instances(60, seed=80):
-            workspace = SamplerWorkspace(ks, rho, np.random.default_rng(0))
-            U = u[:, None] * ks.Z
+            U = np.column_stack([u[:, None] * ks.Z, u])
             dense = [k for k in range(1, ks.D) if k in ks.dense_powers]
             remaining_seen.update(dense)
             two_below_top |= len(dense) >= 2
@@ -343,18 +370,27 @@ class TestDenseTriangleReads:
                 P = ks.dense_powers[k]
                 full = np.einsum("tj,tj->j", U, P @ U)
                 scale = np.einsum("tj,tj->j", np.abs(U), np.abs(P) @ np.abs(U))
-                error = np.abs(workspace.position_weights(u, k) - full)
+                error = np.abs(position_weights(ks, u, k, form=True) - full)
                 assert np.all(error <= self.BOUND * scale), (ks.n, ks.D, k)
         assert remaining_seen == {1, 2, 3} and two_below_top
 
     def test_degree_masses_match_the_full_quadratic_form(self):
-        for ks, rho, alpha in dense_instances(60, seed=80):
+        # every dense degree, the top one included, against (Z Z')^(.)d built
+        # here from the inputs, on both shapes of dense top that hold no dense
+        # power as well
+        shapes = set()
+        for ks, rho, alpha in [*dense_instances(60, seed=80), *dense_top_instances(81)]:
             masses = degree_masses(alpha, ks, rho)
-            for d, P in ks.dense_powers.items():
+            Z = np.column_stack([np.ones(ks.n)] * ks.has_constant + [ks.inputs])
+            assert ks.top_is_dense
+            shapes.add((ks.D == 1, len(ks.features) == ks.D - 1))
+            for d in range(len(ks.features) + 1, ks.D + 1):
+                P = (Z @ Z.T) ** d
                 full = alpha @ P @ alpha / rho.rho_sq[d]
                 scale = np.abs(alpha) @ np.abs(P) @ np.abs(alpha) / rho.rho_sq[d]
                 # the clamp may zero a form that is round-off below zero
                 assert abs(masses.delta[d] - full) <= self.BOUND * scale, (ks.n, ks.D, d)
+        assert shapes == {(False, False), (False, True), (True, True)}
 
 
 # a degree-D draw on a kernel set whose top feature block is scaled by
@@ -424,6 +460,85 @@ def test_degree_one_draw_checks_masses_of_another_alpha(flags):
     done = run_python(*flags, "-c", MASSES_OF_ANOTHER_ALPHA)
     assert done.returncode == 0, done.stderr
     assert "features: [1, 2]" in done.stdout
+    assert "raised: telescoping identity violated" in done.stdout
+
+
+# the same, where the top degree is dense: a degree-1 draw at alpha on a
+# kernel set with m = 6 >= n = 5, so that S is held in neither form, handed
+# the masses of the nearby vector. The draw's one position is the first
+# position the masses carry, and its telescoping check compares their weights
+# only with their own sum: without the check on alpha this draws a tuple
+# from the other vector's law
+DENSE_TOP_MASSES_OF_ANOTHER_ALPHA = """
+import dataclasses
+import numpy as np
+from polymkl import Dataset, RhoSchedule, build_base_kernels, degree_masses
+from polymkl.sampler import SamplerError, SamplerWorkspace
+
+rng = np.random.default_rng(76)
+data = Dataset(inputs=rng.normal(size=(5, 5)), targets=rng.normal(size=5))
+ks = build_base_kernels(data, include_constant=True, D=1)
+rho = RhoSchedule.uniform(1)
+alpha = rng.normal(size=5)
+other = alpha + 1e-3 * rng.normal(size=5)
+print("top is dense:", ks.top_is_dense, "held:", sorted(ks.features), sorted(ks.dense_powers))
+masses = degree_masses(other, ks, rho)
+delta = np.array([0.0, masses.delta[1]])
+handed = dataclasses.replace(masses, delta=delta, total=float(delta[1]))
+ws = SamplerWorkspace(ks, rho, np.random.default_rng(77))
+try:
+    print("drew:", ws.draw(alpha, handed))
+except SamplerError as exc:
+    print("raised:", exc)
+print("own masses drew:", len(ws.draw(alpha, degree_masses(alpha, ks, rho))))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python -O"])
+def test_dense_top_draw_checks_masses_of_another_alpha(flags):
+    done = run_python(*flags, "-c", DENSE_TOP_MASSES_OF_ANOTHER_ALPHA)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "top is dense: True held: [] []",
+        "raised: degree masses were not taken at this alpha; the first position "
+        "of a top-degree draw comes from them",
+        "own masses drew: 1",
+    ]
+
+
+# a degree-D draw on a kernel set whose dense power below the top, S^(.)2,
+# is scaled by 1 + 1e-6. The masses take the first position over it, so
+# that position agrees with degree 3's mass; the second projects onto the
+# uncorrupted features of degree 1 and its telescoping check raises
+CORRUPT_DENSE_BELOW_TOP = """
+import dataclasses
+import numpy as np
+from polymkl import Dataset, RhoSchedule, build_base_kernels, degree_masses
+from polymkl.sampler import SamplerError, SamplerWorkspace
+
+rng = np.random.default_rng(78)
+data = Dataset(inputs=rng.normal(size=(30, 8)), targets=rng.normal(size=30))
+ks = build_base_kernels(data, include_constant=True, D=3)
+rho = RhoSchedule.uniform(3)
+alpha = rng.normal(size=30)
+print("held:", sorted(ks.features), sorted(ks.dense_powers), "top is dense:", ks.top_is_dense)
+ks.dense_powers[2] = ks.dense_powers[2] * (1 + 1e-6)
+masses = degree_masses(alpha, ks, rho)
+delta = np.array([0.0, 0.0, 0.0, masses.delta[3]])
+top = dataclasses.replace(masses, delta=delta, total=float(delta[3]))
+ws = SamplerWorkspace(ks, rho, np.random.default_rng(79))
+try:
+    ws.draw(alpha, top)
+except SamplerError as exc:
+    print("raised:", exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python -O"])
+def test_corrupt_dense_power_below_the_top_raises_within_the_draw(flags):
+    done = run_python(*flags, "-c", CORRUPT_DENSE_BELOW_TOP)
+    assert done.returncode == 0, done.stderr
+    assert "held: [1] [2] top is dense: True" in done.stdout
     assert "raised: telescoping identity violated" in done.stdout
 
 
