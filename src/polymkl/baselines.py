@@ -161,9 +161,9 @@ def uniform_draws(ks: BaseKernelSet, rho: RhoSchedule, seed: int):
     size = len(tuples)
     rng = np.random.default_rng([int(seed), 2])
 
-    def draw(alpha: np.ndarray, masses: DegreeMasses) -> tuple[MultiIndex, float]:
+    def draw(masses: DegreeMasses) -> tuple[MultiIndex, float]:
         idx = tuples[int(rng.integers(size))]
-        g_i = grad_component(alpha, product_kernel_matrix(ks, idx), rho.rho_sq[len(idx)])
+        g_i = grad_component(masses.alpha, product_kernel_matrix(ks, idx), rho.rho_sq[len(idx)])
         return idx, size * g_i
 
     return draw

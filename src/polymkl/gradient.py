@@ -12,12 +12,14 @@ learner never forms a single component: the degree masses sum them in
 closed form, and `baselines.grad_component` evaluates one from its dense
 product kernel, for the uniform draw and the oracles. Where the top degree
 is dense, its mass is the sum of the weights of the first position of a
-top-degree draw, which the masses carry to the sampler.
+top-degree draw, which the masses carry to the sampler with the alpha they
+were taken at: a draw takes nothing else.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,27 +61,30 @@ class RhoSchedule:
 @dataclass(frozen=True)
 class DegreeMasses:
     """delta[d] = alpha' S^(.)d alpha / rho_d^2: the total |gradient| mass of all
-    degree-d product kernels, up to the common GRAD_SCALE factor. `total` is
-    numpy's pairwise sum float(delta.sum()), which the degree draw takes as
-    its total; construction raises ValueError on any other value, NaN
+    degree-d product kernels, up to the common GRAD_SCALE factor, at `alpha`,
+    of which it keeps a read-only copy. `total` is numpy's pairwise sum
+    float(delta.sum()), which the degree draw takes as its total;
+    construction raises ValueError unless it is finite and >= 0, NaN
     included.
 
     Where the top degree D is dense, `first` holds the m unnormalized weights
     of the first position of a degree-D draw, whose sum is alpha' S^(.)D
-    alpha, and `alpha` a copy of the vector they were taken at: the sampler
-    takes that position from them and refuses masses of another alpha.
-    Elsewhere both are None."""
+    alpha: the sampler takes that position from them. Elsewhere it is None."""
 
+    alpha: np.ndarray
     delta: np.ndarray
-    total: float
     first: np.ndarray | None = None
-    alpha: np.ndarray | None = None
+    total: float = field(init=False)
 
     def __post_init__(self):
-        summed = float(self.delta.sum())
+        alpha = np.array(self.alpha, dtype=np.float64)
+        alpha.setflags(write=False)
+        object.__setattr__(self, "alpha", alpha)
+        total = float(self.delta.sum())
         # written so that a NaN fails it too
-        if not self.total == summed:
-            raise ValueError(f"degree mass total {self.total} is not the sum of delta, {summed}")
+        if not 0.0 <= total < math.inf:
+            raise ValueError(f"degree masses total {total}, not finite and nonnegative")
+        object.__setattr__(self, "total", total)
 
 
 def degree_masses(alpha: np.ndarray, ks: BaseKernelSet, rho: RhoSchedule) -> DegreeMasses:
@@ -95,7 +100,7 @@ def degree_masses(alpha: np.ndarray, ks: BaseKernelSet, rho: RhoSchedule) -> Deg
     where dense, n^2 m / 2 multiply-adds, or Phi_(D-1)): its first m
     columns are the weights w of the first position of a degree-D draw, its
     last is degree D-1's form, and degree D's form is sum(w). The masses
-    carry w and a copy of alpha for the draw."""
+    carry w for the draw."""
     if rho.D != ks.D:
         raise ValueError(f"rho covers degrees 0..{rho.D} but kernel set has D={ks.D}")
     top_is_dense = ks.top_is_dense
@@ -128,12 +133,7 @@ def degree_masses(alpha: np.ndarray, ks: BaseKernelSet, rho: RhoSchedule) -> Deg
         delta[(delta < 0) & (delta >= -1e-12 * max(1.0, float(np.max(np.abs(delta)))))] = 0.0
         if np.any(delta < 0):
             raise FloatingPointError(f"negative degree mass beyond round-off: {delta}")
-    return DegreeMasses(
-        delta=delta,
-        total=float(delta.sum()),
-        first=first,
-        alpha=None if first is None else alpha.copy(),
-    )
+    return DegreeMasses(alpha, delta, first)
 
 
 def total_mass_C(masses: DegreeMasses) -> float:

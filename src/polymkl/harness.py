@@ -106,6 +106,8 @@ class RunConfig:
             raise ConfigError("exactly one of --data and --synthetic is required")
         if self.data_path is not None and self.split_sizes is None:
             raise ConfigError("--split a,b,c is required with --data")
+        if self.data_path is None and self.split_sizes is not None:
+            raise ConfigError("--split applies only to --data")
         if self.split_sizes is not None and min(self.split_sizes) < 0:
             raise ConfigError(f"split sizes must be >= 0, got {self.split_sizes}")
         if self.synthetic_val < 0:
@@ -138,7 +140,7 @@ class MetricsOutput:
 def _prepare_data(config: RunConfig):
     """Load or generate, split, and standardize (fit on train only).
 
-    Returns (train, val, test, params). `val` may be None.
+    Returns (train, val, test). `val` may be None.
     """
     if config.data_path is not None:
         full = load_csv(config.data_path)
@@ -148,7 +150,7 @@ def _prepare_data(config: RunConfig):
         # oversample the train block and slice a validation set off its tail
         spec = config.synthetic
         n = spec.n_train
-        train_big, test, _truth = gen_synthetic(replace(spec, n_train=n + config.synthetic_val))
+        train_big, test = gen_synthetic(replace(spec, n_train=n + config.synthetic_val))[:2]
         train = Dataset(train_big.inputs[:n], train_big.targets[:n])
         val = None
         if config.synthetic_val > 0:
@@ -156,7 +158,7 @@ def _prepare_data(config: RunConfig):
     std_train, params = standardize(train)
     std_val = params.apply(val) if val is not None else None
     std_test = params.apply(test) if test is not None else None
-    return std_train, std_val, std_test, params
+    return std_train, std_val, std_test
 
 
 def _dispatch(config: RunConfig, train: Dataset, ks: BaseKernelSet, rho: RhoSchedule):
@@ -176,7 +178,7 @@ def run_experiment(config: RunConfig) -> MetricsOutput:
     """Execute one configured run and write records, summary, and the averaged
     iterate's support listing to disk."""
     total_start = time.perf_counter()
-    train, val, test, _params = _prepare_data(config)
+    train, val, test = _prepare_data(config)
     ks = build_base_kernels(train, include_constant=config.include_constant, D=config.D)
 
     chosen_lam = config.lam

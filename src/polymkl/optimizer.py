@@ -23,9 +23,9 @@ Woodbury's identity. The two final solves, at the averaged and at the last
 iterate, take the same form, assembled afresh from theta by
 `assemble_combined_gram`. So the loop allocates no n x n array. The
 checkpoint checks the cache against itself and against theta: a probe
-through columns built afresh, with the weights and without them, each
-tuple's slot and 1/rho^2 exactly, and the last updated column against its
-kernel's diagonal and one row, computed from the inputs in O(n k).
+through columns built afresh, each tuple's slot and 1/rho^2 exactly, and
+the last updated column against its kernel's diagonal and one row,
+computed from the inputs in O(n k).
 """
 
 from __future__ import annotations
@@ -360,45 +360,30 @@ class OptimizerState:
 
     def check_combined_gram(self):
         """Raise FloatingPointError if the cache fails `SupportCache.check`;
-        if the cached Gram times a fixed probe vector differs from the same
-        product over `support_columns` of theta; if the probe through a live
-        monomial's cached column differs from the probe through its column
-        built afresh; if a touched tuple's slot or 1/rho^2 is not, bit for
-        bit, its monomial's slot or 1 / rho_|i|^2; or if the cached column of
+        if a fixed probe through a live monomial's cached column differs from
+        the probe through its column built afresh by `support_columns` of
+        theta; if a touched tuple's slot or 1/rho^2 is not, bit for bit, its
+        monomial's slot or 1 / rho_|i|^2; or if the cached column of
         `last_index` disagrees with entries of its product kernel
         (`_check_column`). The cache's own check shares its key map and
-        columns; the Gram probe shares neither, nor the state's slots, but its
-        norms underflow at weights whose products fall below about 1e-162.
-        The column probe carries no weight, so it sees a wrong column at any
-        weight, and the exact comparisons see the rest; the kernel entries
-        come straight from the inputs. Each bound is _GRAM_CHECK_RTOL times
-        what it compares, before any cancellation. O(n s) beyond the cache's
-        own check."""
+        columns; the column probe shares neither, and carries no weight, so
+        it sees a wrong column at any weight. The exact comparisons see the
+        rest, and the kernel entries come straight from the inputs. Each
+        bound is _GRAM_CHECK_RTOL times what it compares, before any
+        cancellation. O(n s) beyond the cache's own check."""
         self.cache.check()
         # a fixed probe, made once per state, so the check draws nothing from
         # the run's generator
         if self._probe is None:
             self._probe = np.random.default_rng(0).standard_normal(self.ks.n)
         probe = self._probe
-        K = self.support_gram()
-        cached_along = K.columns.T @ probe
-        cached = K.columns @ (K.weights * cached_along)
-        keys, columns, weights = support_columns(self.theta, self.ks, self.rho)
+        cached_along = self.support_gram().columns.T @ probe
+        keys, columns, _weights = support_columns(self.theta, self.ks, self.rho)
         along = columns.T @ probe
-        expected = columns @ (weights * along)
-        magnitudes = np.abs(columns)
-        # the size of the sum before any cancellation between its terms
-        size = np.linalg.norm(magnitudes @ (weights * np.abs(along)))
-        error = np.linalg.norm(cached - expected)
-        if not error <= _GRAM_CHECK_RTOL * size:
-            raise FloatingPointError(
-                f"cached Gram disagrees with the support tuples' own columns: "
-                f"{error:.3e} of {size:.3e}"
-            )
         # a key without a column maps to -1; the exact slot comparison below
         # raises on it whatever this comparison finds
         errors = np.abs(cached_along[self.cache.slots(keys)] - along)
-        sizes = magnitudes.T @ np.abs(probe)
+        sizes = np.abs(columns).T @ np.abs(probe)
         # written so that a NaN fails it too
         wrong = np.flatnonzero(~(errors <= _GRAM_CHECK_RTOL * sizes))
         if wrong.size:
@@ -472,8 +457,8 @@ def proportional_draws(ks: BaseKernelSet, rho: RhoSchedule, seed: int):
     with the importance estimate g_i / q_i = -C of its component."""
     workspace = SamplerWorkspace(ks, rho, np.random.default_rng([int(seed), 1]))
 
-    def draw(alpha: np.ndarray, masses: DegreeMasses) -> tuple[MultiIndex, float]:
-        return workspace.draw(alpha, masses), -total_mass_C(masses)
+    def draw(masses: DegreeMasses) -> tuple[MultiIndex, float]:
+        return workspace.draw(masses), -total_mass_C(masses)
 
     return draw
 
@@ -490,10 +475,11 @@ def run(
     `config` is a `RunConfig`; the loop reads its fields T, step (None for
     the default 1 / sqrt(C0^2 T)), seed and checkpoint_every (>= 1).
     `draws(ks, rho, seed)` is called once, before the loop, and returns
-    `draw(alpha, masses) -> (idx, value)`: the drawn tuple and the estimate
-    of its gradient component that the iteration's step applies. It owns its
-    generator. The default is `proportional_draws`; `baselines.uniform_draws`
-    gives uniform coordinate descent.
+    `draw(masses) -> (idx, value)`: given the iteration's `DegreeMasses`,
+    which carry the alpha they were taken at, the drawn tuple and the
+    estimate of its gradient component that the iteration's step applies. It
+    owns its generator. The default is `proportional_draws`;
+    `baselines.uniform_draws` gives uniform coordinate descent.
     """
     T = int(config.T)
     if T < 1:
@@ -548,7 +534,7 @@ def run(
                 state.mark_tail_iterates(T - k + 1)
                 converged = True
                 break
-            state.step(*draw(dual.alpha, masses), step_size)
+            state.step(*draw(masses), step_size)
             if k % config.checkpoint_every == 0:
                 state.check_combined_gram()
     except Exception as exc:

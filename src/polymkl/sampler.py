@@ -23,13 +23,13 @@ previous position's chosen weight. The resulting joint law over ordered
 tuples is exactly the normalized |gradient| distribution, which
 `baselines.brute_force_q` enumerates densely for testing.
 
-Where the top degree D is dense, the first position of a degree-D draw
-comes from the masses: `gradient.degree_masses` takes its weights with
-degree D's mass, which is their sum, and hands them over in
-`DegreeMasses.first` with the alpha they were taken at. A draw handed
-masses of another alpha raises, since at that position the telescoping
-check compares the weights only with their own sum; from the second
-position on, it checks them against a fresh product.
+A draw takes only the `DegreeMasses`: the alpha they were taken at, the
+degree weights and their total. Where the top degree D is dense, the first
+position of a degree-D draw comes from them too: `gradient.degree_masses`
+takes its weights with degree D's mass, which is their sum, and hands them
+over in `DegreeMasses.first`. At that position the telescoping check
+compares the weights only with their own sum; from the second position on,
+it checks them against a fresh product.
 
 Each categorical, the degree's and every position's, takes the pairwise
 total its caller already holds (`DegreeMasses.total`, and the sum the
@@ -98,22 +98,15 @@ class SamplerWorkspace:
         # running factor u = alpha * z_prefix
         self.u = np.empty(ks.n)
 
-    def draw(self, alpha: np.ndarray, masses: DegreeMasses) -> MultiIndex:
+    def draw(self, masses: DegreeMasses) -> MultiIndex:
         ks = self.ks
-        if ks.top_is_dense and not (
-            masses.alpha is not None and np.array_equal(masses.alpha, alpha)
-        ):
-            raise SamplerError(
-                "degree masses were not taken at this alpha; the first position "
-                "of a top-degree draw comes from them"
-            )
-        # a zero or non-finite total raises here, before any variate is drawn
+        # a zero total raises here, before any variate is drawn
         d = _draw_categorical(self.rng, masses.delta, masses.total, masses.total)
         if d == 0:
             return ()
 
         u = self.u
-        np.copyto(u, alpha)
+        np.copyto(u, masses.alpha)
         chosen: list[int] = []
         from_masses = d == ks.D and ks.top_is_dense
         # entering position i the denominator is the weight that won position

@@ -77,7 +77,7 @@ def run_scaling_study(
                 algo="stoch", D=D, T=T, seed=seed, lam=lam,
                 include_constant=False, synthetic=spec, out="unused",
             )
-            train, _val, _test, _params = _prepare_data(config)
+            train, _val, _test = _prepare_data(config)
             ks = build_base_kernels(train, include_constant=False, D=D)
             rho = config.rho_schedule()
             result = optimizer.run(config, train, ks, rho)

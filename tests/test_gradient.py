@@ -129,6 +129,12 @@ class TestDegreeMasses:
                 for idx in itertools.product(ks.indices, repeat=d)
             )
             assert masses.delta[d] * rho.rho_sq[d] == pytest.approx(brute, rel=1e-9)
+        # the masses keep a read-only copy of the alpha they were taken at
+        taken = alpha.copy()
+        alpha[:] = 0.0
+        np.testing.assert_array_equal(masses.alpha, taken)
+        with pytest.raises(ValueError, match="read-only"):
+            masses.alpha[0] = 1.0
 
     def test_respects_constant_kernel(self):
         data, ks, rho = make_instance(n=6, r=2, D=2, seed=5, include_constant=True)
@@ -199,7 +205,7 @@ class TestImportanceEstimate:
         alpha = np.array([0.5, -0.5])  # sums to zero: degree-0 mass vanishes
         masses = degree_masses(alpha, ks, rho)
         assert masses.delta[0] == pytest.approx(0.0, abs=1e-15)
-        idx, value = proportional_draws(ks, rho, seed=0)(alpha, masses)
+        idx, value = proportional_draws(ks, rho, seed=0)(masses)
         exact = grad_component(alpha, product_kernel_matrix(ks, (1,)), 1.0)
         assert idx == (1,)
         assert value == pytest.approx(exact, rel=1e-12)
@@ -208,7 +214,7 @@ class TestImportanceEstimate:
         data, ks, rho = make_instance(n=6, r=2, D=2, seed=30)
         alpha = np.random.default_rng(31).normal(size=6)
         masses = degree_masses(alpha, ks, rho)
-        _idx, value = proportional_draws(ks, rho, seed=0)(alpha, masses)
+        _idx, value = proportional_draws(ks, rho, seed=0)(masses)
         assert -value == total_mass_C(masses)
 
 
@@ -236,7 +242,7 @@ class TestUnbiasedness:
         ws = SamplerWorkspace(ks, rho, rng)
         counts = {idx: 0 for idx in exact}
         for _ in range(draws):
-            counts[ws.draw(dual.alpha, masses)] += 1
+            counts[ws.draw(masses)] += 1
 
         for idx, g in exact.items():
             p = q[idx]

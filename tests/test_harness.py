@@ -132,6 +132,7 @@ class TestParseCli:
             (["--data", "DATA", "--split=-1,2,2"], "split sizes"),
             (["--data", "DATA", "--split=0,2,2"], "train split"),
             (["--data", "DATA", "--split=1,2,2"], "train split"),
+            (["--synthetic", "r=3,train=30,test=10", "--split", "5,5,5"], "only to --data"),
         ],
     )
     def test_bad_split_usage_error_before_loading(self, flags, message, capsys, tmp_path):
@@ -541,7 +542,7 @@ class TestRhoPriorTiltsDegreeSampling:
                 masses = degree_masses(dual.alpha, self.ks, rho)
                 if eta is None:
                     eta = default_step_size(total_mass_C(masses) ** 2, T)
-                idx = ws.draw(dual.alpha, masses)
+                idx = ws.draw(masses)
                 top += len(idx) == 3
                 state.step(idx, -total_mass_C(masses), eta)
             return top

@@ -403,32 +403,33 @@ class TestStep:
         return state
 
     def test_check_catches_a_corrupt_weight(self):
-        # a wrong 1/rho^2 of one tuple enters every weight summed from it,
-        # while the probe's columns and weights come from theta and rho afresh
+        # a wrong 1/rho^2 of one tuple enters every weight summed from it;
+        # the exact comparison with 1 / rho_|i|^2 sees it
         state = self.cached_state()
         state._inv_rho_sq[1] *= 1.5
-        with pytest.raises(FloatingPointError, match="own columns"):
+        with pytest.raises(FloatingPointError, match=r"1/rho\^2 is not"):
             state.check_combined_gram()
 
     def test_check_catches_a_tuple_in_the_wrong_slot(self):
         # the weights summed through the state's slots land on the wrong
-        # columns, which the cache's own check cannot see
+        # columns, which the cache's own check cannot see; the exact slot
+        # comparison does
         state = self.cached_state()
         assert state.cache.monomials == [(1,), (1, 2), (2,)]
         np.testing.assert_array_equal(state._slot[:4], [0, 1, 1, 2])
         state._slot[0] = 2
         state.cache.check()
-        with pytest.raises(FloatingPointError, match="own columns"):
+        with pytest.raises(FloatingPointError, match="slot is not its monomial's"):
             state.check_combined_gram()
 
     def test_check_catches_a_wrong_column_other_than_the_last(self):
-        # G is rebuilt from the wrong column, so only the probe can tell
+        # G is rebuilt from the wrong column, so only the column probe can tell
         state = self.cached_state()
         assert state.last_index == (2,)
         state.cache._C[:, 0] *= 1.01
         s = state.cache.num_columns
         state.cache._G[:s, :s] = state.cache._C[:, :s].T @ state.cache._C[:, :s]
-        with pytest.raises(FloatingPointError, match="own columns"):
+        with pytest.raises(FloatingPointError, match=r"column of monomial \(1,\)"):
             state.check_combined_gram()
 
     def test_check_catches_a_corrupt_column_gram_entry(self):
@@ -659,7 +660,7 @@ class TestStepAverageAgainstManualLoop:
             if eta is None:
                 C0 = total_mass_C(masses)
                 eta = default_step_size(C0 * C0, T)
-            idx = ws.draw(dual.alpha, masses)
+            idx = ws.draw(masses)
             state.step(idx, -total_mass_C(masses), eta)
         keys = {k for th in thetas for k in th}
         for key in keys:

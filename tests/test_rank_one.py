@@ -108,7 +108,7 @@ def top_degree_masses(alpha, ks, rho):
     masses = degree_masses(alpha, ks, rho)
     delta = np.zeros(ks.D + 1)
     delta[ks.D] = masses.delta[ks.D]
-    return dataclasses.replace(masses, delta=delta, total=float(delta.sum()))
+    return dataclasses.replace(masses, delta=delta)
 
 
 def dense_gram(theta, ks, rho):
@@ -223,8 +223,8 @@ class TestNoSquareTemporaries:
         alpha = rng.normal(size=ks.n)
         ws = SamplerWorkspace(ks, rho, rng)
         masses = top_degree_masses(alpha, ks, rho)
-        ws.draw(alpha, masses)
-        assert self.peak_bytes(lambda: ws.draw(alpha, masses)) < self.budget
+        ws.draw(masses)
+        assert self.peak_bytes(lambda: ws.draw(masses)) < self.budget
 
     def test_draw_dense_degrees(self):
         # r=30: m=31 and F = 31/496/5456, so degrees 2 and 3 stay dense at n=300;
@@ -234,8 +234,8 @@ class TestNoSquareTemporaries:
         alpha = rng.normal(size=ks.n)
         ws = SamplerWorkspace(ks, rho, rng)
         masses = top_degree_masses(alpha, ks, rho)
-        ws.draw(alpha, masses)
-        assert self.peak_bytes(lambda: ws.draw(alpha, masses)) < self.budget
+        ws.draw(masses)
+        assert self.peak_bytes(lambda: ws.draw(masses)) < self.budget
 
     def test_step(self):
         ks, rho, rng = self.instance()
@@ -253,7 +253,7 @@ class TestNoSquareTemporaries:
         def iteration():
             dual = solve_alpha(state.support_gram(), y)
             masses = degree_masses(dual.alpha, ks, rho)
-            idx = ws.draw(dual.alpha, masses)
+            idx = ws.draw(masses)
             state.step(idx, -total_mass_C(masses), eta=0.05)
 
         for _ in range(100):
@@ -277,7 +277,7 @@ class TestNoSquareTemporaries:
         assert self.peak_bytes(lambda: degree_masses(alpha, ks, rho)) < budget
         ws = SamplerWorkspace(ks, rho, rng)
         masses = top_degree_masses(alpha, ks, rho)
-        assert self.peak_bytes(lambda: ws.draw(alpha, masses)) < budget
+        assert self.peak_bytes(lambda: ws.draw(masses)) < budget
 
     def test_whole_run_where_all_features(self):
         # the loop and both final solves in support form; checkpoint_every > T

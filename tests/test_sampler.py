@@ -35,7 +35,7 @@ def empirical_distribution(alpha, ks, rho, draws, seed):
     masses = degree_masses(alpha, ks, rho)
     counts = {}
     for _ in range(draws):
-        idx = ws.draw(alpha, masses)
+        idx = ws.draw(masses)
         counts[idx] = counts.get(idx, 0) + 1
     return counts
 
@@ -182,7 +182,7 @@ def scripted_law(alpha, ks, rho, monkeypatch):
     for idx in enumerate_index_set(ks.indices, ks.D):
         script[:] = [len(idx)] + [ks.indices.index(j) for j in idx]
         chance[0] = 1.0
-        assert workspace.draw(alpha, masses) == idx and not script
+        assert workspace.draw(masses) == idx and not script
         law[idx] = chance[0]
     return law
 
@@ -233,7 +233,7 @@ class TestDeterminismAndCost:
 
         def draws():
             return [
-                SamplerWorkspace(ks, rho, np.random.default_rng(7)).draw(alpha, masses)
+                SamplerWorkspace(ks, rho, np.random.default_rng(7)).draw(masses)
                 for _ in range(20)
             ]
 
@@ -249,12 +249,12 @@ class TestDeterminismAndCost:
             ws = SamplerWorkspace(ks, rho, rng)
             masses = degree_masses(alpha, ks, rho)
             for _ in range(20):
-                ws.draw(alpha, masses)  # warm up
+                ws.draw(masses)  # warm up
             best = float("inf")
             for _ in range(3):
                 start = time.perf_counter()
                 for _ in range(draws):
-                    ws.draw(alpha, masses)
+                    ws.draw(masses)
                 best = min(best, time.perf_counter() - start)
             return best / draws
 
@@ -267,16 +267,16 @@ class TestDeterminismAndCost:
         zero = np.zeros(ks.n)
         masses = degree_masses(zero, ks, rho)
         with pytest.raises(SamplerError):
-            SamplerWorkspace(ks, rho, np.random.default_rng(0)).draw(zero, masses)
+            SamplerWorkspace(ks, rho, np.random.default_rng(0)).draw(masses)
 
     def test_inconsistent_degree_masses_raise(self):
         # all mass on degree 2, but twice what the position weights sum to:
         # the telescoping check must raise, also under python -O
         alpha, ks, rho = random_instance(seed=34)
         true = degree_masses(alpha, ks, rho).delta[2]
-        bogus = DegreeMasses(delta=np.array([0.0, 0.0, 2.0 * true]), total=2.0 * true)
+        bogus = DegreeMasses(alpha, np.array([0.0, 0.0, 2.0 * true]))
         with pytest.raises(SamplerError, match="telescoping"):
-            SamplerWorkspace(ks, rho, np.random.default_rng(0)).draw(alpha, bogus)
+            SamplerWorkspace(ks, rho, np.random.default_rng(0)).draw(bogus)
 
 
 class TestFirstPosition:
@@ -411,10 +411,10 @@ print("features:", sorted(ks.features))
 ks.features[3] = ks.features[3] * (1 + 1e-6)
 masses = degree_masses(alpha, ks, rho)
 delta = np.array([0.0, 0.0, 0.0, masses.delta[3]])
-top = DegreeMasses(delta=delta, total=float(delta[3]))
+top = DegreeMasses(alpha, delta)
 ws = SamplerWorkspace(ks, rho, np.random.default_rng(71))
 try:
-    ws.draw(alpha, top)
+    ws.draw(top)
 except SamplerError as exc:
     print("raised:", exc)
 """
@@ -428,82 +428,18 @@ def test_corrupt_top_feature_block_raises_within_the_draw(flags):
     assert "raised: telescoping identity violated" in done.stdout
 
 
-# a degree-1 draw at alpha handed, through `dataclasses.replace`, the masses
-# of a nearby vector with only its degree-1 mass kept, 3e-4 off alpha's own:
-# the first position projects alpha afresh, so the telescoping check raises
-MASSES_OF_ANOTHER_ALPHA = """
-import dataclasses
-import numpy as np
-from polymkl import Dataset, RhoSchedule, build_base_kernels, degree_masses
-from polymkl.sampler import SamplerError, SamplerWorkspace
-
-rng = np.random.default_rng(72)
-data = Dataset(inputs=rng.normal(size=(30, 4)), targets=rng.normal(size=30))
-ks = build_base_kernels(data, include_constant=True, D=2)
-rho = RhoSchedule.uniform(2)
-alpha = rng.normal(size=30)
-other = alpha + 1e-3 * rng.normal(size=30)
-print("features:", sorted(ks.features))
-masses = degree_masses(other, ks, rho)
-delta = np.array([0.0, masses.delta[1], 0.0])
-handed = dataclasses.replace(masses, delta=delta, total=float(delta[1]))
-ws = SamplerWorkspace(ks, rho, np.random.default_rng(73))
-try:
-    print("drew:", ws.draw(alpha, handed))
-except SamplerError as exc:
-    print("raised:", exc)
-"""
-
-
-@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python -O"])
-def test_degree_one_draw_checks_masses_of_another_alpha(flags):
-    done = run_python(*flags, "-c", MASSES_OF_ANOTHER_ALPHA)
-    assert done.returncode == 0, done.stderr
-    assert "features: [1, 2]" in done.stdout
-    assert "raised: telescoping identity violated" in done.stdout
-
-
-# the same, where the top degree is dense: a degree-1 draw at alpha on a
-# kernel set with m = 6 >= n = 5, so that S is held in neither form, handed
-# the masses of the nearby vector. The draw's one position is the first
-# position the masses carry, and its telescoping check compares their weights
-# only with their own sum: without the check on alpha this draws a tuple
-# from the other vector's law
-DENSE_TOP_MASSES_OF_ANOTHER_ALPHA = """
-import dataclasses
-import numpy as np
-from polymkl import Dataset, RhoSchedule, build_base_kernels, degree_masses
-from polymkl.sampler import SamplerError, SamplerWorkspace
-
-rng = np.random.default_rng(76)
-data = Dataset(inputs=rng.normal(size=(5, 5)), targets=rng.normal(size=5))
-ks = build_base_kernels(data, include_constant=True, D=1)
-rho = RhoSchedule.uniform(1)
-alpha = rng.normal(size=5)
-other = alpha + 1e-3 * rng.normal(size=5)
-print("top is dense:", ks.top_is_dense, "held:", sorted(ks.features), sorted(ks.dense_powers))
-masses = degree_masses(other, ks, rho)
-delta = np.array([0.0, masses.delta[1]])
-handed = dataclasses.replace(masses, delta=delta, total=float(delta[1]))
-ws = SamplerWorkspace(ks, rho, np.random.default_rng(77))
-try:
-    print("drew:", ws.draw(alpha, handed))
-except SamplerError as exc:
-    print("raised:", exc)
-print("own masses drew:", len(ws.draw(alpha, degree_masses(alpha, ks, rho))))
-"""
-
-
-@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python -O"])
-def test_dense_top_draw_checks_masses_of_another_alpha(flags):
-    done = run_python(*flags, "-c", DENSE_TOP_MASSES_OF_ANOTHER_ALPHA)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == [
-        "top is dense: True held: [] []",
-        "raised: degree masses were not taken at this alpha; the first position "
-        "of a top-degree draw comes from them",
-        "own masses drew: 1",
-    ]
+def test_dense_top_degree_held_in_neither_form_draws_from_its_own_masses():
+    # a degree-1 draw on a kernel set with m = 6 >= n = 5, so that S is held
+    # in neither form: the draw's one position is the first position its
+    # masses carry
+    rng = np.random.default_rng(76)
+    data = Dataset(inputs=rng.normal(size=(5, 5)), targets=rng.normal(size=5))
+    ks = build_base_kernels(data, include_constant=True, D=1)
+    rho = RhoSchedule.uniform(1)
+    alpha = rng.normal(size=5)
+    assert ks.top_is_dense and not ks.features and not ks.dense_powers
+    ws = SamplerWorkspace(ks, rho, np.random.default_rng(77))
+    assert len(ws.draw(degree_masses(alpha, ks, rho))) == 1
 
 
 # a degree-D draw on a kernel set whose dense power below the top, S^(.)2,
@@ -525,10 +461,10 @@ print("held:", sorted(ks.features), sorted(ks.dense_powers), "top is dense:", ks
 ks.dense_powers[2] = ks.dense_powers[2] * (1 + 1e-6)
 masses = degree_masses(alpha, ks, rho)
 delta = np.array([0.0, 0.0, 0.0, masses.delta[3]])
-top = dataclasses.replace(masses, delta=delta, total=float(delta[3]))
+top = dataclasses.replace(masses, delta=delta)
 ws = SamplerWorkspace(ks, rho, np.random.default_rng(79))
 try:
-    ws.draw(alpha, top)
+    ws.draw(top)
 except SamplerError as exc:
     print("raised:", exc)
 """
@@ -542,21 +478,15 @@ def test_corrupt_dense_power_below_the_top_raises_within_the_draw(flags):
     assert "raised: telescoping identity violated" in done.stdout
 
 
-# totals that are not positive and finite, through a draw and handed to the
-# categorical directly, and degree masses whose total is not their sum: each
-# raises where it is made, also under python -O. An inf mass once drew its
-# degree and failed later, on the telescoping check
+# totals that are not positive and finite, handed to the categorical
+# directly, and degree masses whose total is not finite and >= 0: each
+# raises where it is made, also under python -O
 NON_FINITE_TOTALS = """
 import numpy as np
-from polymkl import Dataset, RhoSchedule, build_base_kernels
 from polymkl.gradient import DegreeMasses
-from polymkl.sampler import SamplerError, SamplerWorkspace, _draw_categorical
+from polymkl.sampler import SamplerError, _draw_categorical
 
-rng = np.random.default_rng(74)
-data = Dataset(inputs=rng.normal(size=(10, 3)), targets=rng.normal(size=10))
-ks = build_base_kernels(data, include_constant=False, D=2)
-alpha = rng.normal(size=10)
-ws = SamplerWorkspace(ks, RhoSchedule.uniform(2), np.random.default_rng(75))
+alpha = np.random.default_rng(74).normal(size=10)
 weights = np.array([1.0, 2.0, 0.5])
 
 
@@ -567,14 +497,12 @@ def attempt(label, call):
         print(label, "raised:", type(exc).__name__, exc)
 
 
-delta = np.array([0.0, np.inf, 1.0])
-attempt("inf mass", lambda: ws.draw(alpha, DegreeMasses(delta=delta, total=float(delta.sum()))))
+attempt("inf mass", lambda: DegreeMasses(alpha, np.array([0.0, np.inf, 1.0])))
 attempt("nan total", lambda: _draw_categorical(np.random.default_rng(0), weights, np.nan, 1.0))
 attempt("inf total", lambda: _draw_categorical(np.random.default_rng(0), weights, np.inf, 1.0))
-attempt("wrong masses total", lambda: DegreeMasses(delta=weights, total=3.0))
-attempt("nan masses total", lambda: DegreeMasses(delta=weights, total=np.nan))
-attempt("nan mass", lambda: DegreeMasses(delta=np.array([np.nan, 1.0, 2.0]), total=np.nan))
-attempt("right masses total", lambda: DegreeMasses(delta=weights, total=3.5).total)
+attempt("nan mass", lambda: DegreeMasses(alpha, np.array([np.nan, 1.0, 2.0])))
+attempt("negative masses", lambda: DegreeMasses(alpha, -weights))
+attempt("masses total", lambda: DegreeMasses(alpha, weights).total)
 """
 
 
@@ -584,16 +512,15 @@ def test_totals_not_positive_and_finite_raise_where_they_are_made(flags):
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines == [
-        "inf mass raised: SamplerError sampling masses total inf, not positive and finite; "
-        "upstream state is corrupt",
+        "inf mass raised: ValueError degree masses total inf, not finite and nonnegative",
         "nan total raised: SamplerError sampling masses total nan, not positive and finite; "
         "upstream state is corrupt",
         "inf total raised: SamplerError sampling masses total inf, not positive and finite; "
         "upstream state is corrupt",
-        "wrong masses total raised: ValueError degree mass total 3.0 is not the sum of delta, 3.5",
-        "nan masses total raised: ValueError degree mass total nan is not the sum of delta, 3.5",
-        "nan mass raised: ValueError degree mass total nan is not the sum of delta, nan",
-        "right masses total gave: 3.5",
+        "nan mass raised: ValueError degree masses total nan, not finite and nonnegative",
+        "negative masses raised: ValueError degree masses total -3.5, not finite and "
+        "nonnegative",
+        "masses total gave: 3.5",
     ]
 
 
@@ -607,7 +534,7 @@ class TestWorkspaceInvariant:
         ws = SamplerWorkspace(ks, rho, rng)
         masses = degree_masses(alpha, ks, rho)
         for _ in range(50):
-            idx = ws.draw(alpha, masses)
+            idx = ws.draw(masses)
             if not idx:
                 continue
             u = alpha.copy()
