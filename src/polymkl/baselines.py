@@ -139,14 +139,19 @@ def brute_force_q(
     return {idx: float(mass / total) for idx, mass in magnitudes.items()}
 
 
+def _iter_components(alpha: np.ndarray, ks: BaseKernelSet, rho: RhoSchedule):
+    """The walk of `_iter_tuple_grams` with each tuple's component by
+    `grad_component`, the one rule for it. Yields (tuple, Gram, component)."""
+    for idx, gram in _iter_tuple_grams(ks, rho.D):
+        yield idx, gram, grad_component(alpha, gram, rho.rho_sq[len(idx)])
+
+
 def full_gradient(
     alpha: np.ndarray, ks: BaseKernelSet, rho: RhoSchedule, tuples: list[MultiIndex]
 ) -> np.ndarray:
-    """Every gradient component over the enumerated set, in its tuple order."""
-    M = np.outer(alpha, alpha)
-    by_tuple = {}
-    for idx, gram in _iter_tuple_grams(ks, rho.D):
-        by_tuple[idx] = -GRAD_SCALE * float(np.vdot(M, gram)) / rho.rho_sq[len(idx)]
+    """Every gradient component over the enumerated set, in its tuple order,
+    each by `grad_component`, so each is <= 0."""
+    by_tuple = {idx: g for idx, _gram, g in _iter_components(alpha, ks, rho)}
     return np.array([by_tuple[idx] for idx in tuples])
 
 
@@ -178,9 +183,9 @@ def run_full_gradient(
     result's averaged and last iterates are both the final iterate, with its
     dense inner solve; its step size reads "line-search".
 
-    Per iteration this walks the whole enumerated set twice over n^2 entries
-    (gradient components and the gradient's combined Gram), so the cost is
-    proportional to the index-set size by construction.
+    Per iteration one walk of the whole enumerated set takes every component
+    by `grad_component` and adds it into the gradient's combined Gram, each
+    over n^2 entries, so the cost is proportional to the index-set size.
     """
     T = int(config.T)
     tuples = enumerate_index_set(ks.indices, ks.D)
@@ -208,15 +213,12 @@ def run_full_gradient(
     converged = False
     armijo = 1e-4
     for k in range(1, T + 1):
-        M = np.outer(dual.alpha, dual.alpha)
         grad = np.empty(len(tuples))
         K_grad = np.zeros((n, n))
-        for idx, gram in _iter_tuple_grams(ks, rho.D):
-            rsq = rho_sq_by_len[len(idx)]
-            g = -GRAD_SCALE * float(np.vdot(M, gram)) / rsq
+        for idx, gram, g in _iter_components(dual.alpha, ks, rho):
             grad[positions[idx]] = g
             if g != 0.0:
-                K_grad += (g / rsq) * gram
+                K_grad += (g / rho_sq_by_len[len(idx)]) * gram
         C = float(np.sum(np.abs(grad)))
         records.append(
             RunRecord(
@@ -232,9 +234,10 @@ def run_full_gradient(
             converged = True
             break
 
-        # gradient components are <= 0, so theta - t*grad stays nonnegative and
-        # the projection is at most a rescale; the candidate Gram is then a
-        # linear combination of the running Gram and the gradient Gram
+        # `grad_component` clamps each component to <= 0, so theta - t*grad
+        # stays nonnegative and the projection is at most a rescale; the
+        # candidate Gram is then a linear combination of the running Gram and
+        # the gradient Gram
         accepted = False
         t = step
         for _ in range(60):

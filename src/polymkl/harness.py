@@ -13,11 +13,11 @@ requested output stem:
                         iterates, test MSE, support size, config echo)
     <out>.theta.csv     the averaged iterate's support: degree, tuple, weight
 
-Identical configuration and seed reproduce the records byte for byte except
-for the wall_time_s column. An existing output file is an error, so runs
-cannot silently share a path. Each artifact is written to a temporary file
-beside its path and only then linked into place, so a crash while writing
-leaves no artifact behind to block a rerun.
+Identical configuration and seed, at the same BLAS thread count, reproduce
+the records byte for byte except for the wall_time_s column. An existing
+output file is an error, so runs cannot silently share a path. Each artifact
+is written to a temporary file beside its path and only then linked into
+place, so a crash while writing leaves no artifact behind to block a rerun.
 """
 
 from __future__ import annotations
@@ -181,24 +181,18 @@ def run_experiment(config: RunConfig) -> MetricsOutput:
     train, val, test = _prepare_data(config)
     ks = build_base_kernels(train, include_constant=config.include_constant, D=config.D)
 
-    chosen_lam = config.lam
-    if config.lambda_grid:
-        best = None
-        for lam in config.lambda_grid:
-            cand = replace(config, lam=lam, lambda_grid=None)
-            rho = cand.rho_schedule()
-            result = _dispatch(cand, train, ks, rho)
-            val_mse = _test_mse(result, rho, train, val)
-            if best is None or val_mse < best[0]:
-                best = (val_mse, lam, result)
-        # a fit is deterministic given its config, so the chosen fit is the
-        # run's result as it stands
-        _, chosen_lam, result = best
-        config = replace(config, lam=chosen_lam, lambda_grid=None)
-        rho = config.rho_schedule()
-    else:
-        rho = config.rho_schedule()
-        result = _dispatch(config, train, ks, rho)
+    # one fit per ridge strength, scored on validation MSE only when a grid
+    # was given; a fit is deterministic given its config, so the first
+    # lowest-scoring fit is the run's result as it stands
+    best = None
+    for lam in config.lambda_grid or (config.lam,):
+        fit = replace(config, lam=lam, lambda_grid=None)
+        fit_rho = fit.rho_schedule()
+        fit_result = _dispatch(fit, train, ks, fit_rho)
+        score = _test_mse(fit_result, fit_rho, train, val) if config.lambda_grid else 0.0
+        if best is None or score < best[0]:
+            best = (score, fit, fit_rho, fit_result)
+    _, config, rho, result = best
     test_mse = _test_mse(result, rho, train, test) if test is not None else float("nan")
     total_wall = time.perf_counter() - total_start
 
@@ -206,7 +200,7 @@ def run_experiment(config: RunConfig) -> MetricsOutput:
         "algo": config.algo,
         "seed": config.seed,
         "degree": config.D,
-        "lambda": chosen_lam,
+        "lambda": config.lam,
         "rho_sq": ",".join(repr(v) for v in (config.rho_sq or (1.0,) * (config.D + 1))),
         "iters": config.T,
         "step": result.step_size,

@@ -118,13 +118,16 @@ def project_pos_l2ball(theta: np.ndarray, norm_sq: float | None = None) -> float
     return factor
 
 
-def default_step_size(B_estimate: float, T: int) -> float:
-    """Constant step 1 / sqrt(B T) for a unit-strongly-convex potential on the
-    unit ball started at zero; B defaults to the squared gradient mass at the
-    start."""
-    if B_estimate <= 0 or T < 1:
-        raise ValueError("need B_estimate > 0 and T >= 1")
-    return 1.0 / math.sqrt(B_estimate * T)
+def default_step_size(C0: float, T: int) -> float:
+    """Constant step 1 / sqrt(C0^2 T) for a unit-strongly-convex potential on
+    the unit ball started at zero, C0 the gradient mass at the start. Where
+    C0^2 T under- or overflows, the same step as 1 / (C0 sqrt(T))."""
+    if not (0.0 < C0 < math.inf and T >= 1):
+        raise ValueError(f"need 0 < C0 < inf and T >= 1, got C0={C0}, T={T}")
+    B = C0 * C0
+    if 0.0 < B * T < math.inf:
+        return 1.0 / math.sqrt(B * T)
+    return 1.0 / (C0 * math.sqrt(T))
 
 
 @dataclass
@@ -216,9 +219,9 @@ class SupportCache:
         s = self.num_columns
         # copied through an index list, with temporaries, on purpose: with
         # plain slice copies the benchmark's `wide` workload read setup_s
-        # 24% higher (3.90 against 3.14 ms, medians of 7 and 4 runs of 30 s
-        # on a 2-vCPU VM), from the allocator state this leaves for the
-        # next fit's kernel build, not from more work
+        # 21% higher (2.23 against 1.85 ms, medians of 10 alternating 30 s
+        # pairs on a 2-vCPU VM), from the allocator state this leaves for
+        # the next fit's kernel build, not from more work
         keep = list(range(s))
         C = np.empty((self.ks.n, capacity), order="F")
         C[:, :s] = self._C[:, keep]
@@ -473,7 +476,8 @@ def run(
     after it, is in support form.
 
     `config` is a `RunConfig`; the loop reads its fields T, step (None for
-    the default 1 / sqrt(C0^2 T)), seed and checkpoint_every (>= 1).
+    `default_step_size` at the starting mass C0), seed and checkpoint_every
+    (>= 1).
     `draws(ks, rho, seed)` is called once, before the loop, and returns
     `draw(masses) -> (idx, value)`: given the iteration's `DegreeMasses`,
     which carry the alpha they were taken at, the drawn tuple and the
@@ -502,15 +506,9 @@ def run(
                 if config.step is not None:
                     step_size = float(config.step)
                 elif C0 > 0:
-                    B = C0 * C0
-                    # where B T under- or overflows, the same step without it
-                    step_size = (
-                        default_step_size(B, T)
-                        if 0.0 < B * T < math.inf
-                        else 1.0 / (C0 * math.sqrt(T))
-                    )
+                    step_size = default_step_size(C0, T)
                 else:
-                    step_size = 1.0
+                    step_size = 1.0  # the loop ends below, before any step
             if C > MASS_BUDGET_FACTOR * max(C0, 1e-300) and not mass_exceeded:
                 mass_exceeded = True
                 warnings.warn(

@@ -17,6 +17,7 @@ from polymkl import (
 )
 from polymkl import baselines
 from polymkl.baselines import EnumerationError, solve_dense, uniform_draws
+from polymkl.dataset import gen_synthetic, standardize
 from polymkl.dual import assemble_combined_gram
 from polymkl.gradient import GRAD_SCALE
 from polymkl.kernels import product_kernel_matrix
@@ -225,6 +226,22 @@ class TestRunFullGradient:
         assert not result.converged  # cap reached first, reported not raised
         for rec in result.records:
             assert rec.theta_norm <= 1 + 1e-12
+
+    @pytest.mark.parametrize("T", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [29, 30, 31, 33])
+    def test_steps_keep_weights_positive_where_a_form_rounds_below_zero(self, seed, T):
+        # at alpha = y/n the constant kernel's form (sum alpha)^2 rounds below
+        # zero on these seeds; every component must still read <= 0, so that
+        # no step takes a weight below zero
+        spec = SyntheticSpec(r=3, n_train=30, n_test=10, n_terms=4, max_degree=2, seed=seed)
+        data, _ = standardize(gen_synthetic(spec)[0])
+        ks = build_base_kernels(data, include_constant=True, D=2)
+        rho = RhoSchedule.uniform(2).scaled(1e-3)
+        tuples = enumerate_index_set(ks.indices, 2)
+        assert np.all(full_gradient(data.targets / data.n, ks, rho, tuples) <= 0.0)
+        result = run_full_gradient(config_for(T, D=2), data, ks, rho)
+        weights = [value for _, value in result.theta_avg.items()]
+        assert weights and all(w > 0 for w in weights)
 
     def test_optimum_oracle_below_stochastic_runs(self):
         from polymkl import run as run_stoch

@@ -474,6 +474,18 @@ class TestRunExperiment:
         # J = y'alpha / 2 lies in (0, |y|^2 / (2n)], which is 1/2 for standardized y
         assert 0.0 < float(summary["J_avg_iterate"]) <= 0.5
 
+    def test_fullgrad_single_step_keeps_weights_positive(self, tmp_path, capsys):
+        # at alpha = y/n the constant kernel's form (sum alpha)^2 rounds below
+        # zero here; read as a positive component it stepped a weight below zero
+        out = str(tmp_path / "full")
+        code = main(
+            ["--algo", "fullgrad", "--synthetic", "r=3,train=30,test=10,terms=4,maxdeg=2",
+             "--degree", "2", "--lambda", "1e-3", "--iters", "1", "--seed", "30", "--out", out]
+        )
+        assert code == 0, capsys.readouterr().err
+        weights = list(read_theta_csv(out + ".theta.csv").values())
+        assert weights and all(w > 0 for w in weights)
+
     def test_csv_data_path(self, tmp_path):
         rng = np.random.default_rng(3)
         inputs = rng.normal(size=(60, 3))
@@ -541,7 +553,7 @@ class TestRhoPriorTiltsDegreeSampling:
                 dual = solve_dense(state.combined_gram(), self.data.targets)
                 masses = degree_masses(dual.alpha, self.ks, rho)
                 if eta is None:
-                    eta = default_step_size(total_mass_C(masses) ** 2, T)
+                    eta = default_step_size(total_mass_C(masses), T)
                 idx = ws.draw(masses)
                 top += len(idx) == 3
                 state.step(idx, -total_mass_C(masses), eta)

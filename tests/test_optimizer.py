@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -500,13 +502,24 @@ class TestDefaultStepSize:
         assert default_step_size(1.0, 1) == 1.0
 
     def test_closed_form(self):
-        assert default_step_size(4.0, 100) == pytest.approx(0.05, rel=1e-15)
+        assert default_step_size(2.0, 100) == pytest.approx(0.05, rel=1e-15)
+        # where C0^2 T is finite and nonzero, bit for bit the square-root form
+        for C0, T in [(0.3, 7), (2.5e3, 1000), (1.9e6, 5000)]:
+            assert default_step_size(C0, T) == 1.0 / math.sqrt(C0 * C0 * T)
+
+    @pytest.mark.parametrize("C0", [1e200, 1e-200])
+    def test_squared_mass_out_of_range_keeps_the_same_step(self, C0):
+        # C0^2 T overflows at 1e200 and underflows at 1e-200
+        T = 100
+        assert not 0.0 < C0 * C0 * T < math.inf
+        eta = default_step_size(C0, T)
+        assert 0.0 < eta < math.inf
+        assert eta == pytest.approx(1.0 / (C0 * 10.0), rel=1e-15)
 
     def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            default_step_size(0.0, 10)
-        with pytest.raises(ValueError):
-            default_step_size(1.0, 0)
+        for C0, T in [(0.0, 10), (math.nan, 10), (math.inf, 10), (-1.0, 10), (1.0, 0)]:
+            with pytest.raises(ValueError):
+                default_step_size(C0, T)
 
 
 class TestRun:
@@ -659,7 +672,7 @@ class TestStepAverageAgainstManualLoop:
             masses = degree_masses(dual.alpha, ks, rho)
             if eta is None:
                 C0 = total_mass_C(masses)
-                eta = default_step_size(C0 * C0, T)
+                eta = default_step_size(C0, T)
             idx = ws.draw(masses)
             state.step(idx, -total_mass_C(masses), eta)
         keys = {k for th in thetas for k in th}
