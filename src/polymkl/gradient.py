@@ -10,10 +10,10 @@ differentiating the half-weighted penalty; it is pinned by the
 finite-difference tests and must not be changed independently of them. The
 learner never forms a single component: the degree masses sum them in
 closed form, and `baselines.grad_component` evaluates one from its dense
-product kernel, for the uniform draw and the oracles. Where the top degree
-is dense, its mass is the sum of the weights of the first position of a
-top-degree draw, which the masses carry to the sampler with the alpha they
-were taken at: a draw takes nothing else.
+product kernel, for the uniform draw and the oracles. The top degree's mass
+is the sum of the weights of the first position of a top-degree draw, which
+the masses carry to the sampler with the alpha they were taken at: a draw
+takes nothing else.
 """
 
 from __future__ import annotations
@@ -67,9 +67,9 @@ class DegreeMasses:
     construction raises ValueError unless it is finite and >= 0, NaN
     included.
 
-    Where the top degree D is dense, `first` holds the m unnormalized weights
-    of the first position of a degree-D draw, whose sum is alpha' S^(.)D
-    alpha: the sampler takes that position from them. Elsewhere it is None."""
+    For D >= 1, `first` holds the m unnormalized weights of the first
+    position of a degree-D draw, whose sum is alpha' S^(.)D alpha: the
+    sampler takes that position from them. At D = 0 it is None."""
 
     alpha: np.ndarray
     delta: np.ndarray
@@ -95,34 +95,25 @@ def degree_masses(alpha: np.ndarray, ks: BaseKernelSet, rho: RhoSchedule) -> Deg
     symmetric matrix-vector product that reads only its lower triangle,
     n^2 / 2 entries.
 
-    Where the top degree D is dense, S^(.)D is not held. One product over
-    [alpha * Z | alpha] reads degree D-1's form alone (its lower triangle
-    where dense, n^2 m / 2 multiply-adds, or Phi_(D-1)): its first m
-    columns are the weights w of the first position of a degree-D draw, its
-    last is degree D-1's form, and degree D's form is sum(w). The masses
-    carry w for the draw."""
+    Degree D's form is the sum of the weights w of the first position of a
+    degree-D draw, one `position_weights` product at alpha that reads
+    degree D-1 alone; the masses carry w for the draw. With the constant
+    kernel, w[0] is degree D-1's form, which is then not taken again."""
     if rho.D != ks.D:
         raise ValueError(f"rho covers degrees 0..{rho.D} but kernel set has D={ks.D}")
-    top_is_dense = ks.top_is_dense
+    first = position_weights(ks, alpha, ks.D - 1) if ks.D else None
     forms = [float(alpha.sum()) ** 2]
-    for d in range(1, ks.D - 1 if top_is_dense else ks.D + 1):
-        phi = ks.features.get(d)
-        if phi is not None:
-            v = phi.T @ alpha
+    for d in range(1, ks.D):
+        if d == ks.D - 1 and ks.has_constant:
+            forms.append(float(first[0]))
+        elif d in ks.features:
+            v = ks.features[d].T @ alpha
             forms.append(v @ v)
         else:
             # S^(.)d is symmetric, so its transpose is the same array in
             # Fortran order
             forms.append(alpha @ dsymv(1.0, ks.dense_powers[d].T, alpha, lower=1))
-    first = None
-    if top_is_dense:
-        if ks.D > 1:
-            weights = position_weights(ks, alpha, ks.D - 1, form=True)
-            forms.append(float(weights[-1]))
-            first = weights[:-1]
-        else:
-            # degree 0's form is (sum alpha)^2, taken above
-            first = position_weights(ks, alpha, 0)
+    if first is not None:
         forms.append(float(first.sum()))
     # one division per entry, as rounded as the scalar divisions
     delta = np.array(forms) / rho.rho_sq

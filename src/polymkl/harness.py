@@ -15,7 +15,8 @@ requested output stem:
 
 Identical configuration and seed, at the same BLAS thread count, reproduce
 the records byte for byte except for the wall_time_s column. An existing
-output file is an error, so runs cannot silently share a path. Each artifact
+output file is an error, so runs cannot silently share a path; it, and a
+missing output directory, are caught before any data loads. Each artifact
 is written to a temporary file beside its path and only then linked into
 place, so a crash while writing leaves no artifact behind to block a rerun.
 """
@@ -178,6 +179,7 @@ def run_experiment(config: RunConfig) -> MetricsOutput:
     """Execute one configured run and write records, summary, and the averaged
     iterate's support listing to disk."""
     total_start = time.perf_counter()
+    _free_output_paths(config.out)
     train, val, test = _prepare_data(config)
     ks = build_base_kernels(train, include_constant=config.include_constant, D=config.D)
 
@@ -254,27 +256,45 @@ def _output_taken(path: str) -> ConfigError:
     return ConfigError(f"output file {path} already exists; choose a fresh --out path")
 
 
-def _write_outputs(stem: str, out: MetricsOutput):
-    """Write the three artifacts, or none of them. All paths are checked free
-    first. Each file is written under a temporary name beside its path and
-    then hard-linked into place: unlike a rename, the link fails on a path
-    taken in the meantime instead of replacing it."""
-    artifacts = {
-        "records": (f"{stem}.records.csv", lambda fh: _write_records(fh, out.records)),
-        "summary": (f"{stem}.summary.txt", lambda fh: _write_summary(fh, out.summary)),
-        "theta": (f"{stem}.theta.csv", lambda fh: _write_theta(fh, out.theta_support)),
+def _free_output_paths(stem: str) -> dict[str, str]:
+    """The three artifact paths of `stem` by name, once its directory is
+    found to exist and none of them taken; raises ConfigError otherwise."""
+    directory = os.path.dirname(stem) or "."
+    if not os.path.isdir(directory):
+        raise ConfigError(
+            f"output directory {directory} does not exist; choose an --out path in an existing one"
+        )
+    paths = {
+        "records": f"{stem}.records.csv",
+        "summary": f"{stem}.summary.txt",
+        "theta": f"{stem}.theta.csv",
     }
-    for path, _ in artifacts.values():
+    for path in paths.values():
         if os.path.lexists(path):
             raise _output_taken(path)
+    return paths
+
+
+def _write_outputs(stem: str, out: MetricsOutput):
+    """Write the three artifacts, or none of them. All paths are checked free
+    first, as at the start of the run, for a path taken since. Each file is
+    written under a temporary name beside its path and then hard-linked into
+    place: unlike a rename, the link fails on a path taken in the meantime
+    instead of replacing it."""
+    paths = _free_output_paths(stem)
+    writers = {
+        "records": lambda fh: _write_records(fh, out.records),
+        "summary": lambda fh: _write_summary(fh, out.summary),
+        "theta": lambda fh: _write_theta(fh, out.theta_support),
+    }
     staged, placed = [], []
     try:
-        for path, write in artifacts.values():
+        for name, path in paths.items():
             tmp = f"{path}.{uuid.uuid4().hex}.tmp"
             with open(tmp, "x", newline="") as fh:
                 staged.append(tmp)
-                write(fh)
-        for tmp, (path, _) in zip(staged, artifacts.values()):
+                writers[name](fh)
+        for tmp, path in zip(staged, paths.values()):
             try:
                 os.link(tmp, path)
             except FileExistsError:
@@ -287,7 +307,7 @@ def _write_outputs(stem: str, out: MetricsOutput):
     finally:
         for tmp in staged:
             os.unlink(tmp)
-    out.paths = {name: path for name, (path, _) in artifacts.items()}
+    out.paths = paths
 
 
 def parse_cli(argv: list[str]) -> RunConfig:

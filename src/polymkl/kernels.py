@@ -17,12 +17,13 @@ nothing reads and which is not built. Beside each feature degree k+1 it holds
 the m x F_(k+1) lift L_k: for any u, the squared column norms of
 Phi_k'(u * Z) are L_k (Phi_(k+1)' u)^2, so a position's weights are read off
 one projection onto the next degree's features. `position_weights` computes
-the weights of every draw position, for the sampler and, at the first
-position of a dense top degree, for the degree masses. The fast paths
-work on these columns; `product_kernel_matrix` and `product_kernel_cross`
-build Grams as plain arrays straight from the inputs and serve as the
-independent oracles. The tests and baselines take them dense (n x n); the
-descent loop's Gram check takes one 1 x n row of `product_kernel_cross`.
+the weights of every draw position: for the degree masses at the first
+position of a top-degree draw, and for the sampler at every later one. The
+fast paths work on these columns; `product_kernel_matrix` and
+`product_kernel_cross` build Grams as plain arrays straight from the inputs
+and serve as the independent oracles. The tests and baselines take them
+dense (n x n); the descent loop's Gram check takes one 1 x n row of
+`product_kernel_cross`.
 """
 
 from __future__ import annotations
@@ -52,10 +53,9 @@ class BaseKernelSet:
     below the top, K+1..D-1, `dense_powers[k]` holds the n x n array S^(.)k,
     C-ordered and exactly symmetric, so its transpose is the same matrix in
     Fortran order and BLAS reads it through its lower triangle alone. Where
-    the top degree D is dense (`top_is_dense`), S^(.)D is held in neither
-    form: its mass is the sum of the first position's weights of a degree-D
-    draw, which read degree D-1 alone. S^(.)0 is all ones and held in
-    neither.
+    the top degree D is dense, S^(.)D is held in neither form: its mass is
+    the sum of the first position's weights of a degree-D draw, which read
+    degree D-1 alone. S^(.)0 is all ones and held in neither.
 
     For k = 1..K-1, `lifts[k]` holds L_k (m x F_(k+1)): entry (j, c') is how
     often base position j occurs in the multiset c', divided by k+1. Since
@@ -135,11 +135,6 @@ class BaseKernelSet:
         return powers
 
     @property
-    def top_is_dense(self) -> bool:
-        """Whether the top degree D is dense: F_D >= n, so S^(.)D is not held."""
-        return self.D > len(self.features)
-
-    @property
     def has_constant(self) -> bool:
         return 0 in self._position
 
@@ -176,9 +171,7 @@ def product_columns(inputs: np.ndarray, tuples: list[MultiIndex]) -> np.ndarray:
     return out
 
 
-def position_weights(
-    ks: BaseKernelSet, u: np.ndarray, remaining: int, form: bool = False
-) -> np.ndarray:
+def position_weights(ks: BaseKernelSet, u: np.ndarray, remaining: int) -> np.ndarray:
     """Unnormalized weight of every base index at a draw position whose running
     factor is u, with `remaining` < D positions after it:
     colsum(U * (S^(.)remaining U)) with U = u[:, None] * Z. Where the next
@@ -186,21 +179,14 @@ def position_weights(
     v = Phi_(remaining+1)' u. At the top feature degree K each weight is a
     squared column norm of Phi_K' U. A dense power P is read through its
     lower triangle only, as 2 colsum(U * (tril(P) U)) - diag(P)'(U * U).
-
-    With `form`, U takes u itself as one more column, and the weights one
-    more entry: the quadratic form u' S^(.)remaining u. That column rides
-    on the products over U alone, so `form` is asked for only where degree
-    remaining+1 is not held as features and remaining >= 1."""
+    With the constant kernel, column 0 of U is u itself, so weight 0 is the
+    quadratic form u' S^(.)remaining u."""
     phi = ks.Z if remaining == 0 else ks.features.get(remaining + 1)
     if phi is not None:
         v = phi.T @ u
         squares = v * v
         return squares if remaining == 0 else ks.lifts[remaining] @ squares
-    m = ks.Z.shape[1]
-    U = np.empty((ks.n, m + 1 if form else m), order="F")
-    np.multiply(u[:, None], ks.Z, out=U[:, :m])
-    if form:
-        U[:, m] = u
+    U = np.multiply(u[:, None], ks.Z, order="F")
     phi = ks.features.get(remaining)
     if phi is not None:
         # S^(.)K = Phi Phi', so each weight is a squared column norm of Phi' U

@@ -24,12 +24,13 @@ tuples is exactly the normalized |gradient| distribution, which
 `baselines.brute_force_q` enumerates densely for testing.
 
 A draw takes only the `DegreeMasses`: the alpha they were taken at, the
-degree weights and their total. Where the top degree D is dense, the first
-position of a degree-D draw comes from them too: `gradient.degree_masses`
-takes its weights with degree D's mass, which is their sum, and hands them
-over in `DegreeMasses.first`. At that position the telescoping check
-compares the weights only with their own sum; from the second position on,
-it checks them against a fresh product.
+degree weights and their total. The first position of a degree-D draw, D
+the top degree, comes from them too: `gradient.degree_masses` takes its
+weights with degree D's mass, which is their sum, and hands them over in
+`DegreeMasses.first`. At that position the telescoping check compares the
+weights only with their own sum; from the second position on, it checks
+them against a fresh product. The sampler reads no kernel form itself:
+every weight comes from `position_weights` or from the masses.
 
 Each categorical, the degree's and every position's, takes the pairwise
 total its caller already holds (`DegreeMasses.total`, and the sum the
@@ -108,7 +109,7 @@ class SamplerWorkspace:
         u = self.u
         np.copyto(u, masses.alpha)
         chosen: list[int] = []
-        from_masses = d == ks.D and ks.top_is_dense
+        from_masses = d == ks.D
         # entering position i the denominator is the weight that won position
         # i-1 (telescoping); at i=1 it is the degree weight before rho-scaling
         denom = float(masses.delta[d] * self.rho.rho_sq[d])

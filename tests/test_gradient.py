@@ -152,14 +152,16 @@ class TestDegreeMasses:
         # dense top degree 2 in neither form. Its form is the sum of the first
         # position's weights, and no dense power is held: a negative sum of
         # -1e-14 is round-off and clamped to zero, and one of -1e-3, beyond
-        # -1e-12 of the largest mass, raises
+        # -1e-12 of the largest mass, raises. Without the constant kernel,
+        # degree 1 keeps its held form
         _, ks, rho = make_instance(n=8, r=4, D=2, seed=7)
-        assert ks.top_is_dense and sorted(ks.features) == [1] and not ks.dense_powers
+        assert ks.D > len(ks.features) and sorted(ks.features) == [1] and not ks.dense_powers
         alpha = np.random.default_rng(8).normal(size=8)
+        stub = np.array([1e-14, top_sum - 1e-14, 0.0, 0.0])
 
-        def weights(ks, u, remaining, form=False):
-            assert (remaining, form) == (1, True)
-            return np.array([1e-14, top_sum - 1e-14, 0.0, 0.0, 2.0])
+        def weights(ks, u, remaining):
+            assert remaining == 1
+            return stub
 
         monkeypatch.setattr(gradient, "position_weights", weights)
         if top_sum < -1e-12:
@@ -167,7 +169,9 @@ class TestDegreeMasses:
                 degree_masses(alpha, ks, rho)
             return
         masses = degree_masses(alpha, ks, rho)
-        assert masses.delta[1] == 2.0 and masses.delta[2] == 0.0
+        v = ks.Z.T @ alpha
+        assert masses.delta[1] == v @ v > 1.0 and masses.delta[2] == 0.0
+        assert masses.first is stub
         assert masses.total == float(masses.delta.sum())
 
 

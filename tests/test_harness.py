@@ -301,6 +301,42 @@ class TestRunExperiment:
         assert os.listdir(tmp_path) == ["run.theta.csv"]
         assert (tmp_path / "run.theta.csv").read_text() == "kept\n"
 
+    @pytest.mark.parametrize(
+        "case,message",
+        [
+            ("taken", "output file {out}.summary.txt already exists"),
+            ("missing directory", "output directory {dir} does not exist"),
+        ],
+        ids=["taken", "missing directory"],
+    )
+    def test_unusable_out_path_fails_before_the_run(
+        self, case, message, tmp_path, monkeypatch, capsys
+    ):
+        # the README demo, whose run takes seconds: a taken artifact path or
+        # a missing output directory ends it before any data loads
+        import polymkl.optimizer as optimizer_mod
+
+        reached = []
+
+        def unreachable(*args, **kw):
+            reached.append(args)
+            raise AssertionError("optimizer.run reached")
+
+        monkeypatch.setattr(optimizer_mod, "run", unreachable)
+        directory = tmp_path / "nodir" if case == "missing directory" else tmp_path
+        out = str(directory / "x")
+        if case == "taken":
+            Path(out + ".summary.txt").write_text("kept\n")
+        code = main(
+            ["--synthetic", "r=10,train=500,test=1000", "--iters", "2000", "--seed", "7",
+             "--out", out]
+        )
+        assert code == 1 and not reached
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + message.format(out=out, dir=directory)), err
+        assert ".tmp" not in err
+        assert os.listdir(tmp_path) == (["x.summary.txt"] if case == "taken" else [])
+
     def test_summary_mse_recomputable_from_artifacts(self, tmp_path):
         # rebuild theta from the persisted support, re-solve, and re-predict on
         # the raw test inputs: must reproduce the summary's test MSE

@@ -61,8 +61,9 @@ class TestBuildBaseKernels:
         # the dense top degree 3 is not held at n=3 and n=2
         for n in (6, 3, 2):
             ks = build_base_kernels(random_dataset(n=n, r=2, seed=2), include_constant=False, D=3)
-            assert ks.top_is_dense == (n < 6) and 3 not in ks.dense_powers
-            for d in range(1, 4 - ks.top_is_dense):
+            top_is_dense = ks.D > len(ks.features)
+            assert top_is_dense == (n < 6) and 3 not in ks.dense_powers
+            for d in range(1, 4 - top_is_dense):
                 expected = oracle_power(ks, d)
                 np.testing.assert_allclose(
                     held_power(ks, d), expected, rtol=0, atol=1e-12 * np.abs(expected).max()
@@ -78,7 +79,7 @@ class TestBuildBaseKernels:
         # is then held in neither form
         ks = build_base_kernels(random_dataset(n=n, r=3, seed=4), include_constant=True, D=3)
         assert sorted(ks.features) == features and sorted(ks.dense_powers) == dense
-        assert ks.top_is_dense == (n < 25) and 3 not in ks.dense_powers
+        assert (ks.D > len(ks.features)) == (n < 25) and 3 not in ks.dense_powers
         for k, phi in ks.features.items():
             assert phi.shape == (n, math.comb(4 + k - 1, k))
         if features:
@@ -143,7 +144,7 @@ class TestProductKernelMatrix:
         data = random_dataset(n=6, r=3, seed=8)
         for const in (False, True):
             ks = build_base_kernels(data, include_constant=const, D=3)
-            assert ks.top_is_dense
+            assert ks.D > len(ks.features)
             for d in range(4):
                 total = np.zeros((6, 6))
                 for idx in itertools.product(ks.indices, repeat=d):

@@ -126,3 +126,42 @@ def test_a_foreign_write_to_the_cache_is_seen():
     trees = package_trees()
     trees["elsewhere"] = ast.parse("def step(state):\n    state.cache._G[0, 0] += 1.0\n")
     assert "elsewhere:2 _G" in foreign_uses(trees)
+
+
+# The sampler knows no kernel form: every weight it draws from comes from
+# `kernels.position_weights` or from the degree masses
+KERNEL_FORMS = {"features", "dense_powers", "lifts", "top_is_dense"}
+
+
+def attributes_read(source: str) -> set[str]:
+    """Every attribute name `source` reads, as `x.name` or `getattr(x, "name")`."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr"
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            names.add(node.args[1].value)
+    return names
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "phi = ks.features.get(2)",
+        "L = self.ks.lifts[1]",
+        "from_masses = d == ks.D and ks.top_is_dense",
+        "P = getattr(ks, 'dense_powers')[k]",
+    ],
+)
+def test_every_kernel_form_read_is_seen(statement):
+    assert attributes_read(statement) & KERNEL_FORMS
+
+
+def test_sampler_reads_no_kernel_form():
+    assert attributes_read((PACKAGE / "sampler.py").read_text()) & KERNEL_FORMS == set()

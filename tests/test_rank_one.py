@@ -103,7 +103,7 @@ def check_position_weights(ks, alpha):
 
 def top_degree_masses(alpha, ks, rho):
     """Degree masses with all mass on the top degree, so a draw runs every
-    position; they keep the first position that a dense top degree takes
+    position; they keep the first position that a top-degree draw takes
     from them."""
     masses = degree_masses(alpha, ks, rho)
     delta = np.zeros(ks.D + 1)
@@ -230,7 +230,7 @@ class TestNoSquareTemporaries:
         # r=30: m=31 and F = 31/496/5456, so degrees 2 and 3 stay dense at n=300;
         # the top one is held in neither form
         data, ks, rho, rng = make_instance(True, 3, seed=6, n=self.n, r=30)
-        assert sorted(ks.dense_powers) == [2] and ks.top_is_dense
+        assert sorted(ks.dense_powers) == [2] and ks.D > len(ks.features)
         alpha = rng.normal(size=ks.n)
         ws = SamplerWorkspace(ks, rho, rng)
         masses = top_degree_masses(alpha, ks, rho)

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import numpy as np
@@ -13,8 +14,8 @@ from polymkl import (
 )
 from polymkl import baselines, sampler
 from polymkl.baselines import EnumerationError, brute_force_q, enumerate_index_set
-from polymkl.gradient import DegreeMasses
 from polymkl.kernels import position_weights
+from polymkl.lapack import dsymv
 from polymkl.sampler import _NEG_TOL, SamplerError, SamplerWorkspace, _draw_categorical
 
 from helpers import run_python
@@ -191,8 +192,8 @@ class TestScriptedExactLaw:
     def test_matches_the_enumerated_law(self, monkeypatch):
         # n 5-13, r 1-4, D 1-4, the constant kernel on and off, random rho:
         # the draw's every branch (lifted positions, the top feature degree,
-        # dense degrees, a dense top degree's first position off the masses)
-        # is taken.
+        # dense degrees, a top degree's first position off the masses, over
+        # features and over a dense degree) is taken.
         # A tuple's mass (z'alpha)^2 cancels in the draw's doubles, so each
         # error is taken relative to its mass before cancellation,
         # (|z|'|alpha|)^2: the worst seen was 1.6e-15. The oracle sums in
@@ -207,7 +208,7 @@ class TestScriptedExactLaw:
             ks = build_base_kernels(data, include_constant=bool(rng.integers(2)), D=D)
             rho = RhoSchedule(rng.uniform(0.2, 5.0, size=D + 1))
             alpha = rng.normal(size=n)
-            forms.add((bool(ks.features), bool(ks.dense_powers), ks.top_is_dense))
+            forms.add((bool(ks.features), bool(ks.dense_powers), ks.D > len(ks.features)))
             law = scripted_law(alpha, ks, rho, monkeypatch)
             q = brute_force_q(alpha, ks, rho, D)
             assert law.keys() == q.keys()
@@ -273,36 +274,72 @@ class TestDeterminismAndCost:
         # all mass on degree 2, but twice what the position weights sum to:
         # the telescoping check must raise, also under python -O
         alpha, ks, rho = random_instance(seed=34)
-        true = degree_masses(alpha, ks, rho).delta[2]
-        bogus = DegreeMasses(alpha, np.array([0.0, 0.0, 2.0 * true]))
+        masses = degree_masses(alpha, ks, rho)
+        bogus = dataclasses.replace(masses, delta=np.array([0.0, 0.0, 2.0 * masses.delta[2]]))
         with pytest.raises(SamplerError, match="telescoping"):
             SamplerWorkspace(ks, rho, np.random.default_rng(0)).draw(bogus)
 
 
 class TestFirstPosition:
-    # the first position projects alpha afresh, like every later one; the
-    # weights it lifts off Phi_d' alpha must sum to the degree mass, which
-    # `degree_masses` takes as the squared norm of its own Phi_d' alpha
-    @pytest.mark.parametrize(
-        "n,r,D,include_constant",
-        [
-            (80, 5, 3, True),
-            (30, 5, 3, True),
-            (12, 3, 3, True),
-            (12, 2, 2, True),
-            (40, 3, 2, False),
-        ],
-    )
+    # feature tops (D=3 and D=2, the constant kernel on and off), dense tops
+    # above a feature or a dense degree D-1 (on and off), and both D=1
+    # shapes: S held as features (m < n) and held in neither form (m >= n)
+    SHAPES = [
+        (80, 5, 3, True),
+        (30, 5, 3, True),
+        (12, 3, 3, True),
+        (12, 2, 2, True),
+        (40, 3, 2, False),
+        (8, 5, 3, True),
+        (8, 5, 3, False),
+        (10, 3, 1, True),
+        (4, 4, 1, False),
+    ]
+
+    @pytest.mark.parametrize("n,r,D,include_constant", SHAPES)
     def test_weights_from_projections_match_a_fresh_projection(
         self, n, r, D, include_constant
     ):
+        # below the top, the first position of a degree-d draw projects
+        # alpha afresh; the weights it lifts off Phi_d' alpha must sum to
+        # the degree mass, which `degree_masses` takes as the squared norm
+        # of its own Phi_d' alpha, or one below the top with the constant
+        # kernel off the top's first position
         alpha, ks, rho = random_instance(n, r, D, seed=60, include_constant=include_constant)
         masses = degree_masses(alpha, ks, rho)
-        assert ks.features
         for d in ks.features:
             mass = masses.delta[d] * rho.rho_sq[d]
             total = position_weights(ks, alpha, d - 1).sum()
             assert abs(total - mass) <= 1e-12 * mass, d
+
+    @pytest.mark.parametrize("n,r,D,include_constant", SHAPES)
+    def test_masses_carry_the_first_position_of_a_top_degree_draw(
+        self, n, r, D, include_constant
+    ):
+        # `first` sums to the top degree's mass on every kernel set. With
+        # the constant kernel, column 0 of U = alpha * Z is alpha itself, so
+        # first[0] is degree D-1's form: it matches the held form within
+        # round-off. Without it, degree D-1 is its held form bit for bit
+        alpha, ks, rho = random_instance(n, r, D, seed=60, include_constant=include_constant)
+        masses = degree_masses(alpha, ks, rho)
+        top = masses.delta[D] * rho.rho_sq[D]
+        assert masses.first is not None and top > 0.0
+        assert abs(masses.first.sum() - top) <= 1e-15 * top
+        below = D - 1
+        if below == 0:
+            held, bound = float(alpha.sum()) ** 2, 1e-12 * float(alpha.sum()) ** 2
+        elif below in ks.features:
+            v = ks.features[below].T @ alpha
+            held, bound = v @ v, 1e-12 * (v @ v)
+        else:
+            P = ks.dense_powers[below]
+            held = alpha @ dsymv(1.0, P.T, alpha, lower=1)
+            bound = TestDenseTriangleReads.BOUND * (np.abs(alpha) @ np.abs(P) @ np.abs(alpha))
+        if include_constant:
+            assert abs(masses.first[0] - held) <= bound
+            assert abs(masses.delta[below] * rho.rho_sq[below] - held) <= bound
+        else:
+            assert masses.delta[below] == held / rho.rho_sq[below]
 
 
 def dense_instances(count, seed):
@@ -351,7 +388,7 @@ class TestDenseTriangleReads:
 
     def test_dense_powers_are_exactly_symmetric_fortran_transposes(self):
         for ks, _, _ in dense_instances(60, seed=80):
-            assert ks.top_is_dense
+            assert ks.D > len(ks.features)
             assert sorted(ks.dense_powers) == list(range(len(ks.features) + 1, ks.D))
             for P in ks.dense_powers.values():
                 assert np.array_equal(P, P.T)
@@ -359,10 +396,11 @@ class TestDenseTriangleReads:
                 assert P.T.flags.f_contiguous
 
     def test_position_weights_match_the_full_matrix_product(self):
-        # with the form column u beside U = u * Z, whose weight is u' P u
+        # over U = u * Z; with the constant kernel its column 0 is u itself,
+        # and weight 0 the quadratic form u' P u
         remaining_seen, two_below_top = set(), False
         for ks, rho, u in dense_instances(60, seed=80):
-            U = np.column_stack([u[:, None] * ks.Z, u])
+            U = u[:, None] * ks.Z
             dense = [k for k in range(1, ks.D) if k in ks.dense_powers]
             remaining_seen.update(dense)
             two_below_top |= len(dense) >= 2
@@ -370,7 +408,7 @@ class TestDenseTriangleReads:
                 P = ks.dense_powers[k]
                 full = np.einsum("tj,tj->j", U, P @ U)
                 scale = np.einsum("tj,tj->j", np.abs(U), np.abs(P) @ np.abs(U))
-                error = np.abs(position_weights(ks, u, k, form=True) - full)
+                error = np.abs(position_weights(ks, u, k) - full)
                 assert np.all(error <= self.BOUND * scale), (ks.n, ks.D, k)
         assert remaining_seen == {1, 2, 3} and two_below_top
 
@@ -382,7 +420,7 @@ class TestDenseTriangleReads:
         for ks, rho, alpha in [*dense_instances(60, seed=80), *dense_top_instances(81)]:
             masses = degree_masses(alpha, ks, rho)
             Z = np.column_stack([np.ones(ks.n)] * ks.has_constant + [ks.inputs])
-            assert ks.top_is_dense
+            assert ks.D > len(ks.features)
             shapes.add((ks.D == 1, len(ks.features) == ks.D - 1))
             for d in range(len(ks.features) + 1, ks.D + 1):
                 P = (Z @ Z.T) ** d
@@ -397,9 +435,9 @@ class TestDenseTriangleReads:
 # 1 + 1e-6: the masses and the first position agree with each other, but the
 # second position projects onto the uncorrupted block below
 CORRUPT_TOP_BLOCK = """
+import dataclasses
 import numpy as np
 from polymkl import Dataset, RhoSchedule, build_base_kernels, degree_masses
-from polymkl.gradient import DegreeMasses
 from polymkl.sampler import SamplerError, SamplerWorkspace
 
 rng = np.random.default_rng(70)
@@ -411,7 +449,7 @@ print("features:", sorted(ks.features))
 ks.features[3] = ks.features[3] * (1 + 1e-6)
 masses = degree_masses(alpha, ks, rho)
 delta = np.array([0.0, 0.0, 0.0, masses.delta[3]])
-top = DegreeMasses(alpha, delta)
+top = dataclasses.replace(masses, delta=delta)
 ws = SamplerWorkspace(ks, rho, np.random.default_rng(71))
 try:
     ws.draw(top)
@@ -428,6 +466,55 @@ def test_corrupt_top_feature_block_raises_within_the_draw(flags):
     assert "raised: telescoping identity violated" in done.stdout
 
 
+# a degree-D draw on a kernel set whose top lift L_(D-1) is scaled by
+# 1 + 1e-6: degree D's mass and the first position both read it, so they
+# agree with each other, and the first position's weights are compared only
+# with their own sum; the second position lifts off the uncorrupted L_(D-2)
+# and its telescoping check raises
+CORRUPT_TOP_LIFT = """
+import dataclasses
+import numpy as np
+from polymkl import Dataset, RhoSchedule, build_base_kernels, degree_masses, sampler
+from polymkl.sampler import SamplerError, SamplerWorkspace
+
+rng = np.random.default_rng(72)
+data = Dataset(inputs=rng.normal(size=(80, 5)), targets=rng.normal(size=80))
+ks = build_base_kernels(data, include_constant=True, D=3)
+rho = RhoSchedule.uniform(3)
+alpha = rng.normal(size=80)
+print("features:", sorted(ks.features), "lifts:", sorted(ks.lifts))
+ks.lifts[2] = ks.lifts[2] * (1 + 1e-6)
+masses = degree_masses(alpha, ks, rho)
+delta = np.array([0.0, 0.0, 0.0, masses.delta[3]])
+top = dataclasses.replace(masses, delta=delta)
+computed = []
+real = sampler.position_weights
+
+
+def counted(ks, u, remaining):
+    computed.append(3 - remaining)
+    return real(ks, u, remaining)
+
+
+sampler.position_weights = counted
+ws = SamplerWorkspace(ks, rho, np.random.default_rng(73))
+try:
+    ws.draw(top)
+except SamplerError as exc:
+    print("positions computed:", computed)
+    print("raised:", exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python -O"])
+def test_corrupt_top_lift_raises_at_the_second_position(flags):
+    done = run_python(*flags, "-c", CORRUPT_TOP_LIFT)
+    assert done.returncode == 0, done.stderr
+    assert "features: [1, 2, 3] lifts: [1, 2]" in done.stdout
+    assert "positions computed: [2]" in done.stdout
+    assert "raised: telescoping identity violated" in done.stdout
+
+
 def test_dense_top_degree_held_in_neither_form_draws_from_its_own_masses():
     # a degree-1 draw on a kernel set with m = 6 >= n = 5, so that S is held
     # in neither form: the draw's one position is the first position its
@@ -437,7 +524,7 @@ def test_dense_top_degree_held_in_neither_form_draws_from_its_own_masses():
     ks = build_base_kernels(data, include_constant=True, D=1)
     rho = RhoSchedule.uniform(1)
     alpha = rng.normal(size=5)
-    assert ks.top_is_dense and not ks.features and not ks.dense_powers
+    assert ks.D > len(ks.features) and not ks.features and not ks.dense_powers
     ws = SamplerWorkspace(ks, rho, np.random.default_rng(77))
     assert len(ws.draw(degree_masses(alpha, ks, rho))) == 1
 
@@ -457,7 +544,7 @@ data = Dataset(inputs=rng.normal(size=(30, 8)), targets=rng.normal(size=30))
 ks = build_base_kernels(data, include_constant=True, D=3)
 rho = RhoSchedule.uniform(3)
 alpha = rng.normal(size=30)
-print("held:", sorted(ks.features), sorted(ks.dense_powers), "top is dense:", ks.top_is_dense)
+print("held:", sorted(ks.features), sorted(ks.dense_powers), "top is dense:", ks.D > len(ks.features))
 ks.dense_powers[2] = ks.dense_powers[2] * (1 + 1e-6)
 masses = degree_masses(alpha, ks, rho)
 delta = np.array([0.0, 0.0, 0.0, masses.delta[3]])
